@@ -26,7 +26,7 @@
 //   --seed S           scenario + algorithm seed (default 1)
 //   --threads T        run under a ThreadPoolExecutor with T threads
 //   --shards P         run under a ShardedExecutor with P CSR shards:
-//                      LOCAL rounds with counted boundary exchange;
+//                      LOCAL rounds with boundary-exchange accounting;
 //                      results are bit-identical to serial, the report
 //                      gains the exchange telemetry metrics
 //   --no-exchange-metrics   suppress that telemetry (sharded output is

@@ -321,8 +321,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       std::map<std::pair<Vertex, Color>, ListAssignment> lists_cache;
       // Sharded intra-job execution: the plan depends on the graph, so the
       // executor is per-instance. Sequential mode — instances are already
-      // fanned over the job executor; what p adds here is the partition,
-      // the counted exchange, and (optionally) its telemetry.
+      // fanned over the job executor; what p adds here is the partition
+      // and (optionally) its exchange telemetry.
       std::optional<ShardedExecutor> sharded_exec;
       if (spec.exec_shards > 1 && graph != nullptr) {
         ShardOptions shard_options;

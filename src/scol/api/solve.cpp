@@ -562,8 +562,9 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                [&](const ListAssignment& sampled, std::uint64_t seed,
                    std::int64_t* rounds) {
                  std::int64_t iters = 0;
-                 auto c = sparsified_attempt_coloring(
-                     *req.graph, sampled, seed, ctx.executor, cap, &iters);
+                 auto c = propose_resolve_coloring(
+                     *req.graph, sampled, seed, ctx.executor, cap,
+                     OnExhausted::kAbandon, &iters);
                  *rounds = 2 * iters;  // propose + resolve per iteration
                  return c;
                },
@@ -750,13 +751,6 @@ ColoringReport solve(const ColoringRequest& request, RunContext& ctx) {
     report.metrics.set_int("exchange_bytes", xafter.bytes - xbefore.bytes);
     report.metrics.set_int("boundary_vertices", plan.boundary_vertices);
     report.metrics.set_int("cut_edges", plan.cut_edges);
-    std::string per_round;
-    for (const std::int64_t m : sharded->per_round_messages(xbefore.rounds, 32)) {
-      if (!per_round.empty()) per_round += ',';
-      per_round += std::to_string(m);
-    }
-    if (xafter.rounds - xbefore.rounds > 32) per_round += ",...";
-    report.metrics.set_str("exchange_per_round", per_round);
   }
   report.sync_derived_fields();
   report.wall_ms =

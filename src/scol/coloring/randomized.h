@@ -8,7 +8,15 @@
 // with probability >= 1/4, so all vertices finish in O(log n) rounds
 // w.h.p. — an exponential round gap versus the deterministic lower bounds
 // of §2, which this library measures (bench_ablation).
+//
+// One propose/resolve kernel serves both this solver and the sampled-
+// palette attempts of the `*-sparsified` family (coloring/sparsify.h);
+// they differ only in what happens when a vertex runs out of free colors
+// or the iteration cap is hit (OnExhausted).
 #pragma once
+
+#include <cstdint>
+#include <optional>
 
 #include "scol/api/report.h"
 #include "scol/coloring/types.h"
@@ -18,6 +26,24 @@
 #include "scol/util/rng.h"
 
 namespace scol {
+
+/// What propose_resolve_coloring does when some vertex has no free list
+/// color left, or the run has not converged after `max_rounds` iterations.
+enum class OnExhausted {
+  kCheckFail,  ///< throw InternalError: (deg+1)-lists make this a bug
+  kAbandon,    ///< return nullopt: a sampled palette may legitimately fail
+};
+
+/// The randomized propose/resolve kernel. Each iteration, every uncolored
+/// vertex proposes a uniform color from L(v) minus its colored neighbors'
+/// colors, drawn from Rng::stream(base_seed, iteration << 32 | v); a
+/// proposal is kept iff no neighbor proposed the same color. Bit-identical
+/// under every executor. `iterations` (written when non-null, also on
+/// abandon) counts the iterations run, each worth 2 LOCAL rounds.
+std::optional<Coloring> propose_resolve_coloring(
+    const Graph& g, const ListAssignment& lists, std::uint64_t base_seed,
+    const Executor* executor, int max_rounds, OnExhausted on_exhausted,
+    std::int64_t* iterations = nullptr);
 
 /// Randomized (deg+1)-list-coloring: requires |L(v)| >= deg(v)+1 for all
 /// v. Each propose/resolve iteration costs 2 LOCAL rounds (charged to the

@@ -1,9 +1,7 @@
 #include "scol/coloring/sparsify.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <set>
 #include <vector>
 
 namespace scol {
@@ -50,79 +48,6 @@ ListAssignment sparsify_palette(const ListAssignment& lists, Vertex target,
     out.append(scratch);
   }
   return out;
-}
-
-std::optional<Coloring> sparsified_attempt_coloring(
-    const Graph& g, const ListAssignment& lists, std::uint64_t base_seed,
-    const Executor* executor, int max_rounds, std::int64_t* iterations) {
-  const Vertex n = g.num_vertices();
-  SCOL_REQUIRE(lists.size() == n);
-  SCOL_REQUIRE(lists.canonical(), + "lists must be sorted unique");
-  const Executor& exec = resolve_executor(executor);
-
-  Coloring coloring = empty_coloring(n);
-  std::int64_t iters = 0;
-  std::atomic<std::int64_t> colored{0};
-  // Whether ANY vertex is stuck this round is order-independent, so the
-  // abandon decision is deterministic under every executor.
-  std::atomic<bool> stuck{false};
-  std::vector<Color> proposal(static_cast<std::size_t>(n), kUncolored);
-
-  bool done = false;
-  while (!done && iters < max_rounds &&
-         !stuck.load(std::memory_order_relaxed)) {
-    const std::uint64_t round_tag = static_cast<std::uint64_t>(iters) << 32;
-    // Propose: a uniform color from the (sampled) list minus colored
-    // neighbors. A sampled list can be exhausted — flag it instead of
-    // crashing; the wrapper retries with a fresh sample.
-    parallel_for_index(exec, static_cast<std::size_t>(n), [&](std::size_t i) {
-      const Vertex v = static_cast<Vertex>(i);
-      proposal[i] = kUncolored;
-      if (coloring[i] != kUncolored) return;
-      std::set<Color> blocked;
-      for (Vertex w : g.neighbors(v)) {
-        const Color cw = coloring[static_cast<std::size_t>(w)];
-        if (cw != kUncolored) blocked.insert(cw);
-      }
-      std::vector<Color> free;
-      for (Color c : lists.of(v))
-        if (!blocked.count(c)) free.push_back(c);
-      if (free.empty()) {
-        stuck.store(true, std::memory_order_relaxed);
-        return;
-      }
-      Rng vr =
-          Rng::stream(base_seed, round_tag | static_cast<std::uint64_t>(v));
-      proposal[i] = free[vr.below(free.size())];
-    });
-    // Resolve: keep the proposal iff no neighbor proposed the same color.
-    exec.parallel_ranges(
-        static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
-          std::int64_t local = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            const Color mine = proposal[i];
-            if (mine == kUncolored) continue;
-            bool clash = false;
-            for (Vertex w : g.neighbors(static_cast<Vertex>(i))) {
-              if (proposal[static_cast<std::size_t>(w)] == mine) {
-                clash = true;
-                break;
-              }
-            }
-            if (!clash) {
-              coloring[i] = mine;
-              ++local;
-            }
-          }
-          if (local > 0) colored.fetch_add(local, std::memory_order_relaxed);
-        });
-    ++iters;
-    done = colored.load(std::memory_order_relaxed) >= n;
-  }
-
-  if (iterations != nullptr) *iterations = iters;
-  if (!done || stuck.load(std::memory_order_relaxed)) return std::nullopt;
-  return coloring;
 }
 
 }  // namespace scol

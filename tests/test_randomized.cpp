@@ -100,5 +100,45 @@ TEST(Randomized, LedgerCharged) {
   EXPECT_EQ(ledger.phase("randomized-coloring"), r.rounds);
 }
 
+// The shared propose/resolve kernel: the two exhaustion causes (no free
+// list color; no convergence within the cap) abandon under kAbandon and
+// throw under kCheckFail.
+TEST(ProposeResolve, EmptyListIsExhaustedInTheFirstIteration) {
+  const Graph g = path(3);
+  const ListAssignment lists = ListAssignment::from_lists({{0, 1}, {}, {0}});
+  std::int64_t iterations = -1;
+  EXPECT_FALSE(propose_resolve_coloring(g, lists, 11, nullptr, 50,
+                                        OnExhausted::kAbandon, &iterations)
+                   .has_value());
+  EXPECT_EQ(iterations, 1);
+  EXPECT_THROW(propose_resolve_coloring(g, lists, 11, nullptr, 50,
+                                        OnExhausted::kCheckFail),
+               InternalError);
+}
+
+TEST(ProposeResolve, IterationCapIsExhaustion) {
+  // Both ends can only ever propose color 0, so they clash forever.
+  const Graph g = path(2);
+  const ListAssignment lists = ListAssignment::from_lists({{0}, {0}});
+  std::int64_t iterations = -1;
+  EXPECT_FALSE(propose_resolve_coloring(g, lists, 13, nullptr, 7,
+                                        OnExhausted::kAbandon, &iterations)
+                   .has_value());
+  EXPECT_EQ(iterations, 7);
+  EXPECT_THROW(propose_resolve_coloring(g, lists, 13, nullptr, 7,
+                                        OnExhausted::kCheckFail),
+               InternalError);
+}
+
+TEST(ProposeResolve, EmptyGraphTakesNoIterations) {
+  std::int64_t iterations = -1;
+  const auto c = propose_resolve_coloring(Graph::from_edges(0, {}),
+                                          ListAssignment(), 17, nullptr, 5,
+                                          OnExhausted::kAbandon, &iterations);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_TRUE(c->empty());
+  EXPECT_EQ(iterations, 0);
+}
+
 }  // namespace
 }  // namespace scol
