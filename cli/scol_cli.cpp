@@ -25,10 +25,10 @@
 //   --param key=val    per-algorithm parameter (repeatable)
 //   --seed S           scenario + algorithm seed (default 1)
 //   --threads T        run under a ThreadPoolExecutor with T threads
-//   --shards P         run under a ShardedExecutor with P CSR shards:
-//                      LOCAL rounds with boundary-exchange accounting;
-//                      results are bit-identical to serial, the report
-//                      gains the exchange telemetry metrics
+//   --shards P         run under a ShardedExecutor with P CSR shards;
+//                      results are bit-identical to serial, and the report
+//                      gains shards / boundary_vertices / cut_edges and
+//                      exchange_messages = ledger rounds x boundary pairs
 //   --no-exchange-metrics   suppress that telemetry (sharded output is
 //                      then byte-identical to the serial report)
 //   --round-budget R   RunContext round budget
@@ -51,8 +51,9 @@
 //   --jobs N           thread pool over instances — one instance is all
 //                      algorithms on one generated graph (default 1)
 //   --shards P         every job solves under a P-shard ShardedExecutor;
-//                      each line gains a "shards" field + exchange
-//                      telemetry metrics (default 1 = serial)
+//                      each line gains a "shards" field + the exchange
+//                      metrics above, priced from its ledger rounds
+//                      (default 1 = serial)
 //   --no-exchange-metrics   suppress the telemetry: the stream is then
 //                      byte-identical to the serial stream for every P
 //   --shard i/m        run shard i of m (instances round-robin)

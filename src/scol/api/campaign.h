@@ -83,8 +83,8 @@ struct CampaignSpec {
   ProbeOptions probe_options;
   /// Intra-job executor shards (p >= 1, `--shards`). With p > 1 every job
   /// solves under a per-instance ShardedExecutor in sequential mode (jobs
-  /// already fan out over the job executor; only the exchange accounting
-  /// is distributed). With exchange_metrics on, every line gains a
+  /// already fan out over the job executor; only the shard split is
+  /// distributed). With exchange_metrics on, every line gains a
   /// top-level "shards" field and the exchange telemetry metrics; with it
   /// off the stream is byte-identical to the serial stream for EVERY p —
   /// what the golden sharded sweep and the CI cross-p compare pin.

@@ -712,12 +712,6 @@ ColoringReport solve(const ColoringRequest& request, RunContext& ctx) {
   arena.reset();
   const ArenaStats before = arena.stats();
 
-  // Sharded runs additionally report the LOCAL-model exchange profile;
-  // the executor's counters are cumulative, so snapshot around the run.
-  const auto* sharded = dynamic_cast<const ShardedExecutor*>(ctx.executor);
-  const ExchangeStats xbefore =
-      sharded != nullptr ? sharded->stats() : ExchangeStats{};
-
   const auto start = std::chrono::steady_clock::now();
   ColoringReport report;
   try {
@@ -736,23 +730,23 @@ ColoringReport solve(const ColoringRequest& request, RunContext& ctx) {
   report.metrics.set_int("arena_allocs", after.alloc_calls - before.alloc_calls);
   report.metrics.set_int("arena_bytes",
                          after.bytes_requested - before.bytes_requested);
-  // The exchange profile is deterministic for a fixed (graph, p) but varies
-  // WITH p, so it is gated behind ShardOptions::metrics: with metrics off a
-  // sharded run is byte-identical to serial (what the golden sharded sweep
-  // and the cross-p CI compare pin); with metrics on the LOCAL-model
-  // telemetry becomes part of the report.
+  report.sync_derived_fields();
+  // Sharded runs additionally report the LOCAL-model exchange profile: every
+  // ledger round sends one update per boundary pair, so the wire cost is
+  // rounds x plan.boundary_pairs by construction. It is deterministic for a
+  // fixed (graph, p) but varies WITH p, so it is gated behind
+  // ShardOptions::metrics: with metrics off a sharded run is byte-identical
+  // to serial (what the golden sharded sweep and the cross-p CI compare
+  // pin); with metrics on the telemetry becomes part of the report.
+  const auto* sharded = dynamic_cast<const ShardedExecutor*>(ctx.executor);
   if (sharded != nullptr && sharded->metrics_enabled()) {
-    const ExchangeStats xafter = sharded->stats();
     const ShardPlan& plan = sharded->plan();
     report.metrics.set_int("shards", plan.shards);
-    report.metrics.set_int("exchange_rounds", xafter.rounds - xbefore.rounds);
     report.metrics.set_int("exchange_messages",
-                           xafter.messages - xbefore.messages);
-    report.metrics.set_int("exchange_bytes", xafter.bytes - xbefore.bytes);
+                           report.rounds * plan.boundary_pairs);
     report.metrics.set_int("boundary_vertices", plan.boundary_vertices);
     report.metrics.set_int("cut_edges", plan.cut_edges);
   }
-  report.sync_derived_fields();
   report.wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)

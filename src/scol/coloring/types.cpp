@@ -1,7 +1,7 @@
 #include "scol/coloring/types.h"
 
 #include <algorithm>
-#include <set>
+#include <vector>
 
 namespace scol {
 
@@ -99,11 +99,16 @@ bool respects_lists(const Coloring& c, const ListAssignment& lists) {
   return true;
 }
 
+// Sorts a copy of the colored values and counts the distinct ones: one
+// allocation, any color range (negative or far above n).
 Vertex count_colors(const Coloring& c) {
-  std::set<Color> used;
+  std::vector<Color> used;
+  used.reserve(c.size());
   for (Color x : c)
-    if (x != kUncolored) used.insert(x);
-  return static_cast<Vertex>(used.size());
+    if (x != kUncolored) used.push_back(x);
+  std::sort(used.begin(), used.end());
+  return static_cast<Vertex>(std::unique(used.begin(), used.end()) -
+                             used.begin());
 }
 
 bool list_contains(std::span<const Color> list, Color x) {

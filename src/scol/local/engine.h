@@ -65,7 +65,7 @@ struct EngineOptions {
 template <typename State, typename Step>
 std::vector<State> run_synchronous(const Graph& g, std::vector<State> states,
                                    int rounds, Step&& step,
-                                   const EngineOptions& opts) {
+                                   const EngineOptions& opts = {}) {
   SCOL_REQUIRE(static_cast<Vertex>(states.size()) == g.num_vertices());
   SCOL_REQUIRE(rounds >= 0);
   const Executor& exec = resolve_executor(opts.executor);
@@ -81,22 +81,12 @@ std::vector<State> run_synchronous(const Graph& g, std::vector<State> states,
   return states;
 }
 
-template <typename State, typename Step>
-std::vector<State> run_synchronous(const Graph& g, std::vector<State> states,
-                                   int rounds, Step&& step,
-                                   RoundLedger* ledger = nullptr,
-                                   const std::string& phase = "engine") {
-  return run_synchronous(g, std::move(states), rounds,
-                         std::forward<Step>(step),
-                         EngineOptions{nullptr, ledger, phase});
-}
-
 /// Like run_synchronous but stops early when no state changed; charges only
 /// the rounds actually executed. Returns {states, rounds_run}.
 template <typename State, typename Step>
 std::pair<std::vector<State>, int> run_until_stable(
     const Graph& g, std::vector<State> states, int max_rounds, Step&& step,
-    const EngineOptions& opts) {
+    const EngineOptions& opts = {}) {
   SCOL_REQUIRE(static_cast<Vertex>(states.size()) == g.num_vertices());
   const Executor& exec = resolve_executor(opts.executor);
   std::vector<State> next(states.size());
@@ -121,15 +111,6 @@ std::pair<std::vector<State>, int> run_until_stable(
   }
   if (opts.ledger != nullptr) opts.ledger->charge(opts.phase, used);
   return {std::move(states), used};
-}
-
-template <typename State, typename Step>
-std::pair<std::vector<State>, int> run_until_stable(
-    const Graph& g, std::vector<State> states, int max_rounds, Step&& step,
-    RoundLedger* ledger = nullptr, const std::string& phase = "engine") {
-  return run_until_stable(g, std::move(states), max_rounds,
-                          std::forward<Step>(step),
-                          EngineOptions{nullptr, ledger, phase});
 }
 
 }  // namespace scol

@@ -30,56 +30,6 @@ std::vector<std::int64_t> range_cuts(const Graph& g, int p) {
   return cuts;
 }
 
-// Neighbors of v strictly below / strictly above v (adjacency is sorted).
-std::int64_t deg_below(const Graph& g, Vertex v) {
-  const auto nb = g.neighbors(v);
-  return std::lower_bound(nb.begin(), nb.end(), v) - nb.begin();
-}
-std::int64_t deg_above(const Graph& g, Vertex v) {
-  return g.degree(v) - deg_below(g, v);
-}
-
-// Deterministic local search: slide each internal cut within a bounded
-// window to reduce the number of edges crossing that cut line. Walking the
-// cut from c to c+1 moves vertex c from the right side to the left, so the
-// crossing count changes by deg_above(c) - deg_below(c) — relative costs
-// are enough to pick the argmin, no absolute crossing count needed.
-// Processed left to right so each window respects the already-final
-// neighbor cuts; ties prefer the original range cut, then the smaller
-// position, keeping the result scheduling-independent.
-void edge_cut_search(const Graph& g, std::size_t window,
-                     std::vector<std::int64_t>& cuts) {
-  const int p = static_cast<int>(cuts.size()) - 1;
-  for (int s = 1; s < p; ++s) {
-    const std::int64_t c0 = cuts[s];
-    const std::int64_t w = static_cast<std::int64_t>(window);
-    // Candidates keep both adjacent shards non-empty: an emptied shard
-    // has a trivial zero crossing count, which is degenerate, not a
-    // better partition.
-    const std::int64_t lo = std::max(cuts[s - 1] + 1, c0 - w);
-    const std::int64_t hi = std::min(cuts[s + 1] - 1, c0 + w);
-    std::int64_t best = c0, best_rel = 0, rel = 0;
-    for (std::int64_t c = c0 + 1; c <= hi; ++c) {
-      rel += deg_above(g, static_cast<Vertex>(c - 1)) -
-             deg_below(g, static_cast<Vertex>(c - 1));
-      if (rel < best_rel || (rel == best_rel && c < best)) {
-        best_rel = rel;
-        best = c;
-      }
-    }
-    rel = 0;
-    for (std::int64_t c = c0 - 1; c >= lo; --c) {
-      rel -= deg_above(g, static_cast<Vertex>(c)) -
-             deg_below(g, static_cast<Vertex>(c));
-      if (rel < best_rel || (rel == best_rel && c < best)) {
-        best_rel = rel;
-        best = c;
-      }
-    }
-    cuts[s] = best;
-  }
-}
-
 }  // namespace
 
 int ShardPlan::owner(Vertex v) const {
@@ -95,9 +45,6 @@ ShardPlan ShardPlan::build(const Graph& g, const ShardOptions& options) {
   plan.shards = options.shards;
   plan.num_vertices = static_cast<std::size_t>(g.num_vertices());
   plan.cuts = range_cuts(g, plan.shards);
-  if (options.partition == ShardPartition::kEdgeCut && plan.shards > 1) {
-    edge_cut_search(g, options.edge_cut_window, plan.cuts);
-  }
 
   for (Vertex v = 0; static_cast<std::size_t>(v) < plan.num_vertices; ++v) {
     const int s = plan.owner(v);
@@ -107,7 +54,7 @@ ShardPlan ShardPlan::build(const Graph& g, const ShardOptions& options) {
       if (t == s) continue;
       if (u > v) ++plan.cut_edges;
       if (t != last_t) {
-        ++plan.boundary_pairs;  // v updates shard t every superstep
+        ++plan.boundary_pairs;  // v updates shard t every round
         last_t = t;
       }
     }
@@ -141,20 +88,22 @@ void ShardedExecutor::parallel_ranges(
     const std::function<void(std::size_t, std::size_t)>& body) const {
   if (n == 0) return;
   if (n == plan_.num_vertices) {
-    // Full-width sweep == one LOCAL round == one BSP superstep: each shard
-    // computes its own range; the exchange it implies is plan-determined,
-    // so counting the superstep is the whole of the accounting.
+    // Full-width sweep: each shard computes its own range. The exchange
+    // this implies is priced from the ledger's rounds, not counted here.
     for_each_shard([&](int s) {
       const std::size_t begin = plan_.shard_begin(s);
       const std::size_t end = plan_.shard_end(s);
       if (begin < end) body(begin, end);
     });
-    ++supersteps_;
     return;
   }
-  // Narrower loop (palette scan, reduction): plain disjoint chunks over the
-  // same shard topology, no exchange — a real backend would run these
-  // shard-locally too, they touch no cross-shard state.
+  // Narrower loop (palette scan, reduction): it touches no cross-shard
+  // state. Below kDefaultGrain a pool dispatch costs more than the work, so
+  // it runs inline as one range; wider ones split into p disjoint chunks.
+  if (n < kDefaultGrain) {
+    body(0, n);
+    return;
+  }
   const std::size_t p = static_cast<std::size_t>(plan_.shards);
   const std::size_t chunk = (n + p - 1) / p;
   for_each_shard([&](int s) {
@@ -162,12 +111,6 @@ void ShardedExecutor::parallel_ranges(
     const std::size_t end = std::min(n, begin + chunk);
     if (begin < end) body(begin, end);
   });
-}
-
-ExchangeStats ShardedExecutor::stats() const {
-  const std::int64_t rounds = supersteps_.load();
-  const std::int64_t messages = rounds * plan_.boundary_pairs;
-  return {rounds, messages, messages * kBytesPerUpdate};
 }
 
 }  // namespace scol

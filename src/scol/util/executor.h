@@ -49,12 +49,16 @@ class SerialExecutor final : public Executor {
   }
 };
 
+/// Loops shorter than this many indices are not worth a pool dispatch.
+inline constexpr std::size_t kDefaultGrain = 256;
+
 class ThreadPoolExecutor final : public Executor {
  public:
   /// threads <= 0 selects hardware concurrency. `grain` is the minimum
   /// number of indices per chunk; small loops stay effectively serial so
   /// the pool never costs more than it saves.
-  explicit ThreadPoolExecutor(int threads = 0, std::size_t grain = 256)
+  explicit ThreadPoolExecutor(int threads = 0,
+                              std::size_t grain = kDefaultGrain)
       : pool_(threads), grain_(std::max<std::size_t>(grain, 1)) {}
 
   int concurrency() const override { return pool_.num_threads(); }

@@ -87,6 +87,17 @@ TEST(EdgeCases, ListsWithHugeColorValues) {
   expect_proper_list_coloring(g, *r.coloring, lists);
 }
 
+// count_colors counts distinct colored values whatever their range: small
+// palettes, colors far above n, and negative values other than kUncolored.
+TEST(EdgeCases, CountColorsAcrossColorRanges) {
+  EXPECT_EQ(count_colors({}), 0);
+  EXPECT_EQ(count_colors({kUncolored, kUncolored}), 0);
+  EXPECT_EQ(count_colors({0, 2, kUncolored, 2, 0, 5}), 3);
+  EXPECT_EQ(count_colors({2'000'000'000, 7, 2'000'000'000, kUncolored}), 2);
+  EXPECT_EQ(count_colors({-5, 0, -5, kUncolored, 3}), 3);
+  EXPECT_EQ(count_colors({-5, kUncolored, -3, -5}), 2);
+}
+
 TEST(EdgeCases, HeterogeneousListSizes) {
   // Some vertices get many more colors than d; must still respect lists.
   Rng rng(773);

@@ -279,30 +279,6 @@ TEST(ShardPlan, CutsCoverAndBoundariesMatchBruteForce) {
   }
 }
 
-TEST(ShardPlan, EdgeCutHeuristicFindsABridge) {
-  // A K10 community followed by a path: the balanced range cut lands
-  // inside the clique (the clique holds most of the adjacency mass); the
-  // local search must slide it to the single bridge edge.
-  GraphBuilder b(30);
-  for (Vertex u = 0; u < 10; ++u)
-    for (Vertex v = u + 1; v < 10; ++v) b.add_edge(u, v);
-  for (Vertex v = 9; v + 1 < 30; ++v) b.add_edge(v, v + 1);
-  const Graph g = b.build();
-
-  ShardOptions range_options;
-  range_options.shards = 2;
-  const ShardPlan range_plan = ShardPlan::build(g, range_options);
-  ShardOptions edge_options = range_options;
-  edge_options.partition = ShardPartition::kEdgeCut;
-  const ShardPlan edge_plan = ShardPlan::build(g, edge_options);
-
-  EXPECT_GT(range_plan.cut_edges, 1);  // range cut splits the clique
-  EXPECT_EQ(edge_plan.cuts[1], 10);    // the bridge
-  EXPECT_EQ(edge_plan.cut_edges, 1);
-  EXPECT_EQ(edge_plan.boundary_vertices, 2);
-  EXPECT_LE(edge_plan.cut_edges, range_plan.cut_edges);
-}
-
 // --- Sharded executor: bit-identity and exchange accounting --------------
 
 TEST(ShardedExecutor, EngineBitIdenticalAcrossShardCountsAndModes) {
@@ -345,76 +321,85 @@ TEST(ShardedExecutor, RandomizedColoringBitIdenticalAndModesAgree) {
     EXPECT_EQ(serial.coloring, seq.coloring);
     EXPECT_EQ(serial.rounds, seq.rounds);
     EXPECT_EQ(seq.coloring, thr.coloring);
-    // The exchange profile is part of the determinism contract too: the
-    // sequential and the pool-backed drive of the same plan must count
-    // the same rounds, messages, and bytes.
-    const ExchangeStats a = sequential.stats();
-    const ExchangeStats b = threaded.stats();
-    EXPECT_EQ(a.rounds, b.rounds);
-    EXPECT_EQ(a.messages, b.messages);
-    EXPECT_EQ(a.bytes, b.bytes);
-    EXPECT_GT(a.rounds, 0);
   }
 }
 
-TEST(ShardedExecutor, ExchangeAccountingMatchesThePlan) {
-  Rng rng(2063);
-  const Graph g = gnm(250, 600, rng);
-  ShardOptions options;
-  options.shards = 4;
-  ShardedExecutor sharded(g, options);
-  std::vector<Vertex> init(static_cast<std::size_t>(g.num_vertices()), -1);
-  init[0] = 0;
-  const auto min_propagation = [](Vertex, const Vertex& self,
-                                  NeighborStates<Vertex> nb) {
-    Vertex best = self;
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      const Vertex d = nb.state(i);
-      if (d >= 0 && (best < 0 || d + 1 < best)) best = d + 1;
-    }
-    return best;
-  };
-  run_synchronous(g, init, 5, min_propagation,
-                  EngineOptions{&sharded, nullptr, "engine"});
-  const ExchangeStats stats = sharded.stats();
-  const ShardPlan& plan = sharded.plan();
-  // Every full-width sweep is one BSP superstep; each superstep
-  // re-announces every boundary vertex to each neighboring shard, at
-  // (sizeof vertex + sizeof color) wire bytes per update.
-  EXPECT_GE(stats.rounds, 5);
-  EXPECT_GT(plan.boundary_pairs, 0);
-  EXPECT_EQ(stats.messages, stats.rounds * plan.boundary_pairs);
-  EXPECT_EQ(stats.bytes, stats.messages * ShardedExecutor::kBytesPerUpdate);
-}
-
-// Only full-width loops are supersteps: a narrower loop (palette scan,
-// reduction) runs shard-locally and leaves the counters untouched, while
-// each full-width loop adds exactly one round of plan-sized traffic.
-TEST(ShardedExecutor, CountsExactlyTheFullWidthLoops) {
+// Every index runs exactly once whatever the loop width: full-width
+// sweeps split on the shard ranges, narrower loops split p ways, and loops
+// below the inline threshold run as one range on the caller.
+TEST(ShardedExecutor, EveryIndexRunsOnceAtEveryWidth) {
   Rng rng(2065);
-  const Graph g = gnm(120, 300, rng);
+  const Graph g = gnm(600, 1500, rng);
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
   for (const bool threaded : {false, true}) {
     ShardOptions options;
     options.shards = 3;
     options.threaded = threaded;
-    ShardedExecutor sharded(g, options);
-    std::vector<int> hit(n, 0);
-    const auto mark = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) ++hit[i];
-    };
-    sharded.parallel_ranges(n - 1, mark);
-    sharded.parallel_ranges(0, mark);
-    EXPECT_EQ(sharded.stats().rounds, 0);
-    for (int r = 1; r <= 3; ++r) {
-      sharded.parallel_ranges(n, mark);
-      const ExchangeStats stats = sharded.stats();
-      EXPECT_EQ(stats.rounds, r);
-      EXPECT_EQ(stats.messages, r * sharded.plan().boundary_pairs);
+    const ShardedExecutor sharded(g, options);
+    for (const std::size_t width :
+         {std::size_t{0}, std::size_t{100}, n - 1, n}) {
+      std::vector<int> hit(width, 0);
+      sharded.parallel_ranges(width, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) ++hit[i];
+      });
+      for (std::size_t i = 0; i < width; ++i)
+        EXPECT_EQ(hit[i], 1) << "width " << width << " index " << i
+                             << " threaded=" << threaded;
     }
-    // Every index ran once per loop: 3 full sweeps + 1 narrower one.
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(hit[i], i + 1 < n ? 4 : 3) << "index " << i;
+  }
+}
+
+// The exchange telemetry is priced from the ledger, so it agrees with the
+// report's rounds by construction: exactly one update per boundary pair
+// per LOCAL round, none on a single shard, and the rest of the report is
+// the serial bytes.
+TEST(ShardedExecutor, ExchangeIsLedgerRoundsTimesBoundaryPairs) {
+  Rng rng(2063);
+  const ParamBag params;
+  const auto report_of = [](const ColoringRequest& req, std::uint64_t seed,
+                            const Executor* exec) {
+    RunContext ctx;
+    ctx.seed = seed;
+    ctx.executor = exec;
+    ctx.validate = true;
+    ColoringReport report = solve(req, ctx);
+    report.wall_ms = 0.0;
+    return report;
+  };
+  const std::vector<std::string> shard_keys = {
+      "shards", "exchange_messages", "boundary_vertices", "cut_edges"};
+  for (int trial = 0; trial < 3; ++trial) {
+    const proptest::Sample sample = proptest::random_graph(rng);
+    const Graph& g = sample.graph;
+    const auto cells = proptest::eligible_cells(g, params, probe_graph(g, {}));
+    const std::uint64_t seed = 1 + rng.below(1000);
+    for (const proptest::EligibleCell& cell : cells) {
+      const ColoringRequest req = proptest::cell_request(cell, g);
+      const std::string serial =
+          to_json(report_of(req, seed, nullptr), true).dump();
+      for (int p : {1, 2, 4}) {
+        ShardOptions options;
+        options.shards = p;
+        const ShardedExecutor sharded(g, options);
+        ColoringReport r = report_of(req, seed, &sharded);
+        const std::string where = sample.description + " algo=" +
+                                  cell.info->name + " p=" + std::to_string(p);
+        const std::int64_t messages =
+            r.metrics.get_int("exchange_messages", -1);
+        EXPECT_EQ(r.metrics.get_int("shards", -1), p) << where;
+        EXPECT_EQ(messages, r.rounds * sharded.plan().boundary_pairs) << where;
+        if (p == 1) {
+          EXPECT_EQ(messages, 0) << where;
+        }
+        ParamBag stripped;
+        for (const auto& [name, value] : r.metrics.items())
+          if (std::find(shard_keys.begin(), shard_keys.end(), name) ==
+              shard_keys.end())
+            stripped.set(name, value);
+        r.metrics = stripped;
+        EXPECT_EQ(serial, to_json(r, true).dump()) << where;
+      }
+    }
   }
 }
 

@@ -114,9 +114,8 @@ TEST(GoldenCorpus, PinnedSweepsAreByteIdentical) {
 
 TEST(GoldenCorpus, ShardedExecutorReproducesTheCorpus) {
   // The tentpole acceptance criterion: every job solved under a
-  // ShardedExecutor — LOCAL rounds over p CSR shards with counted
-  // boundary exchange — reproduces the pinned stream byte for byte for
-  // p in {1, 2, 4, 8}. The serial engine is the oracle; the partition
+  // ShardedExecutor — LOCAL rounds run shard by shard over p CSR ranges —
+  // reproduces the pinned stream byte for byte for p in {1, 2, 4, 8}. The serial engine is the oracle; the partition
   // and the shard-by-shard execution must be invisible to the reports.
   if (std::getenv("SCOL_REGEN_GOLDEN") != nullptr) GTEST_SKIP();
   for (const GoldenCase& c : kCases) {

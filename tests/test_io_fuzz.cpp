@@ -196,9 +196,12 @@ void expect_same_outcome(const Outcome& a, const Outcome& b,
 
 void run_fuzz(const std::string& tag, const std::string& seed_text,
               GraphFormat format, bool has_parallel_reader) {
-  const std::string path =
-      ::testing::TempDir() + "/scol_fuzz_" + tag + ".bin";
+  // The iteration count is in the name so the tier-1 run and the longer
+  // sweep (same binary, more iterations) can run side by side under
+  // `ctest -j` without truncating each other's mapped file.
   const int iters = fuzz_iters();
+  const std::string path = ::testing::TempDir() + "/scol_fuzz_" + tag + "_" +
+                           std::to_string(iters) + ".bin";
   for (int iter = 0; iter < iters; ++iter) {
     Rng rng(Rng::stream(0xf022, static_cast<std::uint64_t>(iter)).below(
         ~std::uint64_t{0}));

@@ -64,7 +64,7 @@ TEST(Engine, UntilStableStopsEarly) {
           best = std::max(best, nb.state(i));
         return best;
       },
-      &ledger);
+      EngineOptions{nullptr, &ledger, "engine"});
   EXPECT_EQ(states, std::vector<int>(6, 1));
   EXPECT_LE(used, 7);
   EXPECT_EQ(ledger.total(), used);

@@ -84,28 +84,31 @@ def check(report: dict, schema: dict, campaign_line: bool = False
     if status == "failed" and not report.get("failure_reason"):
         errors.append("failed report without failure_reason")
     # Sharded-executor telemetry: a run that reports metrics.shards must
-    # carry the whole exchange block, satisfy the wire-accounting
-    # invariant (8 bytes per boundary update: vertex id + color), and
+    # carry the whole exchange block, price its exchange from the ledger
+    # (one update per boundary pair per round, so messages are a multiple
+    # of rounds and zero on a single shard or a round-free run), and
     # agree with the line-level "shards" field when both are present.
     metrics = report.get("metrics")
     if isinstance(metrics, dict) and "shards" in metrics:
         require(metrics, schema["shard_metrics_required"], "metrics.")
-        counters = ("shards", "exchange_rounds", "exchange_messages",
-                    "exchange_bytes", "boundary_vertices", "cut_edges")
-        if all(isinstance(metrics.get(k), int) for k in counters):
+        counters = tuple(schema["shard_metrics_required"])
+        rounds = report.get("rounds")
+        if all(isinstance(metrics.get(k), int) for k in counters) \
+                and isinstance(rounds, int):
+            messages = metrics["exchange_messages"]
             if metrics["shards"] < 1:
                 errors.append(f"metrics.shards {metrics['shards']} < 1")
             if any(metrics[k] < 0 for k in counters):
                 errors.append("negative shard exchange counter")
-            per_update = schema["shard_bytes_per_update"]
-            if metrics["exchange_bytes"] != \
-                    per_update * metrics["exchange_messages"]:
+            if metrics["shards"] == 1 or rounds == 0:
+                if messages != 0:
+                    errors.append(
+                        f"exchange_messages {messages} != 0 with shards "
+                        f"{metrics['shards']}, rounds {rounds}")
+            elif messages % rounds != 0:
                 errors.append(
-                    f"exchange_bytes {metrics['exchange_bytes']} != "
-                    f"{per_update} * exchange_messages "
-                    f"{metrics['exchange_messages']}")
-            if metrics["shards"] == 1 and metrics["exchange_messages"] != 0:
-                errors.append("single-shard run exchanged messages")
+                    f"exchange_messages {messages} is not a multiple of "
+                    f"rounds {rounds}")
         if isinstance(report.get("shards"), int) \
                 and report["shards"] != metrics["shards"]:
             errors.append(
