@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_set>
 
 #include "scol/graph/gallai.h"
 
@@ -64,20 +65,30 @@ Graph random_regular(Vertex n, Vertex d, Rng& rng) {
   // Deterministic d-regular circulant base, randomized by double-edge
   // swaps (which preserve degrees and simplicity). Unlike the plain
   // configuration model this never rejects, even for larger d.
-  std::set<Edge> edges;
+  std::vector<Edge> e;
   for (Vertex s = 1; s <= d / 2; ++s)
     for (Vertex i = 0; i < n; ++i) {
       const Vertex j = (i + s) % n;
-      edges.insert({std::min(i, j), std::max(i, j)});
+      e.emplace_back(std::min(i, j), std::max(i, j));
     }
   if (d % 2 == 1) {
     for (Vertex i = 0; i < n / 2; ++i)
-      edges.insert({i, static_cast<Vertex>(i + n / 2)});
+      e.emplace_back(i, static_cast<Vertex>(i + n / 2));
   }
-  std::vector<Edge> e(edges.begin(), edges.end());
+  // The swap loop draws indices into e, so its sorted order is part of
+  // the output; deduplicating keeps the regularity check meaningful.
+  std::sort(e.begin(), e.end());
+  e.erase(std::unique(e.begin(), e.end()), e.end());
   SCOL_CHECK(static_cast<std::int64_t>(e.size()) ==
                  static_cast<std::int64_t>(n) * d / 2,
              + "circulant base must be d-regular");
+  const auto key = [](const Edge& x) {
+    return static_cast<std::uint64_t>(x.first) << 32 |
+           static_cast<std::uint32_t>(x.second);
+  };
+  std::unordered_set<std::uint64_t> edges;
+  edges.reserve(e.size());
+  for (const Edge& x : e) edges.insert(key(x));
   // Double-edge swaps: (a,b),(c,x) -> (a,c),(b,x) when the result stays
   // simple and loop-free.
   const std::size_t swaps = 20 * e.size();
@@ -91,15 +102,16 @@ Graph random_regular(Vertex n, Vertex d, Rng& rng) {
     if (a == c || a == x || b == c || b == x) continue;
     const Edge e1{std::min(a, c), std::max(a, c)};
     const Edge e2{std::min(b, x), std::max(b, x)};
-    if (edges.count(e1) || edges.count(e2)) continue;
-    edges.erase(e[i]);
-    edges.erase(e[j]);
-    edges.insert(e1);
-    edges.insert(e2);
+    if (edges.count(key(e1)) || edges.count(key(e2))) continue;
+    edges.erase(key(e[i]));
+    edges.erase(key(e[j]));
+    edges.insert(key(e1));
+    edges.insert(key(e2));
     e[i] = e1;
     e[j] = e2;
   }
-  return Graph::from_edges(n, {edges.begin(), edges.end()});
+  std::sort(e.begin(), e.end());
+  return Graph::from_edges(n, e);
 }
 
 Graph random_gallai_tree(Vertex blocks, Vertex max_clique, Rng& rng) {

@@ -1,7 +1,5 @@
 #include "scol/graph/girth.h"
 
-#include <deque>
-
 namespace scol {
 
 Vertex girth(const Graph& g, Vertex limit) {
@@ -13,19 +11,21 @@ Vertex girth(const Graph& g, Vertex limit) {
   // which always contains a cycle no longer than the walk — so the
   // minimum over all roots of the reports <= limit stays exact.
   const Vertex depth = limit < 0 ? -1 : (limit + 1) / 2;
-  std::vector<Vertex> dist(static_cast<std::size_t>(n));
+  // dist stays -1 between roots: each BFS resets only the vertices it
+  // queued, so a root costs O(visited), not O(n).
+  std::vector<Vertex> dist(static_cast<std::size_t>(n), -1);
   std::vector<Vertex> parent(static_cast<std::size_t>(n));
-  for (Vertex s = 0; s < n; ++s) {
+  std::vector<Vertex> queue;
+  // A simple graph has no cycle shorter than 3, so 3 is final.
+  for (Vertex s = 0; s < n && best != 3; ++s) {
     // BFS from s; a non-tree edge (u, w) closes a cycle through s of length
     // dist[u] + dist[w] + 1 (exact when u, w are on shortest paths from s,
     // which BFS guarantees; minimizing over all s gives the girth).
-    std::fill(dist.begin(), dist.end(), -1);
-    std::deque<Vertex> queue{s};
+    queue.assign(1, s);
     dist[s] = 0;
     parent[s] = -1;
-    while (!queue.empty()) {
-      const Vertex u = queue.front();
-      queue.pop_front();
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const Vertex u = queue[head];
       if (best >= 0 && 2 * dist[u] >= best) break;  // cannot improve
       if (depth >= 0 && dist[u] >= depth) continue;  // truncated scan
       for (Vertex w : g.neighbors(u)) {
@@ -40,22 +40,11 @@ Vertex girth(const Graph& g, Vertex limit) {
         }
       }
     }
+    for (const Vertex v : queue) dist[v] = -1;
   }
   return best;
 }
 
-bool triangle_free(const Graph& g) {
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    const auto nb = g.neighbors(u);
-    for (Vertex v : nb) {
-      if (v <= u) continue;
-      for (Vertex w : nb) {
-        if (w <= v) continue;
-        if (g.has_edge(v, w)) return false;
-      }
-    }
-  }
-  return true;
-}
+bool triangle_free(const Graph& g) { return girth(g, 3) != 3; }
 
 }  // namespace scol

@@ -6,14 +6,18 @@
 
 namespace scol {
 
-/// Girth via BFS from every vertex. With `limit` < 0 (default): the
-/// exact girth, O(n·m), -1 if acyclic. With `limit` >= 3: the exact
-/// girth when it is <= limit, else -1 (certifying girth > limit) — the
-/// BFS is truncated at depth ceil(limit/2), so the scan is
-/// O(n · Δ^(limit/2)); the structure probe (io/probe.h) uses this form.
+/// Girth via BFS from every vertex. Each root's BFS costs O(what it
+/// visits) — scratch state is reset only for the vertices it queued — and
+/// the root loop stops at the first triangle (3 is the minimum). With
+/// `limit` < 0 (default): the exact girth, O(n·m) worst case, -1 if
+/// acyclic. With `limit` >= 3: the exact girth when it is <= limit, else
+/// -1 (certifying girth > limit) — each BFS is truncated at depth
+/// ceil(limit/2), so a root visits only its ball of that radius (at most
+/// Δ^ceil(limit/2) vertices); the structure probe (io/probe.h) uses this
+/// form.
 Vertex girth(const Graph& g, Vertex limit = -1);
 
-/// True iff no triangle exists (girth > 3 or acyclic).
+/// True iff no triangle exists (girth > 3 or acyclic): girth(g, 3) != 3.
 bool triangle_free(const Graph& g);
 
 }  // namespace scol

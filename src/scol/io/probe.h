@@ -4,12 +4,14 @@
 // The paper's guarantees are stated for graph *classes* — planar,
 // bounded genus, bounded maximum average degree — but a file gives a
 // single instance with no class promise attached. probe_graph() measures
-// what can be certified in near-linear time (degeneracy and the mad
-// upper bound it implies, connectivity, a bounded girth scan, exact
-// planarity on small graphs) and AlgorithmInfo::precondition
-// (api/registry.h) consumes the result: campaign grids over files skip
-// algorithm/instance cells whose structural preconditions fail instead
-// of producing a wall of kFailed reports.
+// what can be certified cheaply: degeneracy (and the mad upper bound it
+// implies) and connectivity in O(n + m); a girth scan that visits only a
+// radius-ceil(girth_limit/2) ball per root and stops at the first
+// triangle; exact planarity and mad only on small graphs.
+// AlgorithmInfo::precondition (api/registry.h) consumes the result:
+// campaign grids over files skip algorithm/instance cells whose
+// structural preconditions fail instead of producing a wall of kFailed
+// reports.
 //
 // Everything here is deterministic — probes feed the campaign's
 // bit-identical JSONL contract.
@@ -32,9 +34,11 @@ const char* to_string(ProbeVerdict verdict);
 struct ProbeOptions {
   /// Run the exact planarity test only when n <= this (kUnknown above).
   Vertex planarity_limit = 1024;
-  /// Certify girth up to this length via truncated BFS (the scan is
-  /// O(n · Δ^(limit/2)); 8 covers every registered girth precondition).
-  /// Clamped to >= 3 so the triangle-free verdict is always certified.
+  /// Certify girth up to this length via truncated BFS: each root visits
+  /// its radius-ceil(limit/2) ball and pays only for what it visits, and
+  /// the scan ends at the first triangle (graph/girth.h). 8 covers every
+  /// registered girth precondition. Clamped to >= 3 so the triangle-free
+  /// verdict is always certified.
   Vertex girth_limit = 8;
   /// Compute the exact mad and arboricity (flow-based, flow/density.h)
   /// when n <= this; above it, fall back to the peeling bounds
@@ -102,8 +106,9 @@ struct GraphProbe {
   ProbeVerdict planar = ProbeVerdict::kUnknown;
 };
 
-/// Probes `g`. Deterministic; near-linear except for the explicitly
-/// bounded planarity / exact-mad components (see ProbeOptions).
+/// Probes `g`. Deterministic; O(n + m) plus the girth scan (bounded
+/// balls per root, see ProbeOptions::girth_limit) and the size-gated
+/// planarity / exact-mad components.
 GraphProbe probe_graph(const Graph& g, const ProbeOptions& options = {});
 
 /// One-line human-readable summary ("n=.. m=.. degeneracy=.. ...").

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "proptest.h"
+#include "scol/gen/lattice.h"
 #include "scol/gen/random.h"
 #include "scol/gen/special.h"
 #include "scol/graph/bfs.h"
@@ -189,6 +194,69 @@ TEST(Girth, KnownValues) {
   EXPECT_EQ(girth(heawood()), 6);
   EXPECT_EQ(girth(mcgee()), 7);
   EXPECT_EQ(girth(grotzsch()), 4);
+}
+
+// Naive girth: for each edge (u, v), the shortest u-v path that avoids
+// the edge closes the shortest cycle through it. -1 when acyclic or when
+// that cycle is longer than `limit` (limit < 0: no bound).
+Vertex brute_force_girth(const Graph& g, Vertex limit) {
+  Vertex best = -1;
+  for (const auto& [u, v] : g.edges()) {
+    std::vector<Vertex> dist(static_cast<std::size_t>(g.num_vertices()), -1);
+    std::vector<Vertex> queue{u};
+    dist[static_cast<std::size_t>(u)] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const Vertex x = queue[head];
+      for (const Vertex y : g.neighbors(x)) {
+        if (x == u && y == v) continue;  // the avoided edge
+        Vertex& dy = dist[static_cast<std::size_t>(y)];
+        if (dy >= 0) continue;
+        dy = dist[static_cast<std::size_t>(x)] + 1;
+        queue.push_back(y);
+      }
+    }
+    const Vertex d = dist[static_cast<std::size_t>(v)];
+    if (d >= 0 && (best < 0 || d + 1 < best)) best = d + 1;
+  }
+  return limit >= 0 && best > limit ? -1 : best;
+}
+
+TEST(Girth, TruncatedMatchesBruteForce) {
+  std::vector<std::pair<std::string, Graph>> graphs = {
+      {"petersen", petersen()},
+      {"heawood", heawood()},
+      {"mcgee", mcgee()},
+      {"grotzsch", grotzsch()},
+      {"cycle9", cycle(9)},
+      {"hex 4x5", hex_patch(4, 5)},
+      // Forests.
+      {"path", path(12)},
+      {"star", star(7)},
+      {"two trees", disjoint_union(path(6), star(4))},
+      // The only triangle sits in the last component, after components
+      // whose roots find longer cycles first.
+      {"triangle last",
+       disjoint_union(disjoint_union(hex_patch(3, 3), cycle(5)), cycle(3))},
+      // Root 0 lies on a 4-cycle; the triangle is only reached from later
+      // roots, down a path from vertex 3.
+      {"4-cycle before triangle",
+       Graph::from_edges(8, {{0, 1}, {1, 2}, {2, 3}, {0, 3}, {3, 4},
+                             {4, 5}, {5, 6}, {6, 7}, {5, 7}})},
+  };
+  Rng rng(8101);
+  for (int i = 0; i < 40; ++i) {
+    const proptest::Sample a = proptest::random_graph(rng);
+    graphs.emplace_back(a.description, a.graph);
+    if (i % 4 == 0) {
+      const proptest::Sample b = proptest::random_graph(rng);
+      graphs.emplace_back(a.description + " + " + b.description,
+                          disjoint_union(a.graph, b.graph));
+    }
+  }
+  for (const auto& [name, g] : graphs)
+    for (const Vertex limit : {-1, 3, 4, 5, 6, 8})
+      EXPECT_EQ(girth(g, limit), brute_force_girth(g, limit))
+          << name << " limit=" << limit;
 }
 
 TEST(Girth, TriangleFree) {
