@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 
 #include "scol/graph/gallai.h"
 
@@ -82,13 +81,27 @@ Graph random_regular(Vertex n, Vertex d, Rng& rng) {
   SCOL_CHECK(static_cast<std::int64_t>(e.size()) ==
                  static_cast<std::int64_t>(n) * d / 2,
              + "circulant base must be d-regular");
-  const auto key = [](const Edge& x) {
-    return static_cast<std::uint64_t>(x.first) << 32 |
-           static_cast<std::uint32_t>(x.second);
+  // Fixed-width adjacency rows: swaps preserve every degree, so row v
+  // always holds exactly d neighbors and an edge test is a d-slot scan.
+  const auto dd = static_cast<std::size_t>(d);
+  std::vector<Vertex> nbr(static_cast<std::size_t>(n) * dd);
+  std::vector<std::size_t> fill(static_cast<std::size_t>(n), 0);
+  const auto row = [&](Vertex v) {
+    return nbr.data() + static_cast<std::size_t>(v) * dd;
   };
-  std::unordered_set<std::uint64_t> edges;
-  edges.reserve(e.size());
-  for (const Edge& x : e) edges.insert(key(x));
+  for (const auto& [u, v] : e) {
+    std::size_t& fu = fill[static_cast<std::size_t>(u)];
+    std::size_t& fv = fill[static_cast<std::size_t>(v)];
+    SCOL_CHECK(fu < dd && fv < dd, + "circulant base must be d-regular");
+    row(u)[fu++] = v;
+    row(v)[fv++] = u;
+  }
+  const auto adjacent = [&](Vertex u, Vertex v) {
+    return std::find(row(u), row(u) + dd, v) != row(u) + dd;
+  };
+  const auto relink = [&](Vertex u, Vertex from, Vertex to) {
+    *std::find(row(u), row(u) + dd, from) = to;
+  };
   // Double-edge swaps: (a,b),(c,x) -> (a,c),(b,x) when the result stays
   // simple and loop-free.
   const std::size_t swaps = 20 * e.size();
@@ -100,15 +113,13 @@ Graph random_regular(Vertex n, Vertex d, Rng& rng) {
     auto [c, x] = e[j];
     if (rng.chance(0.5)) std::swap(c, x);
     if (a == c || a == x || b == c || b == x) continue;
-    const Edge e1{std::min(a, c), std::max(a, c)};
-    const Edge e2{std::min(b, x), std::max(b, x)};
-    if (edges.count(key(e1)) || edges.count(key(e2))) continue;
-    edges.erase(key(e[i]));
-    edges.erase(key(e[j]));
-    edges.insert(key(e1));
-    edges.insert(key(e2));
-    e[i] = e1;
-    e[j] = e2;
+    if (adjacent(a, c) || adjacent(b, x)) continue;
+    relink(a, b, c);
+    relink(b, a, x);
+    relink(c, x, a);
+    relink(x, c, b);
+    e[i] = {std::min(a, c), std::max(a, c)};
+    e[j] = {std::min(b, x), std::max(b, x)};
   }
   std::sort(e.begin(), e.end());
   return Graph::from_edges(n, e);

@@ -299,12 +299,19 @@ std::int64_t parse_metis_line(const Ctx& r, const std::vector<Token>& toks,
   return entries;
 }
 
-// METIS tail: resolves neighbor-id indexing, drops and counts self-loops,
-// then sorts the directed entries to count duplicates and asymmetric
-// (unmirrored) listings. `acc.edges` holds (0-based line vertex, raw
-// neighbor) pairs in file order.
-inline Graph finish_metis(const std::string& name, EdgeAccumulator& acc,
-                          ReadStats& stats) {
+// METIS tail: resolves neighbor-id indexing, then builds the CSR row by
+// row with no global sort. `acc.edges` holds (0-based line vertex, raw
+// neighbor) pairs in file order — both readers emit the lines in vertex
+// order — so the listed row R_u of each line vertex u is one contiguous
+// run. Each R_u is sorted and its self-loops and same-direction
+// duplicates dropped and counted; a counting-sort transpose over the rows
+// in vertex order yields T_u (the vertices whose lines list u) already
+// sorted; row u of the graph is the merged union of R_u and T_u. An
+// undirected edge must be listed once from EACH endpoint, so every v in
+// R_u \ T_u is an asymmetric (unmirrored) listing — tolerated and
+// counted, never silent. O(n + entries + sum deg log deg).
+inline Graph finish_metis(const std::string& name,
+                          const EdgeAccumulator& acc, ReadStats& stats) {
   // Resolve indexing on the neighbor ids only (the first element of each
   // stored pair is the 0-based line index): 1-based unless some neighbor
   // is 0.
@@ -317,42 +324,76 @@ inline Graph finish_metis(const std::string& name, EdgeAccumulator& acc,
                 std::to_string(acc.first_n_line) + ")");
   stats.zero_indexed = zero_based;
   const Vertex shift = zero_based ? 0 : 1;
-  std::vector<Edge> directed;
-  directed.reserve(acc.edges.size());
+  const std::size_t n = static_cast<std::size_t>(acc.n);
+
+  // Listed rows: offsets from one count pass, neighbors shifted to 0-based.
+  std::vector<std::size_t> row(n + 1, 0);
+  for (const auto& e : acc.edges) ++row[static_cast<std::size_t>(e.first) + 1];
+  for (std::size_t u = 0; u < n; ++u) row[u + 1] += row[u];
+  std::vector<Vertex> listed(acc.edges.size());
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    SCOL_DCHECK(i == 0 || acc.edges[i - 1].first <= acc.edges[i].first,
+                + "METIS entries grouped by line vertex");
+    listed[i] = static_cast<Vertex>(acc.edges[i].second - shift);
+  }
+
+  // Sort each row; compact away self-loops and duplicates.
   std::int64_t self_loops = 0;
-  for (const auto& [u, w] : acc.edges) {
-    const Vertex v = static_cast<Vertex>(w - shift);
-    if (u == v) {
-      ++self_loops;
-      continue;
+  std::size_t write = 0;
+  std::size_t end = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::size_t begin = end;
+    end = row[u + 1];
+    std::sort(listed.data() + begin, listed.data() + end);
+    for (std::size_t i = begin; i < end; ++i) {
+      const Vertex v = listed[i];
+      if (v == static_cast<Vertex>(u))
+        ++self_loops;
+      else if (write > row[u] && listed[write - 1] == v)
+        ++stats.duplicate_edges;
+      else
+        listed[write++] = v;
     }
-    directed.emplace_back(u, v);
+    row[u + 1] = write;
   }
-  std::sort(directed.begin(), directed.end());
-  // An undirected edge must be listed once from EACH endpoint. Extra
-  // same-direction listings are duplicates; a missing mirror listing is
-  // an asymmetry — both tolerated, both counted (never silent).
-  std::vector<Edge> clean;
-  for (std::size_t i = 0; i < directed.size();) {
-    std::size_t j = i;
-    while (j < directed.size() && directed[j] == directed[i]) ++j;
-    stats.duplicate_edges += static_cast<std::int64_t>(j - i) - 1;
-    const auto [u, v] = directed[i];
-    const bool mirrored =
-        std::binary_search(directed.begin(), directed.end(), Edge{v, u});
-    if (u < v) {
-      clean.emplace_back(u, v);
-      if (!mirrored) ++stats.asymmetric_edges;
-    } else if (!mirrored) {
-      clean.emplace_back(v, u);
-      ++stats.asymmetric_edges;
+  listed.resize(write);
+
+  // Transpose: filling in row order leaves every T_u sorted.
+  std::vector<std::size_t> trow(n + 1, 0);
+  for (const Vertex v : listed) ++trow[static_cast<std::size_t>(v) + 1];
+  for (std::size_t u = 0; u < n; ++u) trow[u + 1] += trow[u];
+  std::vector<Vertex> listers(listed.size());
+  {
+    std::vector<std::size_t> cursor(trow.begin(), trow.end() - 1);
+    for (std::size_t u = 0; u < n; ++u)
+      for (std::size_t i = row[u]; i < row[u + 1]; ++i)
+        listers[cursor[static_cast<std::size_t>(listed[i])]++] =
+            static_cast<Vertex>(u);
+  }
+
+  // Row u of the graph: the sorted union of R_u and T_u.
+  std::vector<std::int64_t> offsets(n + 1, 0);
+  std::vector<Vertex> adj;
+  adj.reserve(listed.size());
+  for (std::size_t u = 0; u < n; ++u) {
+    std::size_t i = row[u];
+    std::size_t j = trow[u];
+    while (i < row[u + 1] || j < trow[u + 1]) {
+      if (j == trow[u + 1] || (i < row[u + 1] && listed[i] < listers[j])) {
+        adj.push_back(listed[i++]);
+        ++stats.asymmetric_edges;
+      } else if (i == row[u + 1] || listers[j] < listed[i]) {
+        adj.push_back(listers[j++]);
+      } else {
+        adj.push_back(listed[i++]);
+        ++j;
+      }
     }
-    i = j;
+    offsets[u + 1] = static_cast<std::int64_t>(adj.size());
   }
-  // `clean` is duplicate-free by construction (one entry per undirected
-  // edge) and from_edges no longer needs sorted input.
   stats.self_loops = self_loops;
-  return Graph::from_edges(static_cast<Vertex>(acc.n), clean);
+  return Graph::from_csr(static_cast<Vertex>(n), std::move(offsets),
+                         std::move(adj));
 }
 
 // --- Edge-list line core and tail. ---------------------------------------

@@ -13,7 +13,9 @@
 // ReadStats, and error messages — on every input, for every thread
 // count. The differential suite at the bottom pins that contract on the
 // bundled examples, on generated million-edge instances, and on
-// malformed files.
+// malformed files. The METIS tail (row sort + transpose merge) is also
+// checked against a global-sort + mirror-search oracle on seeded random
+// files full of duplicates, one-sided listings and self-loops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -247,6 +249,157 @@ TEST(ParallelReader, RmatMetisRoundTripBitIdentical) {
   std::remove(path.c_str());
 }
 
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+}
+
+// --- METIS tail vs the sort + binary-search oracle ------------------------
+
+// What a METIS file's lists must resolve to, by a route independent of
+// the reader's row-native tail: sort every directed (line vertex,
+// neighbor) pair globally, count repeats as duplicates, and binary-search
+// each distinct pair's mirror — a missing mirror is an asymmetric listing
+// and the edge is kept either way.
+struct MetisExpectation {
+  std::vector<Edge> edges;
+  std::int64_t duplicate_edges = 0;
+  std::int64_t asymmetric_edges = 0;
+  std::int64_t self_loops = 0;
+  bool zero_indexed = false;
+};
+
+MetisExpectation metis_oracle(
+    const std::vector<std::vector<std::int64_t>>& lines) {
+  MetisExpectation out;
+  for (const auto& line : lines)
+    for (const std::int64_t id : line)
+      if (id == 0) out.zero_indexed = true;
+  const std::int64_t shift = out.zero_indexed ? 0 : 1;
+  std::vector<Edge> directed;
+  for (std::size_t u = 0; u < lines.size(); ++u)
+    for (const std::int64_t id : lines[u]) {
+      const auto v = static_cast<Vertex>(id - shift);
+      if (v == static_cast<Vertex>(u))
+        ++out.self_loops;
+      else
+        directed.emplace_back(static_cast<Vertex>(u), v);
+    }
+  std::sort(directed.begin(), directed.end());
+  for (std::size_t i = 0; i < directed.size();) {
+    std::size_t j = i;
+    while (j < directed.size() && directed[j] == directed[i]) ++j;
+    out.duplicate_edges += static_cast<std::int64_t>(j - i) - 1;
+    const auto [u, v] = directed[i];
+    const bool mirrored =
+        std::binary_search(directed.begin(), directed.end(), Edge{v, u});
+    if (!mirrored) ++out.asymmetric_edges;
+    if (u < v)
+      out.edges.emplace_back(u, v);
+    else if (!mirrored)
+      out.edges.emplace_back(v, u);
+    i = j;
+  }
+  std::sort(out.edges.begin(), out.edges.end());
+  return out;
+}
+
+// A random METIS file with everything the tail must tolerate: unsorted
+// lines, same-direction duplicates, one-sided listings, self-loops, blank
+// lines (isolated vertices), % comments anywhere, odd whitespace, 0- or
+// 1-based ids and optional edge weights. `lines` holds the raw neighbor
+// ids of each adjacency line, for the oracle.
+struct MetisCase {
+  std::string text;
+  std::vector<std::vector<std::int64_t>> lines;
+};
+
+MetisCase random_metis_case(Rng& rng) {
+  const auto n = static_cast<Vertex>(
+      1 + rng.below(rng.chance(0.1) ? 400 : 30));
+  std::vector<std::vector<Vertex>> listed(static_cast<std::size_t>(n));
+  const auto at = [&](Vertex v) -> std::vector<Vertex>& {
+    return listed[static_cast<std::size_t>(v)];
+  };
+  const auto draw = [&] {
+    return static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+  };
+  const std::uint64_t pairs = rng.below(3 * static_cast<std::uint64_t>(n) + 1);
+  for (std::uint64_t t = 0; t < pairs; ++t) {
+    const Vertex u = draw();
+    const Vertex v = draw();
+    const double kind = rng.real();
+    if (kind < 0.8 || u == v) at(u).push_back(v);
+    if (kind < 0.7 || kind >= 0.8) at(v).push_back(u);
+    if (rng.chance(0.1)) at(u).push_back(v);  // same-direction duplicate
+  }
+  for (Vertex v = 0; v < n; ++v)
+    if (rng.chance(0.05)) at(v).push_back(v);
+  std::size_t entries = 0;
+  for (auto& line : listed) {
+    rng.shuffle(line);
+    entries += line.size();
+  }
+  // Entries must be 2m; pad an odd count with a self-loop on vertex 0.
+  if (entries % 2 == 1) {
+    at(0).push_back(0);
+    ++entries;
+  }
+
+  const std::int64_t base = rng.chance(0.5) ? 0 : 1;
+  const bool weighted = rng.chance(0.2);
+  const char* const gaps[] = {" ", "  ", "\t", " \t "};
+  const auto comment = [&](std::string& text) {
+    if (rng.chance(0.1))
+      text += "% comment " + std::to_string(rng.below(99)) + "\n";
+  };
+  MetisCase c;
+  comment(c.text);
+  c.text += std::to_string(n) + " " + std::to_string(entries / 2) +
+            (weighted ? " 1" : "") + "\n";
+  for (const auto& line : listed) {
+    comment(c.text);
+    std::vector<std::int64_t>& raw = c.lines.emplace_back();
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      raw.push_back(line[i] + base);
+      if (i > 0) c.text += gaps[rng.below(4)];
+      c.text += std::to_string(raw.back());
+      if (weighted) c.text += " " + std::to_string(1 + rng.below(9));
+    }
+    if (line.empty() && rng.chance(0.3)) c.text += "  ";
+    c.text += "\n";
+  }
+  comment(c.text);
+  return c;
+}
+
+TEST(MetisTail, MatchesSortAndSearchOracle) {
+  Rng rng(903001);
+  const std::string path =
+      ::testing::TempDir() + "/scol_metis_tail_oracle.graph";
+  for (int t = 0; t < 400; ++t) {
+    const MetisCase c = random_metis_case(rng);
+    write_text(path, c.text);
+    const MetisExpectation want = metis_oracle(c.lines);
+    for (const int threads : {1, 2, 4}) {
+      ReadOptions options;
+      options.threads = threads;
+      const ReadResult r = read_graph_file(path, GraphFormat::kAuto, options);
+      const std::string label =
+          "case " + std::to_string(t) + " @ threads=" + std::to_string(threads);
+      ASSERT_EQ(static_cast<std::size_t>(r.graph.num_vertices()),
+                c.lines.size())
+          << label;
+      EXPECT_EQ(r.graph.edges(), want.edges) << label << "\n" << c.text;
+      EXPECT_EQ(r.stats.duplicate_edges, want.duplicate_edges) << label;
+      EXPECT_EQ(r.stats.asymmetric_edges, want.asymmetric_edges) << label;
+      EXPECT_EQ(r.stats.self_loops, want.self_loops) << label;
+      EXPECT_EQ(r.stats.zero_indexed, want.zero_indexed) << label;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // Malformed inputs: the parallel reader must report the SAME error, with
 // the same "name:line:col" position, as the streaming reader — including
 // when the offending line is deep inside a late chunk.
@@ -270,11 +423,6 @@ void expect_same_error(const std::string& path) {
           << path << " @ threads=" << threads;
     }
   }
-}
-
-void write_text(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  out << text;
 }
 
 TEST(ParallelReader, ErrorsMatchStreamingByteForByte) {
@@ -311,7 +459,10 @@ TEST(ParallelReader, ErrorsMatchStreamingByteForByte) {
   std::string bad = "5000 4999\n2\n";
   for (int i = 2; i <= 5000; ++i) {
     bad += std::to_string(i - 1);
-    if (i < 5000) bad += " " + std::to_string(i + 1);
+    if (i < 5000) {
+      bad += ' ';
+      bad += std::to_string(i + 1);
+    }
     if (i == 4321) bad += " pear";
     bad += "\n";
   }

@@ -114,6 +114,14 @@ TEST(Gen, RandomRegularPinned) {
                0x96d491079689deceULL},
            Pin{32768, 4, 7, "c8c1041f0be3fb6c2ae5f2d04a3002e1",
                0x8e28e10b94bcc93fULL},
+           // Dense cases, where most proposed swaps are rejected because
+           // an edge they would create already exists.
+           Pin{20, 17, 11, "6cf920ce111db83f244847bc960e9259",
+               0x54069a53c97ca4aeULL},
+           Pin{200, 64, 12, "6c8d666bda2f893af74bff0096a546c5",
+               0xc4a3b3bf4c6c195fULL},
+           Pin{1000, 31, 13, "cba73c2cda88955c6515fd6b3d946988",
+               0x2ae10cc6d7796704ULL},
        }) {
     Rng rng(pin.seed);
     const Graph g = random_regular(pin.n, pin.d, rng);

@@ -744,7 +744,9 @@ TEST(Probe, SampledFactsAreWeakerButCertified) {
   // A sampled triangle pins the girth exactly; a miss certifies only
   // the trivial floor.
   EXPECT_EQ(s.girth_floor, 3);
-  if (s.girth == 3) EXPECT_EQ(exact.girth, 3);
+  if (s.girth == 3) {
+    EXPECT_EQ(exact.girth, 3);
+  }
   // Pure function of the graph: same input, same sample, same facts.
   const GraphProbe again = probe_graph(g, opts);
   EXPECT_EQ(s.degeneracy_lower, again.degeneracy_lower);
