@@ -8,13 +8,9 @@
 // schedules.
 //
 //   $ ./bench_campaign [seeds]      (default seeds = 6)
-//   $ ./bench_campaign --baseline-out=BENCH_campaign.json [--baseline-reps=N]
 //
-// The baseline mode re-times the serial sweep and the summary-only fast
-// path (empty sink — no JSONL serialization) N times (default 3) and
-// pins the median jobs/s per series; see bench/baseline.h and
-// docs/BENCHMARKS.md.
-#include <algorithm>
+// Display-only; the gated campaign throughput is pipebench's
+// campaign-ingest workload (docs/BENCHMARKS.md).
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -22,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "baseline.h"
 #include "scol/scol.h"
 
 using namespace scol;
@@ -52,15 +47,14 @@ struct RunStats {
   CampaignResult result;
 };
 
-RunStats run_once(const CampaignSpec& spec, const Executor* executor,
-                  bool keep_lines) {
+RunStats run_once(const CampaignSpec& spec, const Executor* executor) {
   CampaignOptions options;
   options.executor = executor;
   RunStats stats;
   const auto t0 = Clock::now();
   stats.result = run_campaign(spec, options, [&](const std::string& line) {
     stats.bytes += line.size() + 1;
-    if (keep_lines) stats.lines.push_back(line);
+    stats.lines.push_back(line);
   });
   stats.seconds = seconds_since(t0);
   return stats;
@@ -69,10 +63,6 @@ RunStats run_once(const CampaignSpec& spec, const Executor* executor,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string baseline_out =
-      scol::bench::take_flag(argc, argv, "--baseline-out");
-  const std::string baseline_reps =
-      scol::bench::take_flag(argc, argv, "--baseline-reps");
   const int seeds = argc > 1 ? std::atoi(argv[1]) : 6;
   if (seeds < 1) {
     std::cerr << "usage: bench_campaign [seeds >= 1]\n";
@@ -105,7 +95,7 @@ int main(int argc, char** argv) {
               << " ms vs per-job generation\n\n";
   }
 
-  const RunStats serial = run_once(spec, nullptr, /*keep_lines=*/true);
+  const RunStats serial = run_once(spec, nullptr);
   std::cout << "jobs=1 (serial): " << serial.seconds * 1e3 << " ms, "
             << static_cast<double>(jobs) / serial.seconds << " jobs/s, "
             << serial.bytes << " JSONL bytes, "
@@ -115,7 +105,7 @@ int main(int argc, char** argv) {
   for (int threads : {2, 4, hw}) {
     if (threads < 2 || (threads == hw && (hw == 2 || hw == 4))) continue;
     ThreadPoolExecutor pool(threads, /*grain=*/1);
-    const RunStats parallel = run_once(spec, &pool, /*keep_lines=*/true);
+    const RunStats parallel = run_once(spec, &pool);
     const bool identical = parallel.lines == serial.lines;
     std::cout << "jobs=" << threads << ":        " << parallel.seconds * 1e3
               << " ms, " << static_cast<double>(jobs) / parallel.seconds
@@ -125,40 +115,6 @@ int main(int argc, char** argv) {
                             : " [STREAM MISMATCH]")
               << "\n";
     if (!identical) return 1;
-  }
-
-  if (!baseline_out.empty()) {
-    const int reps =
-        baseline_reps.empty() ? 3 : std::max(1, std::atoi(baseline_reps.c_str()));
-    std::vector<double> serial_jps, summary_jps;
-    for (int rep = 0; rep < reps; ++rep) {
-      const RunStats full = run_once(spec, nullptr, /*keep_lines=*/false);
-      serial_jps.push_back(static_cast<double>(jobs) / full.seconds);
-      // Summary-only fast path: an empty sink skips per-job JSONL
-      // serialization entirely (oracle + summary still run).
-      CampaignOptions options;
-      const auto t0 = Clock::now();
-      const CampaignResult r = run_campaign(spec, options, CampaignSink());
-      const double secs = seconds_since(t0);
-      if (r.jobs != jobs) {
-        std::cerr << "bench_campaign: summary-only job count mismatch\n";
-        return 1;
-      }
-      summary_jps.push_back(static_cast<double>(jobs) / secs);
-    }
-    scol::bench::BaselineWriter writer("bench_campaign");
-    writer.add_median("serial/jobs_per_s", serial_jps, "jobs/s",
-                      /*higher_is_better=*/true);
-    writer.add_median("summary_only/jobs_per_s", summary_jps, "jobs/s",
-                      /*higher_is_better=*/true);
-    if (!writer.write(baseline_out)) {
-      std::cerr << "bench_campaign: cannot write baseline '" << baseline_out
-                << "'\n";
-      return 1;
-    }
-    std::cout << "\nwrote " << writer.size() << " series for "
-              << scol::bench::machine_class() << " to " << baseline_out
-              << "\n";
   }
   return 0;
 }

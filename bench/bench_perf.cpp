@@ -1,24 +1,14 @@
 // P — wall-clock microbenchmarks (google-benchmark): substrate primitives
 // and end-to-end colorings through the unified scol::solve() entry point.
-// These are engineering numbers (simulation throughput), not LOCAL rounds.
+// These are engineering numbers (simulation throughput), not LOCAL rounds,
+// and display-only: the perf gate is pipebench (docs/BENCHMARKS.md).
+// Every google-benchmark flag works as usual, e.g.
 //
-// Every google-benchmark flag works as usual; in addition,
-//
-//   $ ./bench_perf --baseline-out=BENCH_perf.json [--baseline-reps=N]
-//
-// records the per-series median real time (N repetitions, default 3) in
-// the shared baseline schema (bench/baseline.h) under this machine's
-// class key. CI runs the gbench JSON mode and feeds the artifact to
-// tools/bench_compare.py — the bench-gate regression check; the baseline
-// mode is how the checked-in BENCH_perf.json is (re)generated. See
-// docs/BENCHMARKS.md.
+//   $ ./bench_perf --benchmark_filter=BM_Solve --benchmark_min_time=0.05
 #include <benchmark/benchmark.h>
 
-#include <map>
-#include <string>
 #include <vector>
 
-#include "baseline.h"
 #include "scol/scol.h"
 
 namespace {
@@ -162,8 +152,8 @@ BENCHMARK(BM_SolveGpsPlanar)->Arg(1024)->Arg(8192)->Unit(benchmark::kMillisecond
 // Palette sparsification vs its full-palette twin on the same dense-degree
 // instance: a d=64 regular graph with (d+1)-lists, the regime where the
 // sampled palette (c log n colors) is genuinely smaller than the full one.
-// Pinning both series keeps the sparsified path's overhead honest relative
-// to the solver it wraps.
+// Timing both side by side keeps the sparsified path's overhead honest
+// relative to the solver it wraps.
 void BM_SparsifiedSweep(benchmark::State& state, const char* algo) {
   const Graph g = make_regular(static_cast<Vertex>(state.range(0)), 64);
   const ListAssignment lists = uniform_lists(g.num_vertices(), 65);
@@ -186,84 +176,6 @@ void BM_ReportToJson(benchmark::State& state) {
 }
 BENCHMARK(BM_ReportToJson);
 
-// Console output as usual, plus per-series raw real times (ms) collected
-// for the baseline writer: medians over repetitions become the pinned
-// series values.
-class CollectingReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& reports) override {
-    for (const Run& run : reports) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      const std::string name = run.run_name.str();
-      auto [it, inserted] = samples_ms_.try_emplace(name);
-      if (inserted) order_.push_back(name);
-      it->second.push_back(run.GetAdjustedRealTime() /
-                           benchmark::GetTimeUnitMultiplier(run.time_unit) *
-                           1e3);
-    }
-    ConsoleReporter::ReportRuns(reports);
-  }
-
-  void fill(scol::bench::BaselineWriter& writer) const {
-    for (const auto& name : order_)
-      writer.add_median(name, samples_ms_.at(name), "ms",
-                        /*higher_is_better=*/false);
-  }
-
- private:
-  std::map<std::string, std::vector<double>> samples_ms_;
-  std::vector<std::string> order_;
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string baseline_out =
-      scol::bench::take_flag(argc, argv, "--baseline-out");
-  const std::string baseline_reps =
-      scol::bench::take_flag(argc, argv, "--baseline-reps");
-
-  std::vector<char*> args(argv, argv + argc);
-  std::string reps_flag;
-  if (!baseline_out.empty()) {
-    // Baseline values are medians, so force repetitions unless the caller
-    // already chose a count via the native flag.
-    bool has_reps = false;
-    for (char* a : args)
-      if (std::string(a).rfind("--benchmark_repetitions", 0) == 0)
-        has_reps = true;
-    if (!has_reps) {
-      reps_flag = "--benchmark_repetitions=" +
-                  (baseline_reps.empty() ? std::string("3") : baseline_reps);
-      args.push_back(reps_flag.data());
-    }
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data()))
-    return 1;
-
-  if (baseline_out.empty()) {
-    // No baseline requested: defer to the library's own reporter selection
-    // so --benchmark_format=json keeps producing the CI artifact.
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
-
-  CollectingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-
-  scol::bench::BaselineWriter writer("bench_perf");
-  reporter.fill(writer);
-  if (writer.size() == 0 || !writer.write(baseline_out)) {
-    std::fprintf(stderr, "bench_perf: cannot write baseline '%s'\n",
-                 baseline_out.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "bench_perf: wrote %zu series for %s to %s\n",
-               writer.size(), scol::bench::machine_class().c_str(),
-               baseline_out.c_str());
-  return 0;
-}
+BENCHMARK_MAIN();

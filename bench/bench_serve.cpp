@@ -12,10 +12,9 @@
 //                    realistic blend the CI load job drives.
 //
 //   $ ./bench_serve [requests]   (default 2000 per series)
-//   $ ./bench_serve --baseline-out=BENCH_serve.json [--baseline-reps=N]
 //
-// Baseline mode repeats each series N times (default 3) and pins median
-// rps per machine class; see bench/baseline.h and docs/BENCHMARKS.md.
+// Display-only; the daemon's end-to-end numbers come from pipebench's
+// serve-open workload (docs/BENCHMARKS.md).
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -23,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline.h"
 #include "scol/serve/server.h"
 #include "scol/serve/zipf.h"
 #include "scol/util/rng.h"
@@ -82,18 +80,15 @@ double drive(Server& server, const std::vector<std::string>& lines) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string baseline_out =
-      scol::bench::take_flag(argc, argv, "--baseline-out");
-  const std::string baseline_reps =
-      scol::bench::take_flag(argc, argv, "--baseline-reps");
-  const int reps =
-      baseline_out.empty()
-          ? 1
-          : (baseline_reps.empty()
-                 ? 3
-                 : std::max(1, std::atoi(baseline_reps.c_str())));
   std::size_t requests = 2000;
-  if (argc > 1) requests = static_cast<std::size_t>(std::atoll(argv[1]));
+  if (argc > 1) {
+    const long long n = std::atoll(argv[1]);
+    if (n < 1 || argc > 2) {
+      std::cerr << "usage: bench_serve [requests >= 1]\n";
+      return 2;
+    }
+    requests = static_cast<std::size_t>(n);
+  }
 
   const std::vector<std::string> universe = request_universe();
 
@@ -107,7 +102,7 @@ int main(int argc, char** argv) {
         "{\"algo\":\"greedy\",\"gen\":\"grid:rows=10,cols=10\",\"seed\":" +
         std::to_string(i + 1) + "}");
 
-  // Zipf mix: fixed draw sequence (deterministic across reps).
+  // Zipf mix: fixed draw sequence (deterministic across runs).
   ZipfSampler zipf(universe.size(), 1.0);
   Rng rng(42);
   std::vector<std::string> mix;
@@ -115,46 +110,28 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < requests; ++i)
     mix.push_back(universe[zipf.draw(rng)]);
 
-  std::vector<double> cold_rps, hot_rps, zipf_rps;
-  for (int rep = 0; rep < reps; ++rep) {
-    ServerOptions options;
-    options.graph_cache_capacity = 0;
-    options.report_cache_capacity = 0;
-    {
-      Server server(options);
-      cold_rps.push_back(drive(server, cold));
-    }
-    {
-      Server server(options);
-      drive(server, mix);                     // warm every key in the mix
-      hot_rps.push_back(drive(server, mix));  // pure report-cache hits
-    }
-    {
-      Server server(options);
-      zipf_rps.push_back(drive(server, mix));
-    }
+  ServerOptions options;
+  options.graph_cache_capacity = 0;
+  options.report_cache_capacity = 0;
+  double cold_rps = 0.0, hot_rps = 0.0, zipf_rps = 0.0;
+  {
+    Server server(options);
+    cold_rps = drive(server, cold);
+  }
+  {
+    Server server(options);
+    drive(server, mix);            // warm every key in the mix
+    hot_rps = drive(server, mix);  // pure report-cache hits
+  }
+  {
+    Server server(options);
+    zipf_rps = drive(server, mix);
   }
 
   std::cout << "bench_serve: " << requests << " requests/series, "
             << universe.size() << "-key universe\n"
-            << "  cold (all miss)   "
-            << scol::bench::median(cold_rps) << " rps\n"
-            << "  hot (all hit)     "
-            << scol::bench::median(hot_rps) << " rps\n"
-            << "  zipf theta=1.0    "
-            << scol::bench::median(zipf_rps) << " rps\n";
-
-  if (!baseline_out.empty()) {
-    scol::bench::BaselineWriter writer("bench_serve");
-    writer.add_median("serve/cold/rps", cold_rps, "req/s", true);
-    writer.add_median("serve/hot/rps", hot_rps, "req/s", true);
-    writer.add_median("serve/zipf/rps", zipf_rps, "req/s", true);
-    if (!writer.write(baseline_out)) {
-      std::cerr << "bench_serve: cannot write '" << baseline_out << "'\n";
-      return 1;
-    }
-    std::cout << "baseline written to " << baseline_out << " ("
-              << scol::bench::machine_class() << ")\n";
-  }
+            << "  cold (all miss)   " << cold_rps << " rps\n"
+            << "  hot (all hit)     " << hot_rps << " rps\n"
+            << "  zipf theta=1.0    " << zipf_rps << " rps\n";
   return 0;
 }

@@ -92,8 +92,9 @@
 //   stage (gen -> parallel read -> probe -> solve).
 //
 // Exit code: 0 for a kColored/kInfeasible report (both are answers),
-// 1 for kFailed (or, in campaign mode, any oracle violation), 2 for
-// usage errors.
+// 1 for kFailed, for any oracle violation in campaign mode, and for a
+// runtime failure (std::bad_alloc, an internal error, a failed write),
+// 2 for usage errors: bad flags, specs or input files (PreconditionError).
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -131,6 +132,14 @@ const char* kUsage =
 [[noreturn]] void usage_error(const std::string& message) {
   std::cerr << "scol-cli: " << message << "\n" << kUsage;
   std::exit(2);
+}
+
+// The exit code of an exception that ends a run: a PreconditionError is
+// a bad flag, spec or input file (2); anything else is a runtime
+// failure (1).
+int exception_exit_code(const std::string& who, const std::exception& e) {
+  std::cerr << who << ": " << e.what() << "\n";
+  return dynamic_cast<const PreconditionError*>(&e) != nullptr ? 2 : 1;
 }
 
 void list_algorithms() {
@@ -236,8 +245,7 @@ int gen_main(int argc, char** argv) {
     std::cout << out.dump(-1) << "\n";
     return 0;
   } catch (const std::exception& e) {
-    std::cerr << "scol-cli gen: " << e.what() << "\n";
-    return 2;
+    return exception_exit_code("scol-cli gen", e);
   }
 }
 
@@ -364,8 +372,7 @@ int probe_main(int argc, char** argv) {
     std::cout << out.dump(pretty ? 2 : -1) << "\n";
     return 0;
   } catch (const std::exception& e) {
-    std::cerr << "scol-cli probe: " << e.what() << "\n";
-    return 2;
+    return exception_exit_code("scol-cli probe", e);
   }
 }
 
@@ -562,8 +569,7 @@ int campaign_main(int argc, char** argv) {
     summary << result.summary.dump(pretty ? 2 : -1) << "\n";
     return result.oracle_violations > 0 ? 1 : 0;
   } catch (const std::exception& e) {
-    std::cerr << "scol-cli campaign: " << e.what() << "\n";
-    return 2;
+    return exception_exit_code("scol-cli campaign", e);
   }
 }
 
@@ -671,7 +677,6 @@ int main(int argc, char** argv) {
     std::cout << out.dump(pretty ? 2 : -1) << "\n";
     return one_shot_exit_code(out);
   } catch (const std::exception& e) {
-    std::cerr << "scol-cli: " << e.what() << "\n";
-    return 2;
+    return exception_exit_code("scol-cli", e);
   }
 }

@@ -1,11 +1,12 @@
-// Ball-collection oracle.
+// Ball collection in the LOCAL model.
 //
-// In the LOCAL model, learning the labelled ball B_r(v) takes exactly r
-// rounds (flood your current knowledge every round). The oracle computes
-// balls centrally by BFS — the semantics are identical (tests compare it
-// against the engine-based flooding program) — and charges r rounds once
-// per *parallel* collection: all nodes collect their balls simultaneously,
-// so one collection costs r rounds regardless of n.
+// Learning the labelled ball B_r(v) takes exactly r rounds (flood your
+// current knowledge every round). Solvers compute balls centrally by BFS
+// (graph::ball / ball_within) and charge r rounds to their RoundLedger
+// once per *parallel* collection: all nodes collect their balls
+// simultaneously, so one collection costs r rounds regardless of n. The
+// engine-based flooding program below is the reference tests compare
+// that against.
 #pragma once
 
 #include <vector>
@@ -21,13 +22,5 @@ namespace scol {
 std::vector<std::vector<Vertex>> flood_balls_engine(
     const Graph& g, int radius, RoundLedger* ledger,
     const Executor* executor = nullptr);
-
-/// Charges `radius` rounds under `phase` for one simultaneous ball
-/// collection and returns nothing; callers then use graph::ball /
-/// ball_within freely for that radius (local computation is free).
-inline void charge_ball_collection(RoundLedger& ledger, int radius,
-                                   const std::string& phase) {
-  ledger.charge(phase, radius);
-}
 
 }  // namespace scol

@@ -1,43 +1,35 @@
-// tools/bench_compare.py — the CI bench-gate — exercised against
-// synthetic baselines, the same way test_campaign.cpp round-trips JSONL
-// through tools/check_report.py. Every behavior the gate relies on is
-// pinned here: a clean self-compare passes, a past-threshold regression
-// fails, an improvement refreshes the baseline, a missing pinned series
-// fails, a foreign machine class skips (or hard-fails when required),
-// raw google-benchmark JSON is accepted as the fresh side, and merge
-// folds series across files.
+// tools/bench_compare.py — the parent-vs-change perf gate — exercised
+// against synthetic pipebench record directories, the same way
+// test_campaign.cpp round-trips JSONL through tools/check_report.py.
+// Every behavior the gate relies on is pinned here: identical sides pass,
+// each metric's BENCHMARK.json bound and direction is honoured, and a
+// higher failed share, an incorrect record or a missing workload or
+// metric fails.
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
+
+namespace fs = std::filesystem;
 
 bool python3_available() {
   return std::system("python3 -c pass >/dev/null 2>&1") == 0;
 }
 
-std::filesystem::path tools_dir() {
-  return std::filesystem::path(__FILE__).parent_path().parent_path() /
-         "tools";
-}
-
-std::filesystem::path temp_file(const std::string& name,
-                                const std::string& content) {
-  const auto path = std::filesystem::temp_directory_path() / name;
-  std::ofstream out(path);
-  out << content;
-  return path;
-}
-
 // Exit code of `python3 tools/bench_compare.py <args>` (output discarded).
 int run_compare(const std::string& args) {
-  const std::string cmd = "python3 " +
-                          (tools_dir() / "bench_compare.py").string() + " " +
-                          args + " >/dev/null 2>&1";
+  const fs::path tool =
+      fs::path(SCOL_REPO_DIR) / "tools" / "bench_compare.py";
+  const std::string cmd =
+      "python3 " + tool.string() + " " + args + " >/dev/null 2>&1";
   const int status = std::system(cmd.c_str());
 #ifdef WEXITSTATUS
   return WEXITSTATUS(status);
@@ -46,27 +38,43 @@ int run_compare(const std::string& args) {
 #endif
 }
 
-std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+struct Metric {
+  double value;
+  const char* unit;
+};
 
-// A baseline pinning two lower-is-better series and one higher-is-better
-// throughput series under a fixed synthetic machine class.
-std::string baseline_json(double a, double b, double mbps) {
+// One side's records: the end_to_end metrics of BENCHMARK.json with
+// plausible values, the same on every seed unless a test changes them.
+struct Side {
+  std::map<std::string, Metric> metrics = {
+      {"setup_s", {1.5, "s"}},
+      {"peak_rss_mb", {120.0, "MB"}},
+      {"request_ms_p50", {300.0, "ms"}},
+      {"request_ms_p90", {560.0, "ms"}},
+      {"throughput_rps", {100.0, "1/s"}},
+      {"colors_used_total", {2100.0, "count"}},
+      {"local_rounds_total", {391000.0, "count"}},
+  };
+  std::vector<std::string> workloads = {"solve-serial", "campaign-ingest"};
+  int attempted = 200;
+  int failed = 0;
+  bool correct = true;
+};
+
+std::string record_json(const Side& side, int seed) {
   std::ostringstream os;
-  os << R"({"schema": "scol-bench-baseline/v1", "bench": "bench_perf",
-  "machine_classes": {"x86_64-1c-release": {
-    "arch": "x86_64", "cores": 1, "build": "release", "series": {
-      "BM_A/1024": {"value": )"
-     << a << R"(, "unit": "ms", "higher_is_better": false, "reps": 3},
-      "BM_B/1024": {"value": )"
-     << b << R"(, "unit": "ms", "higher_is_better": false, "reps": 3},
-      "IO_parse": {"value": )"
-     << mbps << R"(, "unit": "MB/s", "higher_is_better": true, "reps": 3}
-  }}}})";
+  os << "{\"correct\": " << (side.correct ? "true" : "false")
+     << ", \"attempted\": " << side.attempted
+     << ", \"failed\": " << side.failed << ", \"metrics\": {";
+  const char* sep = "";
+  for (const auto& [name, m] : side.metrics) {
+    // Seeds differ a little, so the gate really takes a median.
+    os << sep << "\"" << name << "\": {\"value\": "
+       << m.value * (1.0 + 0.01 * (seed - 2)) << ", \"unit\": \"" << m.unit
+       << "\"}";
+    sep = ", ";
+  }
+  os << "}}";
   return os.str();
 }
 
@@ -74,156 +82,100 @@ class BenchGate : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!python3_available()) GTEST_SKIP() << "python3 not on PATH";
+    // A unique directory per test: fixed names race under `ctest -j`.
+    std::string tmpl =
+        (fs::temp_directory_path() / "bench_gate_XXXXXX").string();
+    ASSERT_NE(mkdtemp(tmpl.data()), nullptr);
+    root_ = tmpl;
   }
   void TearDown() override {
-    for (const auto& p : cleanup_) std::filesystem::remove(p);
+    if (!root_.empty()) fs::remove_all(root_);
   }
-  std::filesystem::path file(const std::string& name,
-                             const std::string& content) {
-    const auto p = temp_file(name, content);
-    cleanup_.push_back(p);
-    return p;
+
+  // Writes seeds 1-3 of every workload of `side` into root_/name.
+  fs::path write(const std::string& name, const Side& side) {
+    const fs::path dir = root_ / name;
+    fs::create_directories(dir);
+    for (const auto& workload : side.workloads)
+      for (int seed = 1; seed <= 3; ++seed)
+        std::ofstream(dir / (workload + "-seed" + std::to_string(seed) +
+                             "-trace0.json"))
+            << record_json(side, seed);
+    return dir;
   }
-  std::vector<std::filesystem::path> cleanup_;
+
+  int gate(const Side& change) {
+    return run_compare(write("parent", Side{}).string() + " " +
+                       write("change", change).string());
+  }
+
+  fs::path root_;
 };
 
-TEST_F(BenchGate, CleanSelfCompareExitsZero) {
-  const auto base = file("bg_base.json", baseline_json(10.0, 100.0, 50.0));
-  const auto fresh = file("bg_same.json", baseline_json(10.0, 100.0, 50.0));
-  EXPECT_EQ(run_compare("compare " + base.string() + " " + fresh.string()),
-            0);
+TEST_F(BenchGate, IdenticalSidesPass) { EXPECT_EQ(gate(Side{}), 0); }
+
+TEST_F(BenchGate, ThirtyPercentSlowerP90Fails) {
+  Side change;
+  change.metrics["request_ms_p90"].value *= 1.3;
+  EXPECT_EQ(gate(change), 1);
 }
 
-TEST_F(BenchGate, WithinThresholdNoiseExitsZero) {
-  // +10% on a time series and -10% on a throughput series sit inside the
-  // default 15% gate.
-  const auto base = file("bg_base.json", baseline_json(10.0, 100.0, 50.0));
-  const auto fresh = file("bg_noise.json", baseline_json(11.0, 95.0, 45.0));
-  EXPECT_EQ(run_compare("compare " + base.string() + " " + fresh.string()),
-            0);
+TEST_F(BenchGate, TwentyPercentSlowerP90IsWithinTheBound) {
+  Side change;
+  change.metrics["request_ms_p90"].value *= 1.2;
+  EXPECT_EQ(gate(change), 0);
 }
 
-TEST_F(BenchGate, TwentyPercentRegressionFails) {
-  const auto base = file("bg_base.json", baseline_json(10.0, 100.0, 50.0));
-  const auto slow = file("bg_slow.json", baseline_json(12.0, 100.0, 50.0));
-  EXPECT_EQ(run_compare("compare " + base.string() + " " + slow.string()),
+TEST_F(BenchGate, ThirtyPercentLowerThroughputFails) {
+  // better: higher — a drop is the regression, a rise never is.
+  Side change;
+  change.metrics["throughput_rps"].value *= 0.7;
+  EXPECT_EQ(gate(change), 1);
+  change.metrics["throughput_rps"].value = 200.0;
+  EXPECT_EQ(gate(change), 0);
+}
+
+TEST_F(BenchGate, ElevenPercentMoreLocalRoundsFails) {
+  // Counts carry the tighter 10% bound.
+  Side change;
+  change.metrics["local_rounds_total"].value *= 1.11;
+  EXPECT_EQ(gate(change), 1);
+}
+
+TEST_F(BenchGate, HigherFailedShareFails) {
+  Side change;
+  change.failed = 1;
+  EXPECT_EQ(gate(change), 1);
+}
+
+TEST_F(BenchGate, IncorrectRecordFails) {
+  Side change;
+  change.correct = false;
+  EXPECT_EQ(gate(change), 1);
+}
+
+TEST_F(BenchGate, MissingWorkloadFailsOnEitherSide) {
+  Side partial;
+  partial.workloads = {"solve-serial"};
+  EXPECT_EQ(gate(partial), 1);
+  EXPECT_EQ(run_compare(write("parent2", partial).string() + " " +
+                        write("change2", Side{}).string()),
             1);
 }
 
-TEST_F(BenchGate, ThroughputDropIsARegressionToo) {
-  // higher_is_better series regress downward: 50 -> 40 MB/s is -20%.
-  const auto base = file("bg_base.json", baseline_json(10.0, 100.0, 50.0));
-  const auto slow = file("bg_tput.json", baseline_json(10.0, 100.0, 40.0));
-  EXPECT_EQ(run_compare("compare " + base.string() + " " + slow.string()),
-            1);
+TEST_F(BenchGate, MissingMetricFails) {
+  Side change;
+  change.metrics.erase("colors_used_total");
+  EXPECT_EQ(gate(change), 1);
 }
 
-TEST_F(BenchGate, ImprovementRefreshesBaseline) {
-  const auto base = file("bg_base.json", baseline_json(10.0, 100.0, 50.0));
-  const auto fast = file("bg_fast.json", baseline_json(7.0, 100.0, 50.0));
-  const auto refreshed =
-      std::filesystem::temp_directory_path() / "bg_refreshed.json";
-  cleanup_.push_back(refreshed);
-  EXPECT_EQ(run_compare("compare " + base.string() + " " + fast.string() +
-                        " --update-improved " + refreshed.string()),
-            0);
-  const std::string out = read_file(refreshed);
-  EXPECT_NE(out.find("7.0"), std::string::npos) << out;
-  EXPECT_EQ(out.find("10.0"), std::string::npos) << out;
-}
-
-TEST_F(BenchGate, MissingPinnedSeriesFails) {
-  const auto base = file("bg_base.json", baseline_json(10.0, 100.0, 50.0));
-  const std::string fresh_missing =
-      R"({"schema": "scol-bench-baseline/v1", "bench": "bench_perf",
-      "machine_classes": {"x86_64-1c-release": {
-        "arch": "x86_64", "cores": 1, "build": "release", "series": {
-          "BM_A/1024": {"value": 10.0, "unit": "ms",
-                        "higher_is_better": false, "reps": 3}
-      }}}})";
-  const auto fresh = file("bg_missing.json", fresh_missing);
-  EXPECT_EQ(run_compare("compare " + base.string() + " " + fresh.string()),
-            1);
-}
-
-TEST_F(BenchGate, ForeignMachineClassSkipsCleanly) {
-  // A run from hardware the baseline does not pin must not fail the gate
-  // (CI runners are heterogeneous) — unless the caller insists.
-  const auto base = file("bg_base.json", baseline_json(10.0, 100.0, 50.0));
-  const std::string other = R"({"schema": "scol-bench-baseline/v1",
-      "bench": "bench_perf", "machine_classes": {"arm64-8c-release": {
-        "arch": "arm64", "cores": 8, "build": "release", "series": {
-          "BM_A/1024": {"value": 99.0, "unit": "ms",
-                        "higher_is_better": false, "reps": 3}
-      }}}})";
-  const auto fresh = file("bg_other.json", other);
-  EXPECT_EQ(run_compare("compare " + base.string() + " " + fresh.string()),
-            0);
-  EXPECT_EQ(run_compare("compare " + base.string() + " " + fresh.string() +
-                        " --require-machine-class"),
-            3);
-}
-
-TEST_F(BenchGate, AcceptsRawGoogleBenchmarkJson) {
-  // The artifact CI uploads is --benchmark_format=json; the gate must
-  // consume it directly. Class comes from --machine-class; per-series
-  // medians are taken over the repetition iterations (ns -> ms).
-  const auto base = file("bg_base.json", baseline_json(10.0, 100.0, 50.0));
-  const std::string gbench = R"({
-    "context": {"num_cpus": 1, "library_build_type": "release"},
-    "benchmarks": [
-      {"name": "BM_A/1024", "run_name": "BM_A/1024", "run_type": "iteration",
-       "real_time": 2.0e7, "time_unit": "ns"},
-      {"name": "BM_A/1024", "run_name": "BM_A/1024", "run_type": "iteration",
-       "real_time": 2.1e7, "time_unit": "ns"},
-      {"name": "BM_B/1024", "run_name": "BM_B/1024", "run_type": "iteration",
-       "real_time": 1.0e8, "time_unit": "ns"},
-      {"name": "IO_parse", "run_name": "IO_parse", "run_type": "iteration",
-       "real_time": 1.0e6, "time_unit": "ns"}
-    ]})";
-  const auto fresh = file("bg_gbench.json", gbench);
-  // BM_A median 20.5 ms vs pinned 10 ms: a regression the gate must see.
-  EXPECT_EQ(run_compare("compare " + base.string() + " " + fresh.string() +
-                        " --machine-class x86_64-1c-release"),
-            1);
-}
-
-TEST_F(BenchGate, MergeFoldsSeriesIntoTarget) {
-  const auto target = file("bg_target.json", baseline_json(10.0, 100.0, 50.0));
-  const std::string scaling = R"({"schema": "scol-bench-baseline/v1",
-      "bench": "bench_main_scaling", "machine_classes": {"x86_64-1c-release": {
-        "arch": "x86_64", "cores": 1, "build": "release", "series": {
-          "scaling/regular-d4/n=1024/wall_ms": {
-            "value": 0.5, "unit": "ms", "higher_is_better": false, "reps": 3}
-      }}}})";
-  const auto src = file("bg_scaling.json", scaling);
-  EXPECT_EQ(run_compare("merge " + target.string() + " " + src.string()), 0);
-  const std::string merged = read_file(target);
-  EXPECT_NE(merged.find("scaling/regular-d4/n=1024/wall_ms"),
-            std::string::npos);
-  EXPECT_NE(merged.find("BM_A/1024"), std::string::npos);
-  // The merged file still gates like a baseline: self-compare passes.
-  EXPECT_EQ(run_compare("compare " + target.string() + " " + target.string()),
-            0);
-}
-
-TEST_F(BenchGate, CheckReadmeDetectsStaleAndRewrites) {
-  const auto base = file("bg_base.json", baseline_json(10.0, 100.0, 50.0));
-  const auto readme = file("bg_readme.md",
-                           "# Title\n\n<!-- bench-table:begin -->\nstale\n"
-                           "<!-- bench-table:end -->\ntail\n");
-  EXPECT_EQ(run_compare("check-readme " + base.string() + " " +
-                        readme.string()),
-            1);
-  EXPECT_EQ(run_compare("check-readme " + base.string() + " " +
-                        readme.string() + " --write"),
-            0);
-  EXPECT_EQ(run_compare("check-readme " + base.string() + " " +
-                        readme.string()),
-            0);
-  const std::string text = read_file(readme);
-  EXPECT_NE(text.find("BM_A/1024"), std::string::npos);
-  EXPECT_NE(text.find("tail"), std::string::npos);
+TEST_F(BenchGate, TakesNoOptions) {
+  // Bounds come only from BENCHMARK.json: a threshold flag is a usage
+  // error, and so is a third directory.
+  const std::string dirs = write("parent", Side{}).string() + " " +
+                           write("change", Side{}).string();
+  EXPECT_EQ(run_compare("--threshold 0.5 " + dirs), 2);
+  EXPECT_EQ(run_compare(dirs + " " + dirs), 2);
 }
 
 }  // namespace

@@ -164,6 +164,33 @@ TEST(Cli, OneShotAnswersAndFailuresMapToExitCodes) {
   // errors (the report-level exit 1 is pinned by one_shot_exit_code's
   // own tests against kFailed reports).
   EXPECT_EQ(run(bin + " --algo no-such-algo").exit_code, 2);
+  // So is an input file that cannot be read.
+  EXPECT_EQ(run(bin + " --algo greedy --gen file:path=no/such/file.col")
+                .exit_code,
+            2);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SCOL_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SCOL_SANITIZED 1
+#endif
+#endif
+
+TEST(Cli, RuntimeFailuresExitOne) {
+#ifdef SCOL_SANITIZED
+  GTEST_SKIP() << "ulimit -v does not work under ASan/TSan";
+#endif
+  const std::string bin = binary("scol-cli");
+  SKIP_WITHOUT(bin);
+  // Δ+1 uniform lists on rmat:16 need gigabytes: under a 1 GB address
+  // space cap the run dies with std::bad_alloc. That is a runtime
+  // failure (1), not a usage error (2), as --help says.
+  const RunResult r = run("(ulimit -v 1000000; " + bin +
+                          " --algo dplus1-sparsified --gen rmat:scale=16)");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("bad_alloc"), std::string::npos) << r.output;
 }
 
 TEST(Cli, ServePipeModeRoundTrips) {

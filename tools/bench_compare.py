@@ -1,56 +1,41 @@
 #!/usr/bin/env python3
-"""Bench baseline comparator — the CI bench-gate and the baseline tooling.
+"""Parent-vs-change pipebench comparator: the repository's one perf gate.
 
-Baseline files (BENCH_*.json at the repo root) pin per-series medians per
-machine class ("<arch>-<cores>c-<build>") in the "scol-bench-baseline/v1"
-schema written by the benches' --baseline-out mode (bench/baseline.h).
-This tool is the read side. Stdlib only (like tools/check_report.py), so
-CI and ctest fixtures can run it anywhere python3 exists.
+Usage:
 
-Subcommands:
+  python3 tools/bench_compare.py PARENT_DIR CHANGE_DIR
 
-  compare BASELINE FRESH   diff a fresh run against the checked-in class.
-      FRESH is either another baseline file or raw google-benchmark
-      --benchmark_format=json output (auto-detected by its "benchmarks"
-      key; per-series medians are taken over the repetition iterations,
-      normalized to ms). Exit 1 if any pinned series regressed past
-      --threshold (default 0.15 = 15%) or is missing from the fresh run;
-      exit 0 otherwise. A fresh run from a machine class the baseline
-      does not pin is SKIPPED with exit 0 (exit 3 instead under
-      --require-machine-class) — that is what keeps the gate honest on
-      heterogeneous CI runners. --update-improved PATH rewrites the
-      baseline with improved series refreshed (only improvements past the
-      threshold; regressions are never written).
+Each directory holds pipebench records: the <workload>-seed<N>-trace0.json
+files that pipebench/run.py writes under $CARGO_TARGET_DIR/pipebench/out/.
+For every workload BENCHMARK.json lists, the comparator takes the median
+over seeds of each end_to_end metric on both sides and applies that
+metric's `better` and `bound`: the change regresses when its median is
+worse than the parent's by more than bound x the parent's median. It
+prints one table and exits
 
-  merge TARGET SOURCE...   fold SOURCE baselines' machine classes and
-      series into TARGET (later sources win on conflicts). How the
-      bench_main_scaling curve lands inside BENCH_perf.json.
+  0  when every metric of every gated workload is within its bound;
+  1  when a metric regressed, the change failed a larger share of its
+     operations (sum failed / sum attempted), a record says
+     correct: false, or a workload or metric is missing on either side;
+  2  on a usage error (wrong arguments, unreadable record).
 
-  table BASELINE           print the pinned series as a markdown table
-      (--machine-class to select one class, --series REGEX to filter).
-
-  check-readme BASELINE README   verify (or --write) the generated table
-      between the '<!-- bench-table:begin -->' / '<!-- bench-table:end -->'
-      markers in README, so the published numbers can never drift from
-      the checked-in baseline.
+Workloads BENCHMARK.json does not list (serve-open) are ignored. There are
+no options: the bounds come only from BENCHMARK.json at the repository
+root. Stdlib only, like tools/check_report.py.
 """
 
-import argparse
 import json
-import platform
+import os
 import re
 import statistics
 import sys
 
-SCHEMA = "scol-bench-baseline/v1"
-BEGIN_MARK = "<!-- bench-table:begin -->"
-END_MARK = "<!-- bench-table:end -->"
-
-_TIME_UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORD = re.compile(r"^(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json$")
 
 
-def fail(msg):
-    print(f"bench_compare: {msg}", file=sys.stderr)
+def die(message):
+    print("bench_compare: " + message, file=sys.stderr)
     sys.exit(2)
 
 
@@ -58,317 +43,104 @@ def load_json(path):
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"cannot read {path}: {e}")
+    except (OSError, ValueError) as e:
+        die("cannot read %s: %s" % (path, e))
 
 
-def require_baseline(doc, path):
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        fail(f"{path}: not a {SCHEMA} file")
-    if not isinstance(doc.get("machine_classes"), dict):
-        fail(f"{path}: missing machine_classes")
-    return doc
+def load_records(directory):
+    """{workload: [record, ...]} for every untraced record in `directory`."""
+    if not os.path.isdir(directory):
+        die("%s is not a directory" % directory)
+    records = {}
+    for name in sorted(os.listdir(directory)):
+        m = RECORD.match(name)
+        if m:
+            record = load_json(os.path.join(directory, name))
+            record["seed"] = int(m.group("seed"))
+            records.setdefault(m.group("workload"), []).append(record)
+    return records
 
 
-def local_arch():
-    m = platform.machine().lower()
-    if m in ("x86_64", "amd64"):
-        return "x86_64"
-    if m in ("aarch64", "arm64"):
-        return "arm64"
-    return m or "unknown"
+def failed_share(records):
+    attempted = sum(r.get("attempted", 0) for r in records)
+    failed = sum(r.get("failed", 0) for r in records)
+    return failed / attempted if attempted else 0.0
 
 
-def gbench_machine_class(doc):
-    """Machine class of a raw gbench JSON run.
-
-    gbench's context lacks the app's arch and CMake build type, so arch
-    comes from the interpreter's platform (compare runs on the machine
-    that produced the artifact in CI) and build from the context's
-    library_build_type. Pass --machine-class when that guess is wrong.
-    """
-    ctx = doc.get("context", {})
-    cores = int(ctx.get("num_cpus", 0)) or 1
-    build = str(ctx.get("library_build_type", "unknown")).lower()
-    return f"{local_arch()}-{cores}c-{build}"
-
-
-def gbench_series(doc):
-    """Per-series medians (ms) from gbench JSON, preferring the reporter's
-    own median aggregates and falling back to a median over iterations."""
-    med, raw = {}, {}
-    for run in doc.get("benchmarks", []):
-        name = run.get("run_name", run.get("name", ""))
-        if not name:
-            continue
-        value_ms = float(run.get("real_time", 0.0)) * _TIME_UNIT_TO_MS.get(
-            run.get("time_unit", "ns"), 1e-6
-        )
-        if run.get("run_type") == "aggregate":
-            if run.get("aggregate_name") == "median":
-                med[name] = value_ms
-        else:
-            raw.setdefault(name, []).append(value_ms)
-    series = {}
-    for name, values in raw.items():
-        series[name] = {
-            "value": med.get(name, statistics.median(values)),
-            "unit": "ms",
-            "higher_is_better": False,
-            "reps": len(values),
-        }
-    return series
-
-
-def baseline_class_series(doc, machine_class):
-    cls = doc["machine_classes"].get(machine_class)
-    return None if cls is None else cls.get("series", {})
-
-
-def pick_class(doc, requested):
-    """The machine class to read from a baseline-format file."""
-    classes = list(doc["machine_classes"])
-    if requested:
-        if requested not in classes:
-            return None
-        return requested
-    if len(classes) == 1:
-        return classes[0]
-    fail(
-        "file pins several machine classes "
-        f"({', '.join(sorted(classes))}); pick one with --machine-class"
-    )
+def side_median(records, metric):
+    values = [r["metrics"][metric]["value"] for r in records
+              if metric in r.get("metrics", {})]
+    # A metric absent from any one seed counts as missing.
+    return statistics.median(values) if len(values) == len(records) else None
 
 
 def fmt(value):
-    return f"{value:.4g}"
+    """Counts print exactly, everything else to six significant digits."""
+    return "%d" % value if float(value).is_integer() else "%.6g" % value
 
 
-def cmd_compare(args):
-    base_doc = require_baseline(load_json(args.baseline), args.baseline)
-    fresh_doc = load_json(args.fresh)
+def regressed(parent, change, better, bound):
+    if better == "higher":
+        return change < parent * (1.0 - bound)
+    return change > parent * (1.0 + bound)
 
-    if "benchmarks" in fresh_doc:  # raw google-benchmark JSON
-        fresh_class = args.machine_class or gbench_machine_class(fresh_doc)
-        fresh_series = gbench_series(fresh_doc)
-    else:
-        require_baseline(fresh_doc, args.fresh)
-        fresh_class = pick_class(fresh_doc, args.machine_class)
-        fresh_series = (
-            None
-            if fresh_class is None
-            else baseline_class_series(fresh_doc, fresh_class)
-        )
-    if not fresh_series:
-        fail(f"{args.fresh}: no series for the selected machine class")
 
-    base_series = baseline_class_series(base_doc, fresh_class)
-    if base_series is None:
-        msg = (
-            f"machine class '{fresh_class}' is not pinned in "
-            f"{args.baseline} (pinned: "
-            f"{', '.join(sorted(base_doc['machine_classes'])) or 'none'})"
-        )
-        if args.require_machine_class:
-            print(f"FAIL: {msg}", file=sys.stderr)
-            sys.exit(3)
-        print(f"SKIP: {msg} — nothing to compare")
-        sys.exit(0)
-
-    rows, regressions, missing, improved = [], [], [], []
-    for name in sorted(base_series):
-        pinned = base_series[name]
-        base_value = float(pinned["value"])
-        higher = bool(pinned.get("higher_is_better", False))
-        fresh = fresh_series.get(name)
-        if fresh is None:
-            missing.append(name)
-            rows.append((name, fmt(base_value), "—", "—", "MISSING"))
+def compare(spec, parent, change):
+    """Prints the table; returns the list of reasons the gate fails."""
+    reasons = []
+    row = "%-16s %-20s %5s %6s %6s %14s %14s %8s  %s"
+    print(row % ("workload", "metric", "unit", "better", "bound", "parent",
+                 "change", "delta", "verdict"))
+    for workload in (w["name"] for w in spec["workloads"]):
+        sides = {"parent": parent.get(workload, []),
+                 "change": change.get(workload, [])}
+        for side, records in sides.items():
+            if not records:
+                reasons.append("%s: no %s records" % (workload, side))
+            for r in records:
+                if r.get("correct") is not True:
+                    reasons.append("%s: %s seed %d is not correct" %
+                                   (workload, side, r["seed"]))
+        if not all(sides.values()):
             continue
-        fresh_value = float(fresh["value"])
-        delta = (fresh_value - base_value) / base_value if base_value else 0.0
-        worse = -delta if higher else delta
-        if worse > args.threshold:
-            status = "REGRESSION"
-            regressions.append(name)
-        elif worse < -args.threshold:
-            status = "improved"
-            improved.append(name)
-        else:
-            status = "ok"
-        rows.append(
-            (name, fmt(base_value), fmt(fresh_value), f"{delta:+.1%}", status)
-        )
-
-    extra = sorted(set(fresh_series) - set(base_series))
-    widths = [
-        max(len(r[i]) for r in rows + [("series", "base", "fresh", "delta", "status")])
-        for i in range(5)
-    ]
-    header = ("series", "base", "fresh", "delta", "status")
-    for row in [header] + rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    print(
-        f"\n{fresh_class}: {len(rows)} pinned series, "
-        f"{len(regressions)} regression(s), {len(improved)} improved, "
-        f"{len(missing)} missing, {len(extra)} unpinned "
-        f"(threshold {args.threshold:.0%})"
-    )
-    if extra:
-        print(f"unpinned (ignored): {', '.join(extra)}")
-
-    if improved and args.update_improved and not regressions and not missing:
-        for name in improved:
-            entry = dict(base_series[name])
-            entry["value"] = float(fresh_series[name]["value"])
-            entry["reps"] = int(fresh_series[name].get("reps", entry.get("reps", 1)))
-            base_series[name] = entry
-        with open(args.update_improved, "w", encoding="utf-8") as f:
-            json.dump(base_doc, f, indent=2)
-            f.write("\n")
-        print(f"refreshed baseline ({len(improved)} series) -> {args.update_improved}")
-
-    if regressions or missing:
-        print(
-            "FAIL: "
-            + ", ".join(
-                [f"regressed: {', '.join(regressions)}"] * bool(regressions)
-                + [f"missing: {', '.join(missing)}"] * bool(missing)
-            ),
-            file=sys.stderr,
-        )
-        sys.exit(1)
-    sys.exit(0)
+        for m in spec["end_to_end"]:
+            name = m["name"]
+            p = side_median(sides["parent"], name)
+            c = side_median(sides["change"], name)
+            if p is None or c is None:
+                reasons.append("%s: %s missing on the %s side" %
+                               (workload, name, "parent" if p is None else "change"))
+                continue
+            delta = (c - p) / p if p else 0.0
+            bad = regressed(p, c, m["better"], m["bound"])
+            if bad:
+                reasons.append("%s: %s %+.1f%% is past its %g%% bound" %
+                               (workload, name, 100 * delta, 100 * m["bound"]))
+            print(row % (workload, name, m["unit"], m["better"],
+                         "%g%%" % (100 * m["bound"]), fmt(p), fmt(c),
+                         "%+.1f%%" % (100 * delta), "REGRESSED" if bad else "ok"))
+        fp = failed_share(sides["parent"])
+        fc = failed_share(sides["change"])
+        print(row % (workload, "failed_share", "", "lower", "0%", fmt(fp),
+                     fmt(fc), "", "REGRESSED" if fc > fp else "ok"))
+        if fc > fp:
+            reasons.append("%s: failed share %.6g > parent %.6g" % (workload, fc, fp))
+        print("%-16s seeds parent=%s change=%s" % (
+            workload, ",".join(str(r["seed"]) for r in sides["parent"]),
+            ",".join(str(r["seed"]) for r in sides["change"])))
+    return reasons
 
 
-def cmd_merge(args):
-    target = require_baseline(load_json(args.target), args.target)
-    for src_path in args.sources:
-        src = require_baseline(load_json(src_path), src_path)
-        for cls_name, src_cls in src["machine_classes"].items():
-            dst_cls = target["machine_classes"].setdefault(
-                cls_name, {k: v for k, v in src_cls.items() if k != "series"}
-            )
-            dst_cls.setdefault("series", {}).update(src_cls.get("series", {}))
-    with open(args.target, "w", encoding="utf-8") as f:
-        json.dump(target, f, indent=2)
-        f.write("\n")
-    print(
-        f"merged {len(args.sources)} file(s) into {args.target} "
-        f"({sum(len(c.get('series', {})) for c in target['machine_classes'].values())}"
-        " series total)"
-    )
-
-
-def render_table(doc, machine_class, series_regex):
-    series = baseline_class_series(doc, machine_class)
-    if series is None:
-        fail(f"machine class '{machine_class}' not in baseline")
-    pattern = re.compile(series_regex) if series_regex else None
-    lines = [
-        f"| series | median | unit | reps |",
-        f"| --- | ---: | --- | ---: |",
-    ]
-    kept = 0
-    for name in sorted(series):
-        if pattern and not pattern.search(name):
-            continue
-        e = series[name]
-        lines.append(
-            f"| `{name}` | {fmt(float(e['value']))} | {e['unit']} "
-            f"| {e.get('reps', 1)} |"
-        )
-        kept += 1
-    if kept == 0:
-        fail("series filter matched nothing")
-    lines.append("")
-    lines.append(f"_Machine class `{machine_class}`; regenerate via "
-                 "`tools/bench_compare.py check-readme --write` after "
-                 "refreshing the baseline (docs/BENCHMARKS.md)._")
-    return "\n".join(lines)
-
-
-def cmd_table(args):
-    doc = require_baseline(load_json(args.baseline), args.baseline)
-    cls = pick_class(doc, args.machine_class)
-    if cls is None:
-        fail(f"machine class '{args.machine_class}' not in baseline")
-    print(render_table(doc, cls, args.series))
-
-
-def cmd_check_readme(args):
-    doc = require_baseline(load_json(args.baseline), args.baseline)
-    cls = pick_class(doc, args.machine_class)
-    if cls is None:
-        fail(f"machine class '{args.machine_class}' not in baseline")
-    table = render_table(doc, cls, args.series)
-    try:
-        with open(args.readme, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        fail(f"cannot read {args.readme}: {e}")
-    begin = text.find(BEGIN_MARK)
-    end = text.find(END_MARK)
-    if begin < 0 or end < 0 or end < begin:
-        fail(f"{args.readme}: markers '{BEGIN_MARK}' … '{END_MARK}' not found")
-    expected = f"{BEGIN_MARK}\n{table}\n{END_MARK}"
-    actual = text[begin : end + len(END_MARK)]
-    if actual == expected:
-        print(f"{args.readme}: bench table up to date with {args.baseline}")
-        return
-    if args.write:
-        with open(args.readme, "w", encoding="utf-8") as f:
-            f.write(text[:begin] + expected + text[end + len(END_MARK):])
-        print(f"{args.readme}: bench table rewritten from {args.baseline}")
-        return
-    print(
-        f"FAIL: {args.readme} bench table is stale; regenerate with\n"
-        f"  python3 tools/bench_compare.py check-readme {args.baseline} "
-        f"{args.readme} --machine-class {cls}"
-        + (f" --series '{args.series}'" if args.series else "")
-        + " --write",
-        file=sys.stderr,
-    )
-    sys.exit(1)
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("compare", help="diff a fresh run against a baseline")
-    p.add_argument("baseline")
-    p.add_argument("fresh")
-    p.add_argument("--threshold", type=float, default=0.15)
-    p.add_argument("--machine-class")
-    p.add_argument("--require-machine-class", action="store_true")
-    p.add_argument("--update-improved", metavar="PATH")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("merge", help="fold baselines into a target file")
-    p.add_argument("target")
-    p.add_argument("sources", nargs="+")
-    p.set_defaults(func=cmd_merge)
-
-    p = sub.add_parser("table", help="markdown table of pinned series")
-    p.add_argument("baseline")
-    p.add_argument("--machine-class")
-    p.add_argument("--series", help="regex filter on series names")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser(
-        "check-readme", help="verify/rewrite the README bench table block"
-    )
-    p.add_argument("baseline")
-    p.add_argument("readme")
-    p.add_argument("--machine-class")
-    p.add_argument("--series", help="regex filter on series names")
-    p.add_argument("--write", action="store_true")
-    p.set_defaults(func=cmd_check_readme)
-
-    args = parser.parse_args()
-    args.func(args)
+def main(argv):
+    if len(argv) != 2 or any(a.startswith("-") for a in argv):
+        die("usage: bench_compare.py PARENT_DIR CHANGE_DIR")
+    spec = load_json(os.path.join(ROOT, "BENCHMARK.json"))
+    reasons = compare(spec, load_records(argv[0]), load_records(argv[1]))
+    for reason in reasons:
+        print("FAIL " + reason)
+    print("bench_compare: %s" % ("FAIL" if reasons else "ok"))
+    return 1 if reasons else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
