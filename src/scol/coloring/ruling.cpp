@@ -22,29 +22,27 @@ RulingForest ruling_forest(const Graph& g, const std::vector<char>& in_u,
   out.depth_bound = alpha * bits;
 
   // --- Ruling set by bit elimination. ---
+  // One dist/queue pair serves every bit: each BFS leaves exactly the
+  // vertices on its queue marked, and only those are reset.
   std::vector<char> alive = in_u;
   std::int64_t rounds = 0;
+  std::vector<Vertex> dist(static_cast<std::size_t>(n), -1);
+  std::vector<Vertex> queue;
   for (int b = 0; b < bits; ++b) {
-    std::vector<Vertex> zeros;
+    queue.clear();
     bool has_one = false;
     for (Vertex v = 0; v < n; ++v) {
       if (!alive[static_cast<std::size_t>(v)]) continue;
       if ((v >> b) & 1)
         has_one = true;
       else
-        zeros.push_back(v);
+        queue.push_back(v);
     }
     rounds += alpha;  // the schedule always runs the alpha-truncated BFS
-    if (zeros.empty() || !has_one) continue;
+    if (queue.empty() || !has_one) continue;
     // Truncated multi-source BFS from the zero-bit candidates: any one-bit
     // candidate within distance < alpha drops out.
-    std::vector<Vertex> dist(static_cast<std::size_t>(n), -1);
-    std::vector<Vertex> queue;
-    queue.reserve(zeros.size());
-    for (Vertex z : zeros) {
-      dist[static_cast<std::size_t>(z)] = 0;
-      queue.push_back(z);
-    }
+    for (Vertex z : queue) dist[static_cast<std::size_t>(z)] = 0;
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const Vertex x = queue[head];
       if (dist[static_cast<std::size_t>(x)] == alpha - 1) continue;
@@ -60,13 +58,14 @@ RulingForest ruling_forest(const Graph& g, const std::vector<char>& in_u,
       const Vertex v = static_cast<Vertex>(i);
       if (alive[i] && ((v >> b) & 1) && dist[i] >= 0) alive[i] = 0;
     });
+    for (Vertex x : queue) dist[static_cast<std::size_t>(x)] = -1;
   }
 
   // --- BFS forest from the survivors, truncated at the depth bound. ---
   out.root.assign(static_cast<std::size_t>(n), -1);
   out.parent.assign(static_cast<std::size_t>(n), -1);
   out.depth.assign(static_cast<std::size_t>(n), -1);
-  std::vector<Vertex> queue;
+  queue.clear();
   for (Vertex v = 0; v < n; ++v) {
     if (alive[static_cast<std::size_t>(v)]) {
       out.roots.push_back(v);

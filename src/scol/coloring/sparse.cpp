@@ -64,9 +64,13 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
         gr.to_original[static_cast<std::size_t>(x)])] = kUncolored;
 
   // --- L_H: lists minus colors of colored G_i-neighbors outside T. ---
-  // Flat arena layout: slot x gets capacity |L(v)| (a shrink never grows a
-  // list), so the per-vertex writes are disjoint and the sweep runs under
-  // the executor (bit-identical across executors).
+  // Only a prefix of L_H is written: when the sweep reaches x, its parent
+  // is still uncolored, so at most deg_H(x) - 1 <= deg_{G_i[R]}(x) - 1
+  // colors are forbidden, and the first deg_{G_i[R]}(x) free colors decide
+  // its pick. Flat arena layout: slot x keeps capacity |L(v)| (a shrink
+  // never grows a list), so the per-vertex writes are disjoint, the sweep
+  // runs under the executor (bit-identical across executors), and the
+  // arena footprint does not depend on the prefix rule.
   std::span<std::int64_t> lh_off =
       ar.alloc<std::int64_t>(static_cast<std::size_t>(nr) + 1);
   lh_off[0] = 0;
@@ -96,8 +100,9 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
     for (std::size_t ti = begin; ti < end; ++ti) {
       const Vertex x = t_members[ti];
       const Vertex v = gr.to_original[static_cast<std::size_t>(x)];
+      const auto lv = lists.of(v);
       forbidden.clear();
-      Vertex deg_gi = 0, deg_h = 0;
+      Vertex deg_gi = 0, deg_h = 0, blocked = 0;
       const auto nb = g.neighbors(v);
       for (std::size_t i = 0; i < nb.size(); ++i) {
         // The gather chain adj[i] -> colors[adj[i]] misses on big rows;
@@ -116,20 +121,23 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
         const Color cw = colors[static_cast<std::size_t>(w)];
         SCOL_DCHECK(cw != kUncolored,
                     + "outside-T alive neighbors are colored");
+        if (forbidden.contains(cw)) continue;
         forbidden.insert(cw);
+        if (list_contains(lv, cw)) ++blocked;
       }
+      const std::int32_t keep = gr.graph.degree(x);
       Color* out = lh_colors.data() + lh_off[static_cast<std::size_t>(x)];
       std::int32_t len = 0;
-      for (Color c : lists.of(v))
-        if (!forbidden.contains(c)) out[len++] = c;
+      for (std::size_t i = 0; i < lv.size() && len < keep; ++i)
+        if (!forbidden.contains(lv[i])) out[len++] = lv[i];
       lh_len[static_cast<std::size_t>(x)] = len;
-      // Observation 5.1: |L_H(v)| >= |L(v)| - deg_{G_i}(v) + deg_H(v), and
+      // Observation 5.1 on the full |L_H(v)| = |L(v)| minus the distinct
+      // blocked colors: |L_H(v)| >= |L(v)| - deg_{G_i}(v) + deg_H(v), and
       // the sweep needs the weaker |L_H(v)| >= deg_H(v).
-      SCOL_CHECK(static_cast<Vertex>(len) >=
-                     static_cast<Vertex>(lists.of(v).size()) - deg_gi + deg_h,
+      const Vertex lh_size = static_cast<Vertex>(lv.size()) - blocked;
+      SCOL_CHECK(lh_size >= static_cast<Vertex>(lv.size()) - deg_gi + deg_h,
                  + "Observation 5.1 violated");
-      SCOL_CHECK(static_cast<Vertex>(len) >= deg_h,
-                 + "sweep capacity |L_H| >= deg_H violated");
+      SCOL_CHECK(lh_size >= deg_h, + "sweep capacity |L_H| >= deg_H violated");
     }
   });
 
@@ -198,8 +206,7 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
   std::vector<std::vector<Vertex>> balls;  // gr ids
   std::vector<Vertex> ball_of(static_cast<std::size_t>(nr), -1);
   for (std::size_t ri = 0; ri < rf.roots.size(); ++ri) {
-    const std::vector<char> all(static_cast<std::size_t>(nr), 1);
-    std::vector<Vertex> b = ball_within(gr.graph, all, rf.roots[ri], rho);
+    std::vector<Vertex> b = ball(gr.graph, rf.roots[ri], rho);
     for (Vertex x : b) {
       SCOL_CHECK(ball_of[static_cast<std::size_t>(x)] < 0,
                  + "root balls must be disjoint");
@@ -239,11 +246,17 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
         const Color cw = colors[static_cast<std::size_t>(w)];
         if (cw != kUncolored) forbidden.insert(cw);
       }
+      // Only the first deg_ball(x) + 1 free colors are kept. A tight list
+      // (|avail| == deg) is never cut, a surplus list stays a surplus list,
+      // and every greedy pick in degree_choosable_coloring sees at most
+      // deg_ball(x) colored neighbors, so the coloring is unchanged.
       auto& out = avail[static_cast<std::size_t>(bx)];
       const auto lv = lists.of(v);
-      out.reserve(lv.size());
-      for (Color c : lv)
-        if (!forbidden.contains(c)) out.push_back(c);
+      const std::size_t keep =
+          static_cast<std::size_t>(bg.graph.degree(bx)) + 1;
+      out.reserve(std::min(lv.size(), keep));
+      for (std::size_t i = 0; i < lv.size() && out.size() < keep; ++i)
+        if (!forbidden.contains(lv[i])) out.push_back(lv[i]);
       SCOL_CHECK(static_cast<Vertex>(out.size()) >= bg.graph.degree(bx),
                  + "ball lists must cover ball degrees (Obs. 5.1)");
     }

@@ -30,12 +30,14 @@ namespace scol {
 /// clash, and the theorem's regime is c * log n >> 1 anyway).
 Vertex sparsify_target(Vertex n, double c);
 
-/// Samples each vertex's list down to at most `target` colors. Vertices
-/// whose list already fits are copied verbatim; larger lists get a
-/// uniform `target`-subset via partial Fisher–Yates driven by the
-/// Rng::stream keyed on (seed, attempt << 32 | v). Output lists are
-/// canonical (sorted, duplicate-free) subsets of the inputs, so any
-/// coloring found on the sample respects the original assignment.
+/// Samples each vertex's list down to at most `target` colors. Input
+/// lists must be canonical (sorted, duplicate-free). Vertices whose list
+/// already fits are copied verbatim; larger lists get a uniform
+/// `target`-subset via partial Fisher–Yates over list positions, driven
+/// by the Rng::stream keyed on (seed, attempt << 32 | v), in O(target +
+/// |L(v)|/64) per vertex. Output lists are canonical subsets of the
+/// inputs, so any coloring found on the sample respects the original
+/// assignment.
 ListAssignment sparsify_palette(const ListAssignment& lists, Vertex target,
                                 std::uint64_t seed, std::uint64_t attempt);
 

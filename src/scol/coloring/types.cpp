@@ -1,6 +1,7 @@
 #include "scol/coloring/types.h"
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 namespace scol {
@@ -32,10 +33,12 @@ std::size_t ListAssignment::min_list_size() const {
 }
 
 bool ListAssignment::canonical() const {
+  // Sorted and duplicate-free is strictly increasing: one pass per list.
   for (Vertex v = 0; v < size(); ++v) {
     const auto l = of(v);
-    if (!std::is_sorted(l.begin(), l.end())) return false;
-    if (std::adjacent_find(l.begin(), l.end()) != l.end()) return false;
+    if (std::adjacent_find(l.begin(), l.end(), std::greater_equal<>()) !=
+        l.end())
+      return false;
   }
   return true;
 }

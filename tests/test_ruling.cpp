@@ -121,5 +121,77 @@ TEST(RulingForest, PathDense) {
       EXPECT_GE(std::abs(rf.roots[i] - rf.roots[j]), 6);
 }
 
+// The bit elimination as it was before its BFS buffers were shared across
+// bits: a fresh dist array and zero-candidate list per bit. Returns the
+// surviving ruling set.
+std::vector<Vertex> oracle_ruling_set(const Graph& g,
+                                      const std::vector<char>& in_u,
+                                      Vertex alpha) {
+  const Vertex n = g.num_vertices();
+  int bits = 1;
+  while ((std::int64_t{1} << bits) < std::max<Vertex>(n, 2)) ++bits;
+  std::vector<char> alive = in_u;
+  for (int b = 0; b < bits; ++b) {
+    std::vector<Vertex> zeros;
+    bool has_one = false;
+    for (Vertex v = 0; v < n; ++v) {
+      if (!alive[static_cast<std::size_t>(v)]) continue;
+      if ((v >> b) & 1)
+        has_one = true;
+      else
+        zeros.push_back(v);
+    }
+    if (zeros.empty() || !has_one) continue;
+    std::vector<Vertex> dist(static_cast<std::size_t>(n), -1);
+    std::vector<Vertex> queue = zeros;
+    for (Vertex z : zeros) dist[static_cast<std::size_t>(z)] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const Vertex x = queue[head];
+      if (dist[static_cast<std::size_t>(x)] == alpha - 1) continue;
+      for (Vertex y : g.neighbors(x)) {
+        if (dist[static_cast<std::size_t>(y)] < 0) {
+          dist[static_cast<std::size_t>(y)] =
+              dist[static_cast<std::size_t>(x)] + 1;
+          queue.push_back(y);
+        }
+      }
+    }
+    for (Vertex v = 0; v < n; ++v)
+      if (alive[static_cast<std::size_t>(v)] && ((v >> b) & 1) &&
+          dist[static_cast<std::size_t>(v)] >= 0)
+        alive[static_cast<std::size_t>(v)] = 0;
+  }
+  std::vector<Vertex> roots;
+  for (Vertex v = 0; v < n; ++v)
+    if (alive[static_cast<std::size_t>(v)]) roots.push_back(v);
+  return roots;
+}
+
+TEST(RulingForest, SharedBfsBuffersMatchFreshPerBitOracle) {
+  // Every bit's BFS resets only what the previous one visited; roots,
+  // forest and charged rounds must equal the fresh-buffer computation.
+  Rng rng(31);
+  for (int t = 0; t < 24; ++t) {
+    const Vertex n = 20 + static_cast<Vertex>(rng.below(300));
+    const Graph g =
+        t % 3 == 0 ? grid(1 + static_cast<Vertex>(rng.below(4)), n)
+                   : gnm(n, static_cast<std::int64_t>(rng.below(3 * n)), rng);
+    const Vertex nv = g.num_vertices();
+    std::vector<char> in_u(static_cast<std::size_t>(nv), 0);
+    const double frac = 0.05 + 0.9 * rng.real();
+    for (Vertex v = 0; v < nv; ++v)
+      in_u[static_cast<std::size_t>(v)] = rng.chance(frac) ? 1 : 0;
+    const Vertex alpha = 1 + static_cast<Vertex>(rng.below(8));
+    RoundLedger ledger;
+    const RulingForest rf = ruling_forest(g, in_u, alpha, &ledger);
+    EXPECT_EQ(rf.roots, oracle_ruling_set(g, in_u, alpha)) << "trial " << t;
+    int bits = 1;
+    while ((std::int64_t{1} << bits) < std::max<Vertex>(nv, 2)) ++bits;
+    EXPECT_EQ(ledger.total(),
+              static_cast<std::int64_t>(alpha) * bits + rf.depth_bound)
+        << "trial " << t;
+  }
+}
+
 }  // namespace
 }  // namespace scol
