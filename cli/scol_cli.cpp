@@ -25,12 +25,11 @@
 //   --param key=val    per-algorithm parameter (repeatable)
 //   --seed S           scenario + algorithm seed (default 1)
 //   --threads T        run under a ThreadPoolExecutor with T threads
-//   --shards P         run under a ShardedExecutor with P CSR shards;
-//                      results are bit-identical to serial, and the report
-//                      gains shards / boundary_vertices / cut_edges and
-//                      exchange_messages = ledger rounds x boundary pairs
-//   --no-exchange-metrics   suppress that telemetry (sharded output is
-//                      then byte-identical to the serial report)
+//   --shards P         price the run's LOCAL exchange on a P-shard CSR
+//                      partition: the report gains shards /
+//                      boundary_vertices / cut_edges and exchange_messages
+//                      = ledger rounds x boundary pairs; everything else
+//                      is the unpriced report (combines with --threads)
 //   --round-budget R   RunContext round budget
 //   --deadline-ms D    RunContext wall-clock budget
 //   --no-validate      skip the independent output validation
@@ -50,12 +49,9 @@
 //   --algo-param NAME:key=val   per-algorithm param override (repeatable)
 //   --jobs N           thread pool over instances — one instance is all
 //                      algorithms on one generated graph (default 1)
-//   --shards P         every job solves under a P-shard ShardedExecutor;
+//   --shards P         price every job's exchange on a P-shard partition:
 //                      each line gains a "shards" field + the exchange
-//                      metrics above, priced from its ledger rounds
-//                      (default 1 = serial)
-//   --no-exchange-metrics   suppress the telemetry: the stream is then
-//                      byte-identical to the serial stream for every P
+//                      metrics above (default 1 = unpriced)
 //   --shard i/m        run shard i of m (instances round-robin)
 //   --out FILE         JSONL to FILE, summary to stdout (default: JSONL to
 //                      stdout, summary to stderr)
@@ -119,7 +115,7 @@ const char* kUsage =
     "usage: scol-cli --algo NAME [--gen SPEC] [--k K] "
     "[--lists uniform|random] [--palette P]\n"
     "                [--param key=val]... [--seed S] "
-    "[--threads T | --shards P] [--round-budget R]\n"
+    "[--threads T] [--shards P] [--round-budget R]\n"
     "                [--deadline-ms D] [--no-validate] "
     "[--with-coloring] [--no-timing] [--pretty]\n"
     "       scol-cli campaign ... | scol-cli probe ... | scol-cli gen ...\n"
@@ -384,8 +380,7 @@ int probe_main(int argc, char** argv) {
                "[--lists uniform|random] [--palette P]\n"
                "                [--param key=val]... "
                "[--algo-param NAME:key=val]... [--round-budget R]\n"
-               "                [--jobs N] [--shards P] "
-               "[--no-exchange-metrics] [--shard i/m]\n"
+               "                [--jobs N] [--shards P] [--shard i/m]\n"
                "                [--out FILE | "
                "--summary-only] [--with-timing] [--no-probe]\n"
                "                [--planarity-limit N] [--girth-limit L] "
@@ -475,8 +470,6 @@ int campaign_main(int argc, char** argv) {
           need_value(i, "--shards"), "--shards", 1,
           std::numeric_limits<int>::max(), campaign_usage_error));
       ++i;
-    } else if (arg == "--no-exchange-metrics") {
-      spec.exchange_metrics = false;
     } else if (arg == "--shard") {
       std::int64_t shard_index = 0;
       std::int64_t shard_count = 0;
@@ -644,8 +637,6 @@ int main(int argc, char** argv) {
           need_value(i, "--shards"), "--shards", 1,
           std::numeric_limits<int>::max(), usage_error));
       ++i;
-    } else if (arg == "--no-exchange-metrics") {
-      spec.exchange_metrics = false;
     } else if (arg == "--round-budget") {
       spec.round_budget = scol_cli_parse::checked_int(
           need_value(i, "--round-budget"), "--round-budget", -1,
@@ -669,8 +660,6 @@ int main(int argc, char** argv) {
     }
   }
   if (spec.algorithm.empty()) usage_error("--algo is required");
-  if (spec.threads > 0 && spec.shards > 0)
-    usage_error("--threads and --shards are mutually exclusive");
 
   try {
     const Json out = one_shot_report(spec);

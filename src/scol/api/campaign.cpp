@@ -144,9 +144,8 @@ Json job_line(const JobRun& run, const std::string& scenario_spec,
   line.set("k", Json::integer(run.k_eff));
   line.set("seed", Json::integer(static_cast<std::int64_t>(run.job.seed)));
   line.set("threads", Json::integer(0));  // jobs never use a nested pool
-  // Present only for telemetry-carrying sharded campaigns, so every
-  // pre-existing stream (and every telemetry-suppressed one) keeps its
-  // exact bytes.
+  // Present only for exchange-priced campaigns, so every unpriced stream
+  // keeps its exact bytes.
   if (shards_field > 1) line.set("shards", Json::integer(shards_field));
   line.set("job", Json::integer(static_cast<std::int64_t>(run.job.index)));
   line.set("instance",
@@ -319,17 +318,11 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       // Lists shared across jobs with the same (k, palette): identical
       // assignments are what make the cross-job verdicts comparable.
       std::map<std::pair<Vertex, Color>, ListAssignment> lists_cache;
-      // Sharded intra-job execution: the plan depends on the graph, so the
-      // executor is per-instance. Sequential mode — instances are already
-      // fanned over the job executor; what p adds here is the partition
-      // and (optionally) its exchange telemetry.
-      std::optional<ShardedExecutor> sharded_exec;
-      if (spec.exec_shards > 1 && graph != nullptr) {
-        ShardOptions shard_options;
-        shard_options.shards = spec.exec_shards;
-        shard_options.metrics = spec.exchange_metrics;
-        sharded_exec.emplace(*graph, shard_options);
-      }
+      // Exchange pricing: the plan depends only on the graph, so it is
+      // built once per instance and every job's report is priced on it.
+      std::optional<ShardPlan> shard_plan;
+      if (spec.exec_shards > 1 && graph != nullptr)
+        shard_plan = ShardPlan::build(*graph, spec.exec_shards);
       // Probed lazily: only when the filter is on AND some algorithm of
       // the axis actually registered a precondition.
       std::optional<GraphProbe> local_probe;
@@ -413,14 +406,14 @@ CampaignResult run_campaign(const CampaignSpec& spec,
           req.lists = lists;
         }
 
-        RunContext ctx;  // single-threaded per job (sharded or serial)
-        ctx.executor = sharded_exec ? &*sharded_exec : nullptr;
+        RunContext ctx;  // single-threaded per job
         ctx.seed = seed;
         ctx.round_budget = spec.round_budget;
         ctx.arena = worker_arena;
         const auto start = std::chrono::steady_clock::now();
         try {
           run.report = solve(req, ctx);
+          if (shard_plan) add_exchange_metrics(run.report, *shard_plan);
         } catch (const std::exception& e) {
           run.report = ColoringReport::failed(e.what());
           run.report.algorithm = info.name;
@@ -443,8 +436,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         if (sink)
           out.lines.push_back(
               job_line(run, scenario_spec, graph != nullptr ? *graph : empty,
-                       options.include_timing,
-                       spec.exchange_metrics ? spec.exec_shards : 0)
+                       options.include_timing, spec.exec_shards)
                   .dump());
         SlimStat stat;
         stat.status = run.report.status;

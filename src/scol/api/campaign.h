@@ -81,15 +81,12 @@ struct CampaignSpec {
   /// verdicts predict a campaign's skips exactly when given the same
   /// values.
   ProbeOptions probe_options;
-  /// Intra-job executor shards (p >= 1, `--shards`). With p > 1 every job
-  /// solves under a per-instance ShardedExecutor in sequential mode (jobs
-  /// already fan out over the job executor; only the shard split is
-  /// distributed). With exchange_metrics on, every line gains a
-  /// top-level "shards" field and the exchange telemetry metrics; with it
-  /// off the stream is byte-identical to the serial stream for EVERY p —
-  /// what the golden sharded sweep and the CI cross-p compare pin.
+  /// Exchange pricing shards (p >= 1, `--shards`). With p > 1 each
+  /// instance's graph gets a ShardPlan, and every line gains a top-level
+  /// "shards" field plus the exchange metrics priced from its ledger
+  /// rounds (add_exchange_metrics). Jobs solve serially either way, so
+  /// with those five fields removed the stream is the serial stream.
   int exec_shards = 1;
-  bool exchange_metrics = true;
 };
 
 /// One cell of the grid. `index` is the job's position in the full grid

@@ -9,6 +9,7 @@
 #include "scol/local/shard.h"
 #include "scol/util/check.h"
 #include "scol/util/rng.h"
+#include "scol/util/thread_pool.h"
 
 namespace scol {
 
@@ -65,6 +66,8 @@ Json one_shot_report_on(const Graph& g, const OneShotSpec& spec,
   if (arena) ctx.arena = std::move(arena);
 
   ColoringReport report = solve(req, ctx);
+  if (spec.shards > 0)
+    add_exchange_metrics(report, ShardPlan::build(g, spec.shards));
   // wall_ms is the one nondeterministic report field; callers that need
   // byte-stable output (the server, its caches, the load generator's
   // oracle) zero it and measure latency outside the report.
@@ -87,23 +90,10 @@ Json one_shot_report(const OneShotSpec& spec) {
   Rng scenario_rng(spec.seed);
   const Graph g = build_scenario(spec.scenario, scenario_rng);
 
-  SCOL_REQUIRE(spec.threads <= 0 || spec.shards <= 0,
-               + "threads and shards are mutually exclusive executors");
   std::unique_ptr<ThreadPoolExecutor> pool;
-  std::unique_ptr<ShardedExecutor> sharded;
-  const Executor* executor = nullptr;
-  if (spec.threads > 0) {
+  if (spec.threads > 0)
     pool = std::make_unique<ThreadPoolExecutor>(spec.threads);
-    executor = pool.get();
-  } else if (spec.shards > 0) {
-    ShardOptions options;
-    options.shards = spec.shards;
-    options.threaded = true;
-    options.metrics = spec.exchange_metrics;
-    sharded = std::make_unique<ShardedExecutor>(g, options);
-    executor = sharded.get();
-  }
-  return one_shot_report_on(g, spec, executor);
+  return one_shot_report_on(g, spec, pool.get());
 }
 
 }  // namespace scol

@@ -44,8 +44,7 @@ struct OneShotSpec {
   Color palette = -1;                ///< random-lists palette (-1 = 4k)
   std::uint64_t seed = 1;            ///< scenario + algorithm seed
   int threads = 0;                   ///< echoed; >0 = pool inside
-  int shards = 0;                    ///< >0 = sharded executor with p shards
-  bool exchange_metrics = true;      ///< sharded runs: report exchange telemetry
+  int shards = 0;                    ///< >0 = price exchange on p shards
   std::int64_t round_budget = -1;
   double deadline_ms = -1.0;
   bool validate = true;

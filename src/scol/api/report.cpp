@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "scol/coloring/sparse.h"
+#include "scol/local/shard.h"
 
 namespace scol {
 
@@ -63,6 +64,14 @@ ColoringReport report_from_sparse(SparseResult&& r, std::string algorithm) {
   out.metrics.set_int("radius", r.radius);
   out.sync_derived_fields();
   return out;
+}
+
+void add_exchange_metrics(ColoringReport& report, const ShardPlan& plan) {
+  report.metrics.set_int("shards", plan.shards);
+  report.metrics.set_int("exchange_messages",
+                         report.rounds * plan.boundary_pairs);
+  report.metrics.set_int("boundary_vertices", plan.boundary_vertices);
+  report.metrics.set_int("cut_edges", plan.cut_edges);
 }
 
 }  // namespace scol

@@ -29,6 +29,7 @@
 namespace scol {
 
 struct SparseResult;  // coloring/sparse.h (kernel-level diagnostics)
+struct ShardPlan;     // local/shard.h (exchange pricing partition)
 
 enum class SolveStatus { kColored, kInfeasible, kFailed };
 
@@ -86,5 +87,11 @@ struct ColoringReport {
 /// Converts the Theorem 1.3 kernel result (coloring or clique, peel
 /// records, radius) into a unified report.
 ColoringReport report_from_sparse(SparseResult&& r, std::string algorithm);
+
+/// Prices `report`'s LOCAL-model exchange on `plan`: every ledger round
+/// sends one update per boundary pair. Appends `shards`,
+/// `exchange_messages` (= rounds x boundary_pairs), `boundary_vertices`
+/// and `cut_edges` to the metrics bag; every other field is untouched.
+void add_exchange_metrics(ColoringReport& report, const ShardPlan& plan);
 
 }  // namespace scol

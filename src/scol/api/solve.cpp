@@ -17,7 +17,6 @@
 #include "scol/coloring/sparse.h"
 #include "scol/coloring/sparsify.h"
 #include "scol/graph/cliques.h"
-#include "scol/local/shard.h"
 
 namespace scol {
 namespace {
@@ -140,7 +139,7 @@ std::string why_not_degenerate(const GraphProbe& probe, Vertex d,
 // guarantee while usually touching a fraction of the palette. All
 // sampling and solving randomness derives from one value of the
 // context's seed through per-(vertex, attempt) / per-(vertex, round)
-// streams — reports are bit-identical across executors and shards.
+// streams — reports are bit-identical across executors.
 
 struct SparsifySetup {
   double c = 4.0;             // param sparsify_c
@@ -731,22 +730,6 @@ ColoringReport solve(const ColoringRequest& request, RunContext& ctx) {
   report.metrics.set_int("arena_bytes",
                          after.bytes_requested - before.bytes_requested);
   report.sync_derived_fields();
-  // Sharded runs additionally report the LOCAL-model exchange profile: every
-  // ledger round sends one update per boundary pair, so the wire cost is
-  // rounds x plan.boundary_pairs by construction. It is deterministic for a
-  // fixed (graph, p) but varies WITH p, so it is gated behind
-  // ShardOptions::metrics: with metrics off a sharded run is byte-identical
-  // to serial (what the golden sharded sweep and the cross-p CI compare
-  // pin); with metrics on the telemetry becomes part of the report.
-  const auto* sharded = dynamic_cast<const ShardedExecutor*>(ctx.executor);
-  if (sharded != nullptr && sharded->metrics_enabled()) {
-    const ShardPlan& plan = sharded->plan();
-    report.metrics.set_int("shards", plan.shards);
-    report.metrics.set_int("exchange_messages",
-                           report.rounds * plan.boundary_pairs);
-    report.metrics.set_int("boundary_vertices", plan.boundary_vertices);
-    report.metrics.set_int("cut_edges", plan.cut_edges);
-  }
   report.wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)

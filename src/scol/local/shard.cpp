@@ -39,10 +39,10 @@ int ShardPlan::owner(Vertex v) const {
   return static_cast<int>(it - (cuts.begin() + 1));
 }
 
-ShardPlan ShardPlan::build(const Graph& g, const ShardOptions& options) {
-  SCOL_REQUIRE(options.shards >= 1, + "shard count must be >= 1");
+ShardPlan ShardPlan::build(const Graph& g, int shards) {
+  SCOL_REQUIRE(shards >= 1, + "shard count must be >= 1");
   ShardPlan plan;
-  plan.shards = options.shards;
+  plan.shards = shards;
   plan.num_vertices = static_cast<std::size_t>(g.num_vertices());
   plan.cuts = range_cuts(g, plan.shards);
 
@@ -61,56 +61,6 @@ ShardPlan ShardPlan::build(const Graph& g, const ShardOptions& options) {
     if (last_t != s) ++plan.boundary_vertices;
   }
   return plan;
-}
-
-ShardedExecutor::ShardedExecutor(const Graph& g, const ShardOptions& options)
-    : options_(options), plan_(ShardPlan::build(g, options)) {
-  if (options_.threaded && plan_.shards > 1) {
-    pool_ = std::make_unique<ThreadPool>(plan_.shards);
-  }
-}
-
-int ShardedExecutor::concurrency() const {
-  return pool_ != nullptr ? plan_.shards : 1;
-}
-
-void ShardedExecutor::for_each_shard(const std::function<void(int)>& f) const {
-  if (pool_ != nullptr) {
-    pool_->run_chunks(static_cast<std::size_t>(plan_.shards),
-                      [&](std::size_t s) { f(static_cast<int>(s)); });
-  } else {
-    for (int s = 0; s < plan_.shards; ++s) f(s);
-  }
-}
-
-void ShardedExecutor::parallel_ranges(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& body) const {
-  if (n == 0) return;
-  if (n == plan_.num_vertices) {
-    // Full-width sweep: each shard computes its own range. The exchange
-    // this implies is priced from the ledger's rounds, not counted here.
-    for_each_shard([&](int s) {
-      const std::size_t begin = plan_.shard_begin(s);
-      const std::size_t end = plan_.shard_end(s);
-      if (begin < end) body(begin, end);
-    });
-    return;
-  }
-  // Narrower loop (palette scan, reduction): it touches no cross-shard
-  // state. Below kDefaultGrain a pool dispatch costs more than the work, so
-  // it runs inline as one range; wider ones split into p disjoint chunks.
-  if (n < kDefaultGrain) {
-    body(0, n);
-    return;
-  }
-  const std::size_t p = static_cast<std::size_t>(plan_.shards);
-  const std::size_t chunk = (n + p - 1) / p;
-  for_each_shard([&](int s) {
-    const std::size_t begin = static_cast<std::size_t>(s) * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin < end) body(begin, end);
-  });
 }
 
 }  // namespace scol

@@ -134,6 +134,25 @@ TEST(Cli, BadShardSpecsExitTwoAndExplain) {
       0);
 }
 
+TEST(Cli, ShardsPriceTheRunAndCombineWithThreads) {
+  const std::string bin = binary("scol-cli");
+  SKIP_WITHOUT(bin);
+  // --shards only prices the exchange, so it composes with any executor.
+  const RunResult r = run(bin + " --algo sparse --gen regular:n=64,d=4 --k 4 "
+                                "--threads 2 --shards 4 --no-timing");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("\"shards\":4,\"exchange_messages\":"),
+            std::string::npos)
+      << r.output;
+  // Pricing has no off switch: omitting --shards is the unpriced run.
+  expect_flag_error(bin + " --algo greedy --gen petersen --shards 2 "
+                          "--no-exchange-metrics",
+                    "--no-exchange-metrics");
+  expect_flag_error(bin + " campaign --gen petersen --algo greedy "
+                          "--shards 2 --no-exchange-metrics",
+                    "--no-exchange-metrics");
+}
+
 TEST(Cli, ServeAndBenchLoadRejectBadNumericFlags) {
   const std::string serve = binary("scol-serve");
   if (exists(serve)) {

@@ -2,15 +2,18 @@
 // serial vs. thread-pool execution (states AND RoundLedger charges) across
 // engine programs, the coloring call sites that accept executors, and
 // seeds. The determinism contract is the whole point of the runtime: a
-// parallel run must be indistinguishable from a serial run.
+// parallel run must be indistinguishable from a serial run. Also the
+// ShardPlan partition and the exchange pricing built on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
 
-#include "proptest.h"
+#include "scol/api/campaign.h"
 #include "scol/api/json.h"
+#include "scol/api/oneshot.h"
+#include "scol/api/scenario.h"
 #include "scol/coloring/ert.h"
 #include "scol/coloring/kcoloring.h"
 #include "scol/coloring/randomized.h"
@@ -236,16 +239,14 @@ TEST(EngineParallel, ValidatorsReportIdenticalViolations) {
   EXPECT_EQ(serial_msg, pool_msg);
 }
 
-// --- Sharded executor: partition structure -------------------------------
+// --- Exchange pricing: partition structure --------------------------------
 
 TEST(ShardPlan, CutsCoverAndBoundariesMatchBruteForce) {
   Rng rng(2053);
   for (int trial = 0; trial < 4; ++trial) {
     const Graph g = gnm(200, 500, rng);
     for (int p : {1, 2, 3, 5, 8}) {
-      ShardOptions options;
-      options.shards = p;
-      const ShardPlan plan = ShardPlan::build(g, options);
+      const ShardPlan plan = ShardPlan::build(g, p);
       ASSERT_EQ(plan.shards, p);
       ASSERT_EQ(static_cast<int>(plan.cuts.size()), p + 1);
       EXPECT_EQ(plan.cuts.front(), 0);
@@ -279,186 +280,84 @@ TEST(ShardPlan, CutsCoverAndBoundariesMatchBruteForce) {
   }
 }
 
-// --- Sharded executor: bit-identity and exchange accounting --------------
+// --- Exchange pricing: one-shot reports and campaign lines -----------------
 
-TEST(ShardedExecutor, EngineBitIdenticalAcrossShardCountsAndModes) {
-  Rng rng(2057);
-  const Graph g = gnm(300, 700, rng);
-  RoundLedger serial_ledger;
-  const auto serial = flood_balls_engine(g, 3, &serial_ledger);
-  for (int p : {1, 2, 4, 8}) {
-    for (const bool threaded : {false, true}) {
-      ShardOptions options;
-      options.shards = p;
-      options.threaded = threaded;
-      ShardedExecutor sharded(g, options);
-      RoundLedger ledger;
-      const auto got = flood_balls_engine(g, 3, &ledger, &sharded);
-      EXPECT_EQ(serial, got) << "p=" << p << " threaded=" << threaded;
-      EXPECT_EQ(serial_ledger.total(), ledger.total());
-    }
-  }
-}
-
-TEST(ShardedExecutor, RandomizedColoringBitIdenticalAndModesAgree) {
-  Rng g_rng(2059);
-  const Graph g = random_regular(200, 4, g_rng);
-  const ListAssignment lists = uniform_lists(
-      g.num_vertices(), static_cast<Color>(g.max_degree() + 1));
-  Rng serial_rng(7);
-  const auto serial = randomized_list_coloring(g, lists, serial_rng);
-  for (int p : {2, 5}) {
-    ShardOptions options;
-    options.shards = p;
-    ShardedExecutor sequential(g, options);
-    options.threaded = true;
-    ShardedExecutor threaded(g, options);
-    Rng seq_rng(7), thr_rng(7);
-    const auto seq = randomized_list_coloring(g, lists, seq_rng, nullptr,
-                                              &sequential);
-    const auto thr = randomized_list_coloring(g, lists, thr_rng, nullptr,
-                                              &threaded);
-    EXPECT_EQ(serial.coloring, seq.coloring);
-    EXPECT_EQ(serial.rounds, seq.rounds);
-    EXPECT_EQ(seq.coloring, thr.coloring);
-  }
-}
-
-// Every index runs exactly once whatever the loop width: full-width
-// sweeps split on the shard ranges, narrower loops split p ways, and loops
-// below the inline threshold run as one range on the caller.
-TEST(ShardedExecutor, EveryIndexRunsOnceAtEveryWidth) {
-  Rng rng(2065);
-  const Graph g = gnm(600, 1500, rng);
-  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
-  for (const bool threaded : {false, true}) {
-    ShardOptions options;
-    options.shards = 3;
-    options.threaded = threaded;
-    const ShardedExecutor sharded(g, options);
-    for (const std::size_t width :
-         {std::size_t{0}, std::size_t{100}, n - 1, n}) {
-      std::vector<int> hit(width, 0);
-      sharded.parallel_ranges(width, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) ++hit[i];
-      });
-      for (std::size_t i = 0; i < width; ++i)
-        EXPECT_EQ(hit[i], 1) << "width " << width << " index " << i
-                             << " threaded=" << threaded;
-    }
-  }
-}
-
-// The exchange telemetry is priced from the ledger, so it agrees with the
-// report's rounds by construction: exactly one update per boundary pair
-// per LOCAL round, none on a single shard, and the rest of the report is
-// the serial bytes.
-TEST(ShardedExecutor, ExchangeIsLedgerRoundsTimesBoundaryPairs) {
-  Rng rng(2063);
-  const ParamBag params;
-  const auto report_of = [](const ColoringRequest& req, std::uint64_t seed,
-                            const Executor* exec) {
-    RunContext ctx;
-    ctx.seed = seed;
-    ctx.executor = exec;
-    ctx.validate = true;
-    ColoringReport report = solve(req, ctx);
-    report.wall_ms = 0.0;
-    return report;
-  };
-  const std::vector<std::string> shard_keys = {
+// `obj` minus its top-level "shards" field and, inside "metrics", the four
+// exchange keys: what a priced report must reduce to.
+std::string unpriced(const Json& obj) {
+  static const std::vector<std::string> kExchangeKeys = {
       "shards", "exchange_messages", "boundary_vertices", "cut_edges"};
-  for (int trial = 0; trial < 3; ++trial) {
-    const proptest::Sample sample = proptest::random_graph(rng);
-    const Graph& g = sample.graph;
-    const auto cells = proptest::eligible_cells(g, params, probe_graph(g, {}));
-    const std::uint64_t seed = 1 + rng.below(1000);
-    for (const proptest::EligibleCell& cell : cells) {
-      const ColoringRequest req = proptest::cell_request(cell, g);
-      const std::string serial =
-          to_json(report_of(req, seed, nullptr), true).dump();
-      for (int p : {1, 2, 4}) {
-        ShardOptions options;
-        options.shards = p;
-        const ShardedExecutor sharded(g, options);
-        ColoringReport r = report_of(req, seed, &sharded);
-        const std::string where = sample.description + " algo=" +
-                                  cell.info->name + " p=" + std::to_string(p);
-        const std::int64_t messages =
-            r.metrics.get_int("exchange_messages", -1);
-        EXPECT_EQ(r.metrics.get_int("shards", -1), p) << where;
-        EXPECT_EQ(messages, r.rounds * sharded.plan().boundary_pairs) << where;
-        if (p == 1) {
-          EXPECT_EQ(messages, 0) << where;
-        }
-        ParamBag stripped;
-        for (const auto& [name, value] : r.metrics.items())
-          if (std::find(shard_keys.begin(), shard_keys.end(), name) ==
-              shard_keys.end())
-            stripped.set(name, value);
-        r.metrics = stripped;
-        EXPECT_EQ(serial, to_json(r, true).dump()) << where;
-      }
-    }
-  }
+  const auto strip = [](const Json& o, const std::vector<std::string>& keys) {
+    Json out = Json::object();
+    for (const auto& [name, value] : o.members())
+      if (std::find(keys.begin(), keys.end(), name) == keys.end())
+        out.set(name, value);
+    return out;
+  };
+  Json out = strip(obj, {"shards"});
+  out.set("metrics", strip(*obj.get("metrics"), kExchangeKeys));
+  return out.dump();
 }
 
-// The tentpole property: sharded solve() reports are bit-for-bit the
-// serial reports — across shard counts, across eligible algorithms, and
-// on permuted-id twins of the instance (where serial-on-the-twin is the
-// oracle for sharded-on-the-twin). Telemetry is off so the whole report,
-// metrics bag included, must match byte-for-byte.
-TEST(ShardedExecutor, SolveMatchesSerialAcrossShardCountsAndPermutations) {
-  Rng rng(20260808);
-  const ParamBag params;  // cells needing explicit params drop out
-  const auto report_bytes = [](const ColoringRequest& req, std::uint64_t seed,
-                               const Executor* exec) {
-    RunContext ctx;
-    ctx.seed = seed;
-    ctx.executor = exec;
-    ctx.validate = true;
-    ColoringReport report = solve(req, ctx);
-    report.wall_ms = 0.0;  // the only nondeterministic field
-    return to_json(report, /*include_coloring=*/true).dump();
-  };
-  for (int trial = 0; trial < 4; ++trial) {
-    const proptest::Sample sample = proptest::random_graph(rng);
-    const Graph& g = sample.graph;
-    const GraphProbe probe = probe_graph(g, {});
-    const auto cells = proptest::eligible_cells(g, params, probe);
-    const std::vector<Vertex> perm =
-        proptest::random_permutation(g.num_vertices(), rng);
-    const Graph twin = permute(g, perm);
-    const std::uint64_t seed = 1 + rng.below(1000);
-    for (const proptest::EligibleCell& cell : cells) {
-      const ColoringRequest req = proptest::cell_request(cell, g);
-      const std::string serial = report_bytes(req, seed, nullptr);
-      for (int p : {2, 3, 7}) {
-        ShardOptions options;
-        options.shards = p;
-        options.metrics = false;
-        ShardedExecutor sharded(g, options);
-        EXPECT_EQ(serial, report_bytes(req, seed, &sharded))
-            << sample.description << " algo=" << cell.info->name
-            << " p=" << p;
-      }
-      // Permuted twin: same property on relabeled ids (the cuts land
-      // elsewhere, so this exercises genuinely different partitions).
-      ColoringRequest twin_req = req;
-      twin_req.graph = &twin;
-      ListAssignment twin_lists;
-      if (cell.info->caps.needs_lists) {
-        twin_lists = proptest::permuted_lists(cell.lists, perm);
-        twin_req.lists = &twin_lists;
-      }
-      const std::string twin_serial = report_bytes(twin_req, seed, nullptr);
-      ShardOptions options;
-      options.shards = 4;
-      options.metrics = false;
-      ShardedExecutor sharded(twin, options);
-      EXPECT_EQ(twin_serial, report_bytes(twin_req, seed, &sharded))
-          << sample.description << " (permuted) algo=" << cell.info->name;
+// Checks one priced report against the plan of its graph and against the
+// unpriced report of the same run.
+void expect_priced(const Json& priced, const Json& serial, const Graph& g,
+                   int p, const std::string& where) {
+  const Json& metrics = *priced.get("metrics");
+  const std::int64_t rounds = priced.get("rounds")->as_int();
+  const std::int64_t messages = metrics.get("exchange_messages")->as_int();
+  EXPECT_EQ(metrics.get("shards")->as_int(), p) << where;
+  EXPECT_EQ(messages, rounds * ShardPlan::build(g, p).boundary_pairs)
+      << where;
+  if (p == 1) {
+    EXPECT_EQ(messages, 0) << where;
+  }
+  EXPECT_EQ(unpriced(priced), serial.dump()) << where;
+}
+
+// The exchange is priced from the ledger, so it agrees with the report's
+// rounds by construction: exactly one update per boundary pair per LOCAL
+// round, none on a single shard, and the rest of the report is the serial
+// bytes — in one-shot reports and in every campaign line.
+TEST(ShardPlan, ExchangeIsLedgerRoundsTimesBoundaryPairs) {
+  for (const char* algo : {"sparse", "randomized", "linial", "greedy"}) {
+    OneShotSpec spec;
+    spec.scenario = "regular:n=96,d=4";
+    spec.algorithm = algo;
+    spec.seed = 11;
+    spec.include_timing = false;
+    spec.with_coloring = true;
+    const Json serial = Json::parse(one_shot_report(spec).dump());
+    Rng rng(spec.seed);
+    const Graph g = build_scenario(spec.scenario, rng);
+    for (int p : {1, 2, 4}) {
+      spec.shards = p;
+      expect_priced(Json::parse(one_shot_report(spec).dump()), serial, g, p,
+                    std::string("one-shot ") + algo + " p=" +
+                        std::to_string(p));
     }
+  }
+
+  CampaignSpec spec;
+  spec.scenarios = {"regular:n=64,d=4", "planar:n=80", "grid:rows=6,cols=6"};
+  spec.algorithms = {"greedy", "sparse", "randomized", "dplus1-sparsified"};
+  spec.seeds = 2;
+  const auto lines = [&spec] {
+    std::vector<std::string> out;
+    run_campaign(spec, {}, [&](const std::string& l) { out.push_back(l); });
+    return out;
+  };
+  const std::vector<std::string> serial = lines();
+  spec.exec_shards = 4;
+  const std::vector<std::string> priced = lines();
+  ASSERT_EQ(priced.size(), serial.size());
+  for (std::size_t i = 0; i < priced.size(); ++i) {
+    const Json line = Json::parse(priced[i]);
+    EXPECT_EQ(line.get("shards")->as_int(), 4) << priced[i];
+    Rng rng(static_cast<std::uint64_t>(line.get("seed")->as_int()));
+    const Graph g = build_scenario(
+        line.get("scenario")->get("spec")->as_str(), rng);
+    expect_priced(line, Json::parse(serial[i]), g, 4, priced[i]);
   }
 }
 
