@@ -56,7 +56,8 @@ int main() {
     for (Vertex v = 0; v < 1024; ++v) u[static_cast<std::size_t>(v)] = rng2.chance(0.4);
     for (Vertex alpha : {2, 4, 8, 16, 32}) {
       RoundLedger ledger;
-      const RulingForest rf = ruling_forest(reg, u, alpha, &ledger);
+      Rounds rounds(ledger);
+      const RulingForest rf = ruling_forest(reg, u, alpha, rounds);
       t2.row(alpha, rf.roots.size(), rf.depth_bound, rf.max_depth,
              ledger.total());
     }

@@ -1,11 +1,11 @@
-// E11 — parallel LOCAL-engine runtime: serial vs thread-pool round
+// E11 — the LOCAL round seam: serial vs thread-pool Rounds::round
 // throughput on the gen/ random, lattice, and planar families, plus a
 // bit-identity audit (the executor contract: parallel output == serial
 // output, state for state).
 //
 // Throughput metric: vertex-rounds per second — one vertex-round is one
-// node evaluating its step function once. The engine's round is a pure map
-// over vertices, so this is the number the hardware bounds.
+// node computing its next state once. A round is a pure map over vertices,
+// so this is the number the hardware bounds.
 //
 //   $ ./bench_engine_parallel [n]      (default n = 100000)
 #include <algorithm>
@@ -26,23 +26,29 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// 20 synchronous rounds of BFS-style distance propagation — the canonical
-// cheap-state engine program (state = one int32 per vertex).
+// Synchronous rounds of BFS-style distance propagation — the canonical
+// cheap-state node program (state = one int32 per vertex).
 std::vector<Vertex> run_distance_rounds(const Graph& g, int rounds,
                                         const Executor* exec) {
-  std::vector<Vertex> init(static_cast<std::size_t>(g.num_vertices()), -1);
-  for (Vertex v = 0; v < g.num_vertices(); v += 997) init[v] = 0;
-  return run_synchronous(
-      g, std::move(init), rounds,
-      [](Vertex, const Vertex& self, NeighborStates<Vertex> nb) {
-        Vertex best = self;
-        for (std::size_t i = 0; i < nb.size(); ++i) {
-          const Vertex d = nb.state(i);
+  std::vector<Vertex> dist(static_cast<std::size_t>(g.num_vertices()), -1);
+  for (Vertex v = 0; v < g.num_vertices(); v += 997) dist[v] = 0;
+  std::vector<Vertex> next(dist.size());
+  RoundLedger ledger;
+  Rounds on(ledger, exec);
+  for (int r = 0; r < rounds; ++r) {
+    on.round("distance", dist.size(), [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        Vertex best = dist[i];
+        for (Vertex w : g.neighbors(static_cast<Vertex>(i))) {
+          const Vertex d = dist[static_cast<std::size_t>(w)];
           if (d >= 0 && (best < 0 || d + 1 < best)) best = d + 1;
         }
-        return best;
-      },
-      EngineOptions{exec, nullptr, "distance"});
+        next[i] = best;
+      }
+    });
+    dist.swap(next);
+  }
+  return dist;
 }
 
 struct Family {
@@ -60,7 +66,7 @@ int main(int argc, char** argv) {
   }
   const int rounds = 20;
   ThreadPoolExecutor pool;  // hardware concurrency
-  std::cout << "engine runtime: serial vs thread pool ("
+  std::cout << "round seam: serial vs thread pool ("
             << pool.concurrency() << " threads), n ~ " << n << ", "
             << rounds << " rounds/program\n\n";
 
@@ -103,8 +109,7 @@ int main(int argc, char** argv) {
     const auto serial = randomized_list_coloring(g, lists, rng_serial);
     const double serial_s = seconds_since(t0);
     const auto t1 = Clock::now();
-    const auto parallel =
-        randomized_list_coloring(g, lists, rng_pool, nullptr, &pool);
+    const auto parallel = randomized_list_coloring(g, lists, rng_pool, &pool);
     const double pool_s = seconds_since(t1);
     r.row(f.name, serial.rounds, serial_s, pool_s, serial_s / pool_s,
           serial.coloring == parallel.coloring ? "yes" : "NO");

@@ -54,7 +54,8 @@ int main() {
             (*c)[static_cast<std::size_t>(x)];
     }
     RoundLedger ledger;
-    extend_level_lemma32(g, level, lists, d, rho, colors, ledger);
+    Rounds rounds(ledger);
+    extend_level_lemma32(g, level, lists, d, rho, colors, rounds);
     expect_proper_list_coloring(g, colors, lists);
     const double l = std::log2(static_cast<double>(n));
     t.row(family, n, d, h.num_happy, ledger.total(),
@@ -80,7 +81,8 @@ int main() {
     for (Vertex v = 0; v < n; ++v) u[static_cast<std::size_t>(v)] = rng.chance(0.3);
     const Vertex alpha = 8;
     RoundLedger ledger;
-    const RulingForest rf = ruling_forest(g, u, alpha, &ledger);
+    Rounds rounds(ledger);
+    const RulingForest rf = ruling_forest(g, u, alpha, rounds);
     // Min pairwise root distance (sampled for big n).
     Vertex min_dist = -1;
     for (std::size_t i = 0; i < rf.roots.size() && i < 40; ++i) {

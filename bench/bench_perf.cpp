@@ -82,15 +82,19 @@ BENCHMARK(BM_HappySetParallel)->Arg(8192);
 void BM_RulingForest(benchmark::State& state) {
   const Graph g = make_regular(static_cast<Vertex>(state.range(0)), 4);
   std::vector<char> u(static_cast<std::size_t>(g.num_vertices()), 1);
+  RoundLedger ledger;
+  Rounds rounds(ledger);
   for (auto _ : state)
-    benchmark::DoNotOptimize(ruling_forest(g, u, 8, nullptr));
+    benchmark::DoNotOptimize(ruling_forest(g, u, 8, rounds));
 }
 BENCHMARK(BM_RulingForest)->Arg(1024)->Arg(8192);
 
 void BM_DistributedDPlus1(benchmark::State& state) {
   const Graph g = make_regular(static_cast<Vertex>(state.range(0)), 4);
+  RoundLedger ledger;
+  Rounds rounds(ledger);
   for (auto _ : state)
-    benchmark::DoNotOptimize(distributed_degree_coloring(g, 4));
+    benchmark::DoNotOptimize(distributed_degree_coloring(g, 4, rounds));
 }
 BENCHMARK(BM_DistributedDPlus1)->Arg(1024)->Arg(8192);
 

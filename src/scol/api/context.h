@@ -2,9 +2,9 @@
 //
 // Bundles everything about *how* to run that is not part of the problem
 // statement: the executor (serial vs thread pool), the seed policy for
-// randomized algorithms, an optional aggregate RoundLedger, round/wall
-// budgets, and telemetry callbacks. One RunContext can drive many solve()
-// calls; the same request solved under a SerialExecutor and a
+// randomized algorithms, round/wall budgets, and telemetry callbacks. One
+// RunContext can drive many solve() calls; each report carries its own
+// ledger, and the same request solved under a SerialExecutor and a
 // ThreadPoolExecutor produces bit-identical reports (the determinism
 // contract of DESIGN.md).
 #pragma once
@@ -14,7 +14,6 @@
 #include <memory>
 #include <string>
 
-#include "scol/local/ledger.h"
 #include "scol/util/arena.h"
 #include "scol/util/executor.h"
 #include "scol/util/rng.h"
@@ -52,10 +51,6 @@ struct RunContext {
   /// Wall-clock budget in milliseconds (-1 = unlimited). solve() cannot
   /// interrupt a running kernel; it flags `deadline_exceeded` post-run.
   double deadline_ms = -1.0;
-
-  /// When set, solve() merges every run's per-phase charges into this
-  /// aggregate ledger (across algorithms and calls).
-  RoundLedger* ledger = nullptr;
 
   /// Optional observer for solve lifecycle events.
   TelemetryCallback telemetry;

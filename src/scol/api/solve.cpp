@@ -162,17 +162,18 @@ SparsifySetup sparsify_setup(const ColoringRequest& req, RunContext& ctx) {
 // The shared retry loop: run `attempt` on up to `attempts` sampled
 // sub-assignments, else `fallback` on the full lists. The metrics bag
 // records the attempt count, whether the fallback ran, and the sampled
-// vs full flat palette sizes (all scheduling-independent); LOCAL rounds
-// charged by attempts land in the "sparsified-attempts" ledger phase so
-// rounds == ledger.total() survives the wrapping.
+// vs full flat palette sizes (all scheduling-independent). Attempts charge
+// a private ledger whose total follows the fallback's phases as
+// "sparsified-attempts", so rounds == ledger.total() survives the wrapping.
 ColoringReport run_sparsified(
     const ColoringRequest& req, RunContext& ctx,
     const std::function<std::optional<Coloring>(
         const ListAssignment& sampled, std::uint64_t attempt_seed,
-        std::int64_t* rounds)>& attempt,
+        Rounds& rounds)>& attempt,
     const std::function<ColoringReport()>& fallback) {
   const SparsifySetup s = sparsify_setup(req, ctx);
-  std::int64_t attempt_rounds = 0;
+  RoundLedger attempt_ledger;
+  Rounds attempt_rounds(attempt_ledger, ctx.executor);
   std::int64_t attempts_run = 0;
   std::size_t sampled_colors = 0;
   std::optional<Coloring> found;
@@ -183,9 +184,7 @@ ColoringReport run_sparsified(
     // Decorrelated from the sampling streams (different base seed).
     const std::uint64_t attempt_seed =
         Rng::stream(~s.root, static_cast<std::uint64_t>(a)).next();
-    std::int64_t rounds = 0;
-    found = attempt(sampled, attempt_seed, &rounds);
-    attempt_rounds += rounds;
+    found = attempt(sampled, attempt_seed, attempt_rounds);
     ++attempts_run;
   }
   ColoringReport out;
@@ -195,7 +194,8 @@ ColoringReport run_sparsified(
   } else {
     out = fallback();
   }
-  if (attempt_rounds > 0) out.ledger.charge("sparsified-attempts", attempt_rounds);
+  if (attempt_ledger.total() > 0)
+    out.ledger.charge("sparsified-attempts", attempt_ledger.total());
   out.metrics.set_int("sparsify_target", s.target);
   out.metrics.set_int("sparsify_attempts", attempts_run);
   out.metrics.set_int("sparsify_fallback", fell_back ? 1 : 0);
@@ -428,7 +428,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                          1, ctx.round_budget / 2))
                    : 40'000;
            return randomized_list_coloring(*req.graph, *req.lists, rng,
-                                           nullptr, ctx.executor, max_rounds);
+                                           ctx.executor, max_rounds);
          },
          {},
          [](const EligibilityQuery& q) {
@@ -443,8 +443,9 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            const Vertex dmax =
                req.k > 0 ? req.k - 1 : req.graph->max_degree();
            ColoringReport out;
-           DegreeColoringResult dc = distributed_degree_coloring(
-               *req.graph, dmax, &out.ledger, ctx.executor);
+           Rounds rounds(out.ledger, ctx.executor);
+           DegreeColoringResult dc =
+               distributed_degree_coloring(*req.graph, dmax, rounds);
            out.status = SolveStatus::kColored;
            out.coloring = std::move(dc.coloring);
            out.metrics.set_int("palette", dc.palette);
@@ -559,18 +560,15 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            return run_sparsified(
                req, ctx,
                [&](const ListAssignment& sampled, std::uint64_t seed,
-                   std::int64_t* rounds) {
-                 std::int64_t iters = 0;
-                 auto c = propose_resolve_coloring(
-                     *req.graph, sampled, seed, ctx.executor, cap,
-                     OnExhausted::kAbandon, &iters);
-                 *rounds = 2 * iters;  // propose + resolve per iteration
-                 return c;
+                   Rounds& rounds) {
+                 return propose_resolve_coloring(*req.graph, sampled, seed,
+                                                 rounds, cap,
+                                                 OnExhausted::kAbandon);
                },
                [&]() {
                  Rng frng = Rng::stream(ctx.seed, 0xFA11BACC);
                  return randomized_list_coloring(*req.graph, *req.lists,
-                                                 frng, nullptr, ctx.executor,
+                                                 frng, ctx.executor,
                                                  std::max(cap, 40'000));
                });
          },
@@ -587,8 +585,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          [](const ColoringRequest& req, RunContext& ctx) {
            return run_sparsified(
                req, ctx,
-               [&](const ListAssignment& sampled, std::uint64_t,
-                   std::int64_t*) {
+               [&](const ListAssignment& sampled, std::uint64_t, Rounds&) {
                  return degeneracy_list_coloring(*req.graph, sampled);
                },
                [&]() {
@@ -614,7 +611,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            return run_sparsified(
                req, ctx,
                [&](const ListAssignment& sampled, std::uint64_t,
-                   std::int64_t*) -> std::optional<Coloring> {
+                   Rounds&) -> std::optional<Coloring> {
                  // On a sampled sub-assignment nullopt is NOT an
                  // infeasibility proof (the discarded colors could
                  // work) and a blown node budget just means the sample
@@ -759,8 +756,6 @@ ColoringReport solve(const ColoringRequest& request, RunContext& ctx) {
       report.colors_used = 0;
     }
   }
-
-  if (ctx.ledger != nullptr) ctx.ledger->merge(report.ledger);
 
   if (ctx.telemetry) {
     for (const auto& [phase, rounds] : report.ledger.breakdown()) {

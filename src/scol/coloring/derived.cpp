@@ -98,6 +98,7 @@ ColoringReport delta_list_coloring(const Graph& g, const ListAssignment& lists,
                  + "need Delta-lists");
 
   RoundLedger ledger;
+  Rounds rounds(ledger, opts.executor);
   Coloring colors = empty_coloring(g.num_vertices());
 
   // K_{Delta+1} components are exactly the obstructions (a Delta-regular
@@ -110,7 +111,7 @@ ColoringReport delta_list_coloring(const Graph& g, const ListAssignment& lists,
     if (static_cast<Vertex>(comp.size()) != delta + 1) continue;
     if (!is_clique(g, comp)) continue;
     const auto sdr = color_clique_by_sdr(g, comp, lists);
-    ledger.charge("sdr-cliques", 2);
+    rounds.charge("sdr-cliques", 2);
     if (!sdr.has_value()) {
       // Certificate: no L-coloring exists.
       ColoringReport out = ColoringReport::infeasible(comp, "no-sdr-clique");

@@ -14,6 +14,7 @@ ColoringReport peel_threshold_coloring(const Graph& g, Vertex threshold,
   out.metrics.set_int("layers", 0);
   Coloring& coloring = *out.coloring;
   if (n == 0) return out;
+  Rounds rounds(out.ledger, executor);
 
   // --- Peel layers (one round each: a vertex sees which neighbors are
   // still alive and compares its residual degree to the threshold). ---
@@ -43,7 +44,7 @@ ColoringReport peel_threshold_coloring(const Graph& g, Vertex threshold,
     ++current_layer;
   }
   out.metrics.set_int("layers", current_layer);
-  out.ledger.charge("peel", current_layer);
+  rounds.charge("peel", current_layer);
 
   // --- Auxiliary (threshold+1)-coloring of the union of within-layer
   // graphs (max degree <= threshold), one global pass. ---
@@ -53,7 +54,7 @@ ColoringReport peel_threshold_coloring(const Graph& g, Vertex threshold,
       within.push_back({u, v});
   const Graph layer_graph = Graph::from_edges(n, within);
   const DegreeColoringResult aux = distributed_degree_coloring(
-      layer_graph, threshold, &out.ledger, executor, "aux-coloring");
+      layer_graph, threshold, rounds, "aux-coloring");
 
   // --- Recolor from the last layer to the first, one auxiliary class per
   // round. ---
@@ -78,8 +79,8 @@ ColoringReport peel_threshold_coloring(const Graph& g, Vertex threshold,
       }
     }
   }
-  out.ledger.charge("recolor",
-                    static_cast<std::int64_t>(current_layer) * (threshold + 1));
+  rounds.charge("recolor",
+                static_cast<std::int64_t>(current_layer) * (threshold + 1));
   out.sync_derived_fields();
   return out;
 }

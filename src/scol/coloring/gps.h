@@ -21,7 +21,6 @@
 #include "scol/api/report.h"
 #include "scol/coloring/types.h"
 #include "scol/graph/graph.h"
-#include "scol/local/ledger.h"
 #include "scol/util/executor.h"
 
 namespace scol {

@@ -44,11 +44,11 @@ std::int64_t linial_next_palette(std::int64_t k, Vertex d) {
 }
 
 DegreeColoringResult distributed_degree_coloring(const Graph& g, Vertex dmax,
-                                                 RoundLedger* ledger,
-                                                 const Executor* executor,
-                                                 const std::string& phase) {
+                                                 Rounds& rounds,
+                                                 std::string_view phase) {
   SCOL_REQUIRE(dmax >= g.max_degree(), + "dmax must bound the max degree");
-  const Executor& exec = resolve_executor(executor);
+  rounds.charge(phase, 0);
+  const Executor& exec = rounds.exec();
   const Vertex n = g.num_vertices();
   DegreeColoringResult out;
   out.coloring.resize(static_cast<std::size_t>(n));
@@ -63,7 +63,7 @@ DegreeColoringResult distributed_degree_coloring(const Graph& g, Vertex dmax,
     const LinialParams p = linial_params(k, d);
     if (p.palette() >= k) break;  // no further improvement possible
     // One synchronous round: every node reads only its neighbors' previous
-    // colors, so the vertex map runs under the executor. Two flat tables
+    // colors, so the vertex map is one Rounds::round. Two flat tables
     // hoist the modular arithmetic out of the search loop: per-vertex
     // base-q digits of the current color, and x^i mod q for every
     // evaluation point. One polynomial evaluation then costs t+1 multiply-
@@ -94,26 +94,28 @@ DegreeColoringResult distributed_degree_coloring(const Graph& g, Vertex dmax,
       return val % p.q;
     };
     std::vector<Color> next(static_cast<std::size_t>(n));
-    parallel_for_index(exec, static_cast<std::size_t>(n), [&](std::size_t i) {
-      const Vertex v = static_cast<Vertex>(i);
-      std::int64_t chosen_x = -1;
-      for (std::int64_t x = 0; x < p.q && chosen_x < 0; ++x) {
-        bool ok = true;
-        const std::int64_t mine = eval(i, x);
-        for (Vertex w : g.neighbors(v)) {
-          if (eval(static_cast<std::size_t>(w), x) == mine) {
-            ok = false;
-            break;
+    rounds.round(phase, static_cast<std::size_t>(n), [&](std::size_t begin,
+                                                         std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        const Vertex v = static_cast<Vertex>(i);
+        std::int64_t chosen_x = -1;
+        for (std::int64_t x = 0; x < p.q && chosen_x < 0; ++x) {
+          bool ok = true;
+          const std::int64_t mine = eval(i, x);
+          for (Vertex w : g.neighbors(v)) {
+            if (eval(static_cast<std::size_t>(w), x) == mine) {
+              ok = false;
+              break;
+            }
           }
+          if (ok) chosen_x = x;
         }
-        if (ok) chosen_x = x;
+        SCOL_CHECK(chosen_x >= 0, + "cover-free family must provide a point");
+        next[i] = static_cast<Color>(chosen_x * p.q + eval(i, chosen_x));
       }
-      SCOL_CHECK(chosen_x >= 0, + "cover-free family must provide a point");
-      next[i] = static_cast<Color>(chosen_x * p.q + eval(i, chosen_x));
     });
     out.coloring = std::move(next);
     k = p.palette();
-    ++out.rounds;
   }
 
   // --- Reduce one color value per round down to the target palette. ---
@@ -140,8 +142,8 @@ DegreeColoringResult distributed_degree_coloring(const Graph& g, Vertex dmax,
     // One forbidden-set per chunk, cleared per member (clear() only
     // touches the words the last member dirtied) — a fresh set would pay
     // a heap allocation per vertex.
-    exec.parallel_ranges(members.size(), [&](std::size_t begin,
-                                             std::size_t end) {
+    rounds.round(phase, members.size(), [&](std::size_t begin,
+                                            std::size_t end) {
       SmallColorSet used;
       for (std::size_t mi = begin; mi < end; ++mi) {
         const std::size_t i = static_cast<std::size_t>(members[mi]);
@@ -162,11 +164,9 @@ DegreeColoringResult distributed_degree_coloring(const Graph& g, Vertex dmax,
         out.coloring[i] = used.smallest_free();
       }
     });
-    ++out.rounds;
   }
 
   out.palette = target;
-  if (ledger != nullptr) ledger->charge(phase, out.rounds);
   return out;
 }
 

@@ -15,30 +15,28 @@
 // deterministic function of (n, Δ), so no coordination rounds are needed.
 #pragma once
 
-#include <string>
+#include <string_view>
 
 #include "scol/coloring/types.h"
 #include "scol/graph/graph.h"
-#include "scol/local/ledger.h"
-#include "scol/util/executor.h"
+#include "scol/local/rounds.h"
 
 namespace scol {
 
 struct DegreeColoringResult {
-  Coloring coloring;       // colors in [0, palette)
-  Vertex palette = 0;      // == target (dmax+1) unless n is smaller
-  std::int64_t rounds = 0; // LOCAL rounds spent
+  Coloring coloring;   // colors in [0, palette)
+  Vertex palette = 0;  // == target (dmax+1) unless n is smaller
 };
 
 /// Proper coloring with colors {0..dmax} of a graph with max degree <=
 /// dmax. Deterministic (identical under every executor); initial coloring
-/// is the vertex ids. Parameter convention (DESIGN.md): the executor
-/// directly follows the ledger, so callers opting into parallelism never
-/// restate the phase label; the phase string is the last default.
+/// is the vertex ids. Every round runs and is charged through `rounds`
+/// under `phase`, which is opened even when no round is needed.
+/// Parameter convention (DESIGN.md): the Rounds handle follows the
+/// problem inputs; the phase label is the last default.
 DegreeColoringResult distributed_degree_coloring(
-    const Graph& g, Vertex dmax, RoundLedger* ledger = nullptr,
-    const Executor* executor = nullptr,
-    const std::string& phase = "k-coloring");
+    const Graph& g, Vertex dmax, Rounds& rounds,
+    std::string_view phase = "k-coloring");
 
 /// One Linial reduction step's target palette from k colors at max degree
 /// d: the minimum q^2 over valid (q, t) with q prime, q > d*t and

@@ -40,6 +40,7 @@ ColoringReport nice_list_coloring(const Graph& g, const ListAssignment& lists,
 
   Arena local_arena;
   Arena& arena = opts.arena != nullptr ? *opts.arena : local_arena;
+  Rounds rounds(out.ledger, opts.executor);
 
   // --- Peel. Every vertex is rich; witnesses are surplus vertices. ---
   // Levels are arena-carved snapshots (the live `alive` vector keeps
@@ -62,7 +63,7 @@ ColoringReport nice_list_coloring(const Graph& g, const ListAssignment& lists,
     }
     const HappyAnalysis ha = compute_happy_set_general(gi.graph, rich, witness,
                                                        radius, opts.executor);
-    out.ledger.charge("peel-balls", radius + 2);
+    rounds.charge("peel-balls", radius + 2);
     if (ha.num_happy == 0) {
       throw PreconditionError(
           "nice_list_coloring: peel stalled — assignment cannot be nice");
@@ -90,7 +91,7 @@ ColoringReport nice_list_coloring(const Graph& g, const ListAssignment& lists,
   Coloring colors = empty_coloring(n);
   for (auto it = levels.rbegin(); it != levels.rend(); ++it)
     extend_level_lemma32(g, *it, lists, std::max<Vertex>(delta, 1), radius,
-                         colors, out.ledger, opts.executor, &arena);
+                         colors, rounds, &arena);
   out.coloring = std::move(colors);
   out.sync_derived_fields();
   return out;

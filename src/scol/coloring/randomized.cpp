@@ -7,14 +7,15 @@
 
 namespace scol {
 
+constexpr std::string_view kPhase = "randomized-coloring";
+
 std::optional<Coloring> propose_resolve_coloring(
     const Graph& g, const ListAssignment& lists, std::uint64_t base_seed,
-    const Executor* executor, int max_rounds, OnExhausted on_exhausted,
-    std::int64_t* iterations) {
+    Rounds& rounds, int max_rounds, OnExhausted on_exhausted) {
   const Vertex n = g.num_vertices();
   SCOL_REQUIRE(lists.size() == n);
   SCOL_REQUIRE(lists.canonical(), + "lists must be sorted unique");
-  const Executor& exec = resolve_executor(executor);
+  rounds.charge(kPhase, 0);
 
   Coloring coloring = empty_coloring(n);
   std::int64_t iters = 0;
@@ -24,7 +25,6 @@ std::optional<Coloring> propose_resolve_coloring(
   std::atomic<bool> stuck{false};
   std::vector<Color> proposal(static_cast<std::size_t>(n), kUncolored);
   const auto exhausted = [&](const char* why) -> std::optional<Coloring> {
-    if (iterations != nullptr) *iterations = iters;
     SCOL_CHECK(on_exhausted == OnExhausted::kAbandon, + why);
     return std::nullopt;
   };
@@ -37,8 +37,9 @@ std::optional<Coloring> propose_resolve_coloring(
     // Propose: a uniform color from L(v) minus colored neighbors. One
     // forbidden set per chunk serves all of its vertices, and the pick is
     // the r-th free list color, so no vertex allocates.
-    exec.parallel_ranges(
-        static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
+    rounds.round(
+        kPhase, static_cast<std::size_t>(n),
+        [&](std::size_t begin, std::size_t end) {
           SmallColorSet blocked;
           for (std::size_t i = begin; i < end; ++i) {
             const Vertex v = static_cast<Vertex>(i);
@@ -69,8 +70,9 @@ std::optional<Coloring> propose_resolve_coloring(
           }
         });
     // Resolve: keep the proposal iff no neighbor proposed the same color.
-    exec.parallel_ranges(
-        static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
+    rounds.round(
+        kPhase, static_cast<std::size_t>(n),
+        [&](std::size_t begin, std::size_t end) {
           std::int64_t local = 0;
           for (std::size_t i = begin; i < end; ++i) {
             const Color mine = proposal[i];
@@ -93,13 +95,11 @@ std::optional<Coloring> propose_resolve_coloring(
     if (stuck.load(std::memory_order_relaxed))
       return exhausted("(deg+1)-lists always leave a free color");
   }
-  if (iterations != nullptr) *iterations = iters;
   return coloring;
 }
 
 ColoringReport randomized_list_coloring(const Graph& g,
                                         const ListAssignment& lists, Rng& rng,
-                                        RoundLedger* ledger,
                                         const Executor* executor,
                                         int max_rounds) {
   const Vertex n = g.num_vertices();
@@ -112,16 +112,16 @@ ColoringReport randomized_list_coloring(const Graph& g,
   // pair then gets its own decorrelated stream, so the draws do not depend
   // on vertex visitation order and parallel runs match serial runs bit for
   // bit (and the result is a deterministic function of the caller's seed).
-  std::int64_t iterations = 0;
+  ColoringReport out;
+  Rounds rounds(out.ledger, executor);
   std::optional<Coloring> coloring =
-      propose_resolve_coloring(g, lists, rng.next(), executor, max_rounds,
-                               OnExhausted::kCheckFail, &iterations);
+      propose_resolve_coloring(g, lists, rng.next(), rounds, max_rounds,
+                               OnExhausted::kCheckFail);
 
-  ColoringReport out = ColoringReport::colored(std::move(*coloring));
-  out.ledger.charge("randomized-coloring", 2 * iterations);
-  out.metrics.set_int("iterations", iterations);
+  out.status = SolveStatus::kColored;
+  out.coloring = std::move(*coloring);
+  out.metrics.set_int("iterations", out.ledger.phase(kPhase) / 2);
   out.sync_derived_fields();
-  if (ledger != nullptr) ledger->merge(out.ledger);
   return out;
 }
 

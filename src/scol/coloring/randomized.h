@@ -21,7 +21,7 @@
 #include "scol/api/report.h"
 #include "scol/coloring/types.h"
 #include "scol/graph/graph.h"
-#include "scol/local/ledger.h"
+#include "scol/local/rounds.h"
 #include "scol/util/executor.h"
 #include "scol/util/rng.h"
 
@@ -37,13 +37,13 @@ enum class OnExhausted {
 /// The randomized propose/resolve kernel. Each iteration, every uncolored
 /// vertex proposes a uniform color from L(v) minus its colored neighbors'
 /// colors, drawn from Rng::stream(base_seed, iteration << 32 | v); a
-/// proposal is kept iff no neighbor proposed the same color. Bit-identical
-/// under every executor. `iterations` (written when non-null, also on
-/// abandon) counts the iterations run, each worth 2 LOCAL rounds.
+/// proposal is kept iff no neighbor proposed the same color. The propose
+/// and the resolve are one Rounds::round each under "randomized-coloring"
+/// (also on abandon), so an iteration costs 2 LOCAL rounds. Bit-identical
+/// under every executor.
 std::optional<Coloring> propose_resolve_coloring(
     const Graph& g, const ListAssignment& lists, std::uint64_t base_seed,
-    const Executor* executor, int max_rounds, OnExhausted on_exhausted,
-    std::int64_t* iterations = nullptr);
+    Rounds& rounds, int max_rounds, OnExhausted on_exhausted);
 
 /// Randomized (deg+1)-list-coloring: requires |L(v)| >= deg(v)+1 for all
 /// v. Each propose/resolve iteration costs 2 LOCAL rounds (charged to the
@@ -55,7 +55,6 @@ std::optional<Coloring> propose_resolve_coloring(
 /// every executor.
 ColoringReport randomized_list_coloring(const Graph& g,
                                         const ListAssignment& lists, Rng& rng,
-                                        RoundLedger* ledger = nullptr,
                                         const Executor* executor = nullptr,
                                         int max_rounds = 40'000);
 

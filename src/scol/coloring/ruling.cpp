@@ -6,10 +6,8 @@
 namespace scol {
 
 RulingForest ruling_forest(const Graph& g, const std::vector<char>& in_u,
-                           Vertex alpha, RoundLedger* ledger,
-                           const Executor* executor,
-                           const std::string& phase) {
-  const Executor& exec = resolve_executor(executor);
+                           Vertex alpha, Rounds& rounds) {
+  const Executor& exec = rounds.exec();
   const Vertex n = g.num_vertices();
   SCOL_REQUIRE(static_cast<Vertex>(in_u.size()) == n);
   SCOL_REQUIRE(alpha >= 1);
@@ -25,7 +23,7 @@ RulingForest ruling_forest(const Graph& g, const std::vector<char>& in_u,
   // One dist/queue pair serves every bit: each BFS leaves exactly the
   // vertices on its queue marked, and only those are reset.
   std::vector<char> alive = in_u;
-  std::int64_t rounds = 0;
+  std::int64_t schedule = 0;
   std::vector<Vertex> dist(static_cast<std::size_t>(n), -1);
   std::vector<Vertex> queue;
   for (int b = 0; b < bits; ++b) {
@@ -38,7 +36,7 @@ RulingForest ruling_forest(const Graph& g, const std::vector<char>& in_u,
       else
         queue.push_back(v);
     }
-    rounds += alpha;  // the schedule always runs the alpha-truncated BFS
+    schedule += alpha;  // the schedule always runs the alpha-truncated BFS
     if (queue.empty() || !has_one) continue;
     // Truncated multi-source BFS from the zero-bit candidates: any one-bit
     // candidate within distance < alpha drops out.
@@ -89,7 +87,7 @@ RulingForest ruling_forest(const Graph& g, const std::vector<char>& in_u,
       }
     }
   }
-  rounds += out.depth_bound;
+  schedule += out.depth_bound;
 
   // Every U-vertex must have been captured (coverage property).
   parallel_for_index(exec, static_cast<std::size_t>(n), [&](std::size_t i) {
@@ -97,7 +95,7 @@ RulingForest ruling_forest(const Graph& g, const std::vector<char>& in_u,
                + "ruling forest must cover U");
   });
 
-  if (ledger != nullptr) ledger->charge(phase, rounds);
+  rounds.charge("ruling-forest", schedule);
   return out;
 }
 

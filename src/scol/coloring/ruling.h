@@ -12,14 +12,12 @@
 // U), depth <= alpha*ceil(log2 n), covering all of U — exactly the
 // properties (1)-(3) of §5 with (alpha, alpha log n).
 //
-// Rounds: alpha per bit phase (truncated BFS) + alpha*log n for the forest.
+// Rounds: alpha per bit phase (truncated BFS) + alpha*log n for the forest,
+// priced by that schedule under "ruling-forest" (the BFS runs centrally).
 #pragma once
 
-#include <string>
-
 #include "scol/graph/graph.h"
-#include "scol/local/ledger.h"
-#include "scol/util/executor.h"
+#include "scol/local/rounds.h"
 
 namespace scol {
 
@@ -37,11 +35,9 @@ struct RulingForest {
 
 /// Computes an (alpha, alpha*ceil(log2 n))-ruling forest of g with respect
 /// to U (mask). Roots are elements of U; every U-vertex lies in a tree.
-/// Parameter convention (DESIGN.md): executor directly after the ledger,
-/// phase label last.
+/// Parameter convention (DESIGN.md): the Rounds handle follows the problem
+/// inputs; it prices the schedule and runs the per-vertex passes.
 RulingForest ruling_forest(const Graph& g, const std::vector<char>& in_u,
-                           Vertex alpha, RoundLedger* ledger = nullptr,
-                           const Executor* executor = nullptr,
-                           const std::string& phase = "ruling-forest");
+                           Vertex alpha, Rounds& rounds);
 
 }  // namespace scol

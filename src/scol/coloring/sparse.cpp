@@ -18,11 +18,11 @@ namespace scol {
 // (aux_dmax+1)-coloring of H.
 void extend_level_lemma32(const Graph& g, const LevelMasks& level,
                           const ListAssignment& lists, Vertex aux_dmax,
-                          Vertex rho, Coloring& colors, RoundLedger& ledger,
-                          const Executor* executor, Arena* arena) {
+                          Vertex rho, Coloring& colors, Rounds& rounds,
+                          Arena* arena) {
   const Vertex n = g.num_vertices();
   const Vertex d = aux_dmax;
-  const Executor& exec = resolve_executor(executor);
+  const Executor& exec = rounds.exec();
   Arena local_arena;
   Arena& ar = arena != nullptr ? *arena : local_arena;
 
@@ -50,8 +50,7 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
             gr.to_original[static_cast<std::size_t>(x)])];
 
   const Vertex alpha = 2 * rho + 2;
-  const RulingForest rf =
-      ruling_forest(gr.graph, in_u, alpha, &ledger, executor);
+  const RulingForest rf = ruling_forest(gr.graph, in_u, alpha, rounds);
 
   // --- T: the forest vertices. Uncolor them (T ∩ S was colored). ---
   std::vector<Vertex> t_members;  // gr ids
@@ -144,7 +143,7 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
   // --- (d+1)-coloring of H = G_i[T]. ---
   const InducedSubgraph h = induce(gr.graph, t_members);
   const DegreeColoringResult aux =
-      distributed_degree_coloring(h.graph, d, &ledger, executor, "h-coloring");
+      distributed_degree_coloring(h.graph, d, rounds, "h-coloring");
 
   // --- Sweep: depth from max down to 1, aux class 0..d. ---
   // Bucket vertices by (depth, class); the LOCAL schedule runs over the a
@@ -199,8 +198,7 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
       }
     }
   }
-  ledger.charge("sweep",
-                static_cast<std::int64_t>(rf.depth_bound) * (d + 1));
+  rounds.charge("sweep", static_cast<std::int64_t>(rf.depth_bound) * (d + 1));
 
   // --- Root balls: uncolor and finish with constructive Theorem 1.1. ---
   std::vector<std::vector<Vertex>> balls;  // gr ids
@@ -260,14 +258,14 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
       SCOL_CHECK(static_cast<Vertex>(out.size()) >= bg.graph.degree(bx),
                  + "ball lists must cover ball degrees (Obs. 5.1)");
     }
-    const Coloring bc = degree_choosable_coloring(bg.graph, avail, executor);
+    const Coloring bc = degree_choosable_coloring(bg.graph, avail, &exec);
     for (Vertex bx = 0; bx < bg.graph.num_vertices(); ++bx) {
       const Vertex v = gr.to_original[static_cast<std::size_t>(
           bg.to_original[static_cast<std::size_t>(bx)])];
       colors[static_cast<std::size_t>(v)] = bc[static_cast<std::size_t>(bx)];
     }
   }
-  ledger.charge("ert-balls", 2 * static_cast<std::int64_t>(rho) + 2);
+  rounds.charge("ert-balls", 2 * static_cast<std::int64_t>(rho) + 2);
 
   // Exit invariant: all alive vertices colored.
   for (Vertex v = 0; v < n; ++v) {
@@ -296,11 +294,12 @@ SparseResult list_color_sparse(const Graph& g, Vertex d,
     out.coloring = Coloring{};
     return out;
   }
+  Rounds rounds(out.ledger, opts.executor);
   out.radius = opts.radius_override > 0 ? opts.radius_override
                                         : paper_ball_radius(n, opts.ball_constant);
 
   // --- (d+1)-clique detection: 2 rounds (the clique lies in B_1). ---
-  out.ledger.charge("clique-detect", 2);
+  rounds.charge("clique-detect", 2);
   if (auto clique = find_clique(g, d + 1)) {
     out.clique = std::move(*clique);
     return out;
@@ -321,7 +320,7 @@ SparseResult list_color_sparse(const Graph& g, Vertex d,
     const InducedSubgraph gi = induce(g, alive);
     const HappyAnalysis ha =
         compute_happy_set(gi.graph, d, out.radius, opts.executor);
-    out.ledger.charge("peel-balls", out.radius + 2);
+    rounds.charge("peel-balls", out.radius + 2);
 
     PeelRecord rec;
     rec.graph_size = gi.graph.num_vertices();
@@ -361,8 +360,8 @@ SparseResult list_color_sparse(const Graph& g, Vertex d,
   // --- Extend back: i = k..1. ---
   Coloring colors = empty_coloring(n);
   for (auto it = levels.rbegin(); it != levels.rend(); ++it)
-    extend_level_lemma32(g, *it, lists, d, out.radius, colors, out.ledger,
-                         opts.executor, &arena);
+    extend_level_lemma32(g, *it, lists, d, out.radius, colors, rounds,
+                         &arena);
 
   out.coloring = std::move(colors);
   return out;

@@ -26,7 +26,7 @@
 #include "scol/coloring/happy.h"
 #include "scol/coloring/types.h"
 #include "scol/graph/graph.h"
-#include "scol/local/ledger.h"
+#include "scol/local/rounds.h"
 #include "scol/util/arena.h"
 #include "scol/util/executor.h"
 
@@ -95,8 +95,7 @@ struct LevelMasks {
 /// happy w.r.t. radius rho in G_i[R_i].
 void extend_level_lemma32(const Graph& g, const LevelMasks& level,
                           const ListAssignment& lists, Vertex aux_dmax,
-                          Vertex rho, Coloring& colors, RoundLedger& ledger,
-                          const Executor* executor = nullptr,
+                          Vertex rho, Coloring& colors, Rounds& rounds,
                           Arena* arena = nullptr);
 
 }  // namespace scol

@@ -2,13 +2,15 @@
 //
 // Every distributed primitive in this library charges the number of
 // synchronous communication rounds its LOCAL implementation would take
-// (local computation is free in the model). The ledger keeps a per-phase
-// breakdown so benches can report, e.g., how many rounds went into ball
+// (local computation is free in the model), through the Rounds seam
+// (local/rounds.h). The ledger keeps a per-phase breakdown, in order of
+// first charge, so reports can say, e.g., how many rounds went into ball
 // collection versus ruling-forest construction.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,7 +20,7 @@ namespace scol {
 
 class RoundLedger {
  public:
-  void charge(const std::string& phase, std::int64_t rounds) {
+  void charge(std::string_view phase, std::int64_t rounds) {
     SCOL_REQUIRE(rounds >= 0);
     total_ += rounds;
     for (auto& [name, sum] : breakdown_) {
@@ -32,7 +34,7 @@ class RoundLedger {
 
   std::int64_t total() const { return total_; }
 
-  std::int64_t phase(const std::string& name) const {
+  std::int64_t phase(std::string_view name) const {
     for (const auto& [n, sum] : breakdown_)
       if (n == name) return sum;
     return 0;

@@ -6,7 +6,8 @@
 // loop; ThreadPoolExecutor splits the index range into contiguous chunks
 // and runs them on a ThreadPool. Because every strategy partitions the
 // SAME index range and bodies write only to their own indices, results are
-// bit-identical across executors — the engine tests assert this.
+// bit-identical across executors — test_engine_parallel asserts this for
+// the round seam (local/rounds.h) and every kernel run through it.
 //
 // APIs take `const Executor*` defaulted to nullptr, which means "serial";
 // callers opt into parallelism by passing a ThreadPoolExecutor. Executors

@@ -1,11 +1,11 @@
 // Minimal persistent thread pool with a chunked parallel-for.
 //
-// The pool exists to make synchronous LOCAL rounds fast: one round is an
-// embarrassingly parallel map over vertices (every node reads only the
-// previous round's states), so a simple chunk-claiming scheme — no work
-// stealing, no per-task allocation — captures essentially all the available
-// speedup. The calling thread always participates, so a pool constructed
-// with 1 thread degenerates to a plain serial loop and spawns nothing.
+// The pool exists to make synchronous LOCAL rounds (Rounds::round) fast:
+// one round is an embarrassingly parallel map over vertices (every node
+// reads only the previous round's states), so a simple chunk-claiming
+// scheme — no work stealing, no per-task allocation — captures nearly all
+// the available speedup. The calling thread always participates, so a
+// pool of 1 thread degenerates to a plain serial loop and spawns nothing.
 //
 // Determinism: chunks are disjoint index ranges and workers write only to
 // their own chunk's outputs, so results are bit-identical regardless of how

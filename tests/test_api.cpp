@@ -234,10 +234,8 @@ TEST(Solve, ContextBudgetsLedgerAndTelemetry) {
   const ListAssignment lists = uniform_lists(g.num_vertices(), 6);
   ColoringRequest req = make_request("planar6", g, lists);
 
-  RoundLedger aggregate;
   int starts = 0, ends = 0, phases = 0;
   RunContext ctx;
-  ctx.ledger = &aggregate;
   ctx.round_budget = 1;  // any distributed run exceeds one round
   ctx.telemetry = [&](const TelemetryEvent& ev) {
     if (ev.kind == TelemetryEvent::Kind::kSolveStart) ++starts;
@@ -249,7 +247,7 @@ TEST(Solve, ContextBudgetsLedgerAndTelemetry) {
   EXPECT_TRUE(a.round_budget_exceeded);
   EXPECT_FALSE(a.deadline_exceeded);
   const ColoringReport b = solve(req, ctx);
-  EXPECT_EQ(aggregate.total(), a.ledger.total() + b.ledger.total());
+  EXPECT_EQ(a.ledger.breakdown(), b.ledger.breakdown());
   EXPECT_EQ(starts, 2);
   EXPECT_EQ(ends, 2);
   EXPECT_EQ(phases, static_cast<int>(a.ledger.breakdown().size() +
@@ -419,6 +417,16 @@ TEST(Json, ReportSerialization) {
   EXPECT_EQ(compact.find("\"coloring\""), std::string::npos);
   const std::string full = to_json(r, /*include_coloring=*/true).dump(2);
   EXPECT_NE(full.find("\"coloring\""), std::string::npos);
+
+  // A phase a kernel opens stays in the ledger even when no round runs:
+  // Linial on K3 is already a 3-coloring, GPS's auxiliary Linial pass on a
+  // single vertex has nothing to reduce.
+  const auto ledger_of = [&ctx](const char* algo, const Graph& graph) {
+    return to_json(solve(make_request(algo, graph), ctx)).get("ledger")->dump();
+  };
+  EXPECT_EQ(ledger_of("linial", complete(3)), "{\"k-coloring\":0}");
+  EXPECT_EQ(ledger_of("gps", complete(1)),
+            "{\"peel\":1,\"aux-coloring\":0,\"recolor\":7}");
 
   // Escaping: failure reasons may contain quotes/newlines.
   Json obj = Json::object();

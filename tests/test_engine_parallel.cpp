@@ -1,6 +1,6 @@
-// Pluggable-executor runtime: thread pool semantics, and bit-identical
-// serial vs. thread-pool execution (states AND RoundLedger charges) across
-// engine programs, the coloring call sites that accept executors, and
+// Pluggable-executor runtime: thread pool semantics, the Rounds contract,
+// and bit-identical serial vs. thread-pool execution (states AND ledger
+// charges) across engine-oracle programs, the distributed kernels, and
 // seeds. The determinism contract is the whole point of the runtime: a
 // parallel run must be indistinguishable from a serial run. Also the
 // ShardPlan partition and the exchange pricing built on it.
@@ -22,12 +22,13 @@
 #include "scol/gen/lattice.h"
 #include "scol/gen/planar_random.h"
 #include "scol/gen/random.h"
-#include "scol/local/balls.h"
-#include "scol/local/engine.h"
+#include "scol/local/rounds.h"
 #include "scol/local/shard.h"
 #include "scol/local/validate.h"
 #include "scol/util/executor.h"
 #include "scol/util/thread_pool.h"
+
+#include "engine_oracle.h"
 
 namespace scol {
 namespace {
@@ -76,8 +77,35 @@ TEST(Executor, ParallelRangesCoverExactly) {
   exec.parallel_ranges(0, [&](std::size_t, std::size_t) { FAIL(); });
 }
 
-// Engine programs must produce identical states and identical ledger
-// charges under serial and thread-pool executors.
+// round() visits [0, width) exactly once and charges exactly one round
+// per call, under serial and pool executors; an empty round still charges
+// its round and never calls the body.
+TEST(RoundsSeam, RoundVisitsOnceAndChargesOne) {
+  ThreadPoolExecutor pool(4, /*grain=*/16);
+  for (const Executor* exec : {static_cast<const Executor*>(nullptr),
+                               static_cast<const Executor*>(&pool)}) {
+    RoundLedger ledger;
+    Rounds rounds(ledger, exec);
+    for (std::size_t width : {1u, 16u, 17u, 1000u}) {
+      std::vector<std::atomic<int>> hits(width);
+      const std::int64_t before = ledger.total();
+      rounds.round("work", width, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) ++hits[i];
+      });
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "width " << width;
+      EXPECT_EQ(ledger.total(), before + 1);
+    }
+    rounds.round("empty", 0, [](std::size_t, std::size_t) { FAIL(); });
+    rounds.charge("priced", 7);
+    rounds.charge("opened", 0);
+    EXPECT_EQ(ledger.breakdown(),
+              (std::vector<std::pair<std::string, std::int64_t>>{
+                  {"work", 4}, {"empty", 1}, {"priced", 7}, {"opened", 0}}));
+  }
+}
+
+// Engine-oracle programs must produce identical states and identical
+// ledger charges under serial and thread-pool executors.
 TEST(EngineParallel, FloodingBitIdenticalAcrossExecutors) {
   ThreadPoolExecutor pool(4, /*grain=*/16);
   Rng rng(2027);
@@ -85,8 +113,9 @@ TEST(EngineParallel, FloodingBitIdenticalAcrossExecutors) {
     const Graph g = gnm(300, 700, rng);
     for (int r : {0, 1, 3}) {
       RoundLedger serial_ledger, pool_ledger;
-      const auto serial = flood_balls_engine(g, r, &serial_ledger);
-      const auto parallel = flood_balls_engine(g, r, &pool_ledger, &pool);
+      Rounds serial_rounds(serial_ledger), pool_rounds(pool_ledger, &pool);
+      const auto serial = flood_balls_engine(g, r, serial_rounds);
+      const auto parallel = flood_balls_engine(g, r, pool_rounds);
       EXPECT_EQ(serial, parallel);
       EXPECT_EQ(serial_ledger.total(), pool_ledger.total());
       EXPECT_EQ(serial_ledger.phase("flood-balls"),
@@ -111,34 +140,14 @@ TEST(EngineParallel, RunSynchronousMatchesOnFamilies) {
                          random_stacked_triangulation(400, rng)}) {
     std::vector<Vertex> init(static_cast<std::size_t>(g.num_vertices()), -1);
     init[0] = 0;
+    RoundLedger ledger;
+    Rounds pool_rounds(ledger, &pool);
     const auto serial = run_synchronous(g, init, 9, min_propagation);
-    const auto parallel = run_synchronous(
-        g, init, 9, min_propagation, EngineOptions{&pool, nullptr, "engine"});
+    const auto parallel =
+        run_synchronous(g, init, 9, min_propagation, pool_rounds);
     EXPECT_EQ(serial, parallel);
+    EXPECT_EQ(ledger.phase("engine"), 9);
   }
-}
-
-TEST(EngineParallel, RunUntilStableMatchesRoundsAndStates) {
-  ThreadPoolExecutor pool(4, /*grain=*/16);
-  Rng rng(2031);
-  const Graph g = gnm(400, 900, rng);
-  std::vector<int> init(static_cast<std::size_t>(g.num_vertices()), 0);
-  init[7] = 1;
-  const auto max_spread = [](Vertex, const int& self, NeighborStates<int> nb) {
-    int best = self;
-    for (std::size_t i = 0; i < nb.size(); ++i)
-      best = std::max(best, nb.state(i));
-    return best;
-  };
-  RoundLedger serial_ledger, pool_ledger;
-  auto [s_states, s_used] = run_until_stable(
-      g, init, 1000, max_spread,
-      EngineOptions{nullptr, &serial_ledger, "spread"});
-  auto [p_states, p_used] = run_until_stable(
-      g, init, 1000, max_spread, EngineOptions{&pool, &pool_ledger, "spread"});
-  EXPECT_EQ(s_states, p_states);
-  EXPECT_EQ(s_used, p_used);
-  EXPECT_EQ(serial_ledger.phase("spread"), pool_ledger.phase("spread"));
 }
 
 TEST(EngineParallel, RandomizedColoringBitIdenticalPerSeed) {
@@ -150,15 +159,13 @@ TEST(EngineParallel, RandomizedColoringBitIdenticalPerSeed) {
         g.num_vertices(), static_cast<Color>(g.max_degree() + 1));
     for (std::uint64_t seed : {1ULL, 42ULL, 2026ULL}) {
       Rng serial_rng(seed), pool_rng(seed);
-      RoundLedger serial_ledger, pool_ledger;
-      const auto serial = randomized_list_coloring(g, lists, serial_rng,
-                                                   &serial_ledger);
-      const auto parallel = randomized_list_coloring(
-          g, lists, pool_rng, &pool_ledger, &pool);
+      const auto serial = randomized_list_coloring(g, lists, serial_rng);
+      const auto parallel =
+          randomized_list_coloring(g, lists, pool_rng, &pool);
       EXPECT_EQ(serial.coloring, parallel.coloring);
       EXPECT_EQ(serial.rounds, parallel.rounds);
-      EXPECT_EQ(serial_ledger.phase("randomized-coloring"),
-                pool_ledger.phase("randomized-coloring"));
+      EXPECT_EQ(serial.ledger.phase("randomized-coloring"),
+                parallel.ledger.phase("randomized-coloring"));
       expect_proper_list_coloring(g, *parallel.coloring, lists, &pool);
     }
   }
@@ -170,12 +177,10 @@ TEST(EngineParallel, DegreeColoringBitIdentical) {
   for (Vertex d : {3, 5}) {
     const Graph g = random_regular(240, d, rng);
     RoundLedger serial_ledger, pool_ledger;
-    const auto serial =
-        distributed_degree_coloring(g, d, &serial_ledger);
-    const auto parallel =
-        distributed_degree_coloring(g, d, &pool_ledger, &pool);
+    Rounds serial_rounds(serial_ledger), pool_rounds(pool_ledger, &pool);
+    const auto serial = distributed_degree_coloring(g, d, serial_rounds);
+    const auto parallel = distributed_degree_coloring(g, d, pool_rounds);
     EXPECT_EQ(serial.coloring, parallel.coloring);
-    EXPECT_EQ(serial.rounds, parallel.rounds);
     EXPECT_EQ(serial.palette, parallel.palette);
     EXPECT_EQ(serial_ledger.total(), pool_ledger.total());
     expect_proper_with_at_most(g, parallel.coloring, d + 1, &pool);
@@ -191,16 +196,16 @@ TEST(EngineParallel, RulingForestBitIdentical) {
     in_u[static_cast<std::size_t>(v)] = 1;
   for (Vertex alpha : {2, 5}) {
     RoundLedger serial_ledger, pool_ledger;
-    const RulingForest serial =
-        ruling_forest(g, in_u, alpha, &serial_ledger, nullptr, "ruling");
-    const RulingForest parallel =
-        ruling_forest(g, in_u, alpha, &pool_ledger, &pool, "ruling");
+    Rounds serial_rounds(serial_ledger), pool_rounds(pool_ledger, &pool);
+    const RulingForest serial = ruling_forest(g, in_u, alpha, serial_rounds);
+    const RulingForest parallel = ruling_forest(g, in_u, alpha, pool_rounds);
     EXPECT_EQ(serial.root, parallel.root);
     EXPECT_EQ(serial.parent, parallel.parent);
     EXPECT_EQ(serial.depth, parallel.depth);
     EXPECT_EQ(serial.roots, parallel.roots);
     EXPECT_EQ(serial.max_depth, parallel.max_depth);
-    EXPECT_EQ(serial_ledger.phase("ruling"), pool_ledger.phase("ruling"));
+    EXPECT_EQ(serial_ledger.phase("ruling-forest"),
+              pool_ledger.phase("ruling-forest"));
   }
 }
 

@@ -1,4 +1,4 @@
-// Genuine LOCAL node programs on the synchronous engine, cross-checked
+// Genuine LOCAL node programs on the engine oracle, cross-checked
 // against the central implementations: one Linial reduction round, peel
 // layering, and per-round properness invariants.
 #include <gtest/gtest.h>
@@ -10,8 +10,9 @@
 #include "scol/gen/lattice.h"
 #include "scol/gen/random.h"
 #include "scol/graph/bfs.h"
-#include "scol/local/engine.h"
 #include "scol/local/validate.h"
+
+#include "engine_oracle.h"
 
 namespace scol {
 namespace {
@@ -105,7 +106,9 @@ TEST(EnginePrograms, CentralKColoringMatchesPalette) {
   Rng rng(821);
   for (Vertex d : {3, 5}) {
     const Graph g = random_regular(128, d, rng);
-    const DegreeColoringResult r = distributed_degree_coloring(g, d);
+    RoundLedger ledger;
+    Rounds rounds(ledger);
+    const DegreeColoringResult r = distributed_degree_coloring(g, d, rounds);
     expect_proper_with_at_most(g, r.coloring, d + 1);
   }
 }

@@ -21,6 +21,7 @@ struct Staged {
   LevelMasks level;
   Coloring colors;
   ListAssignment lists;
+  RoundLedger ledger;
 };
 
 Staged stage(const Graph& g, Vertex d, Vertex rho, Color palette, Rng& rng) {
@@ -57,12 +58,12 @@ TEST(ExtendStep, CompletesPartialColorings) {
     const Graph g = random_regular(150, 4, rng);
     const Vertex rho = paper_ball_radius(150);
     Staged s = stage(g, 4, rho, 12, rng);
-    RoundLedger ledger;
-    extend_level_lemma32(g, s.level, s.lists, 4, rho, s.colors, ledger);
+    Rounds rounds(s.ledger);
+    extend_level_lemma32(g, s.level, s.lists, 4, rho, s.colors, rounds);
     expect_proper_list_coloring(g, s.colors, s.lists);
-    EXPECT_GT(ledger.phase("ruling-forest"), 0);
-    EXPECT_GT(ledger.phase("sweep"), 0);
-    EXPECT_GT(ledger.phase("ert-balls"), 0);
+    EXPECT_GT(s.ledger.phase("ruling-forest"), 0);
+    EXPECT_GT(s.ledger.phase("sweep"), 0);
+    EXPECT_GT(s.ledger.phase("ert-balls"), 0);
   }
 }
 
@@ -76,8 +77,8 @@ TEST(ExtendStep, MayRecolorSadVertices) {
   if (h.num_sad == 0) GTEST_SKIP() << "no sad vertices this seed";
   Staged s = stage(g, 4, rho, 12, rng);
   const Coloring before = s.colors;
-  RoundLedger ledger;
-  extend_level_lemma32(g, s.level, s.lists, 4, rho, s.colors, ledger);
+  Rounds rounds(s.ledger);
+  extend_level_lemma32(g, s.level, s.lists, 4, rho, s.colors, rounds);
   expect_proper_list_coloring(g, s.colors, s.lists);
   // Sad vertices captured by trees were uncolored and recolored — they may
   // differ; everything must end colored either way.
@@ -92,8 +93,8 @@ TEST(ExtendStep, GridAtSmallRadius) {
   const HappyAnalysis h = compute_happy_set(g, 4, 2);
   ASSERT_GT(h.num_happy, 0);
   Staged s = stage(g, 4, 2, 10, rng);
-  RoundLedger ledger;
-  extend_level_lemma32(g, s.level, s.lists, 4, 2, s.colors, ledger);
+  Rounds rounds(s.ledger);
+  extend_level_lemma32(g, s.level, s.lists, 4, 2, s.colors, rounds);
   expect_proper_list_coloring(g, s.colors, s.lists);
 }
 
@@ -103,8 +104,8 @@ TEST(ExtendStep, HexWithTinyLists) {
   Rng rng(757);
   const Vertex rho = paper_ball_radius(g.num_vertices());
   Staged s = stage(g, 3, rho, 8, rng);
-  RoundLedger ledger;
-  extend_level_lemma32(g, s.level, s.lists, 3, rho, s.colors, ledger);
+  Rounds rounds(s.ledger);
+  extend_level_lemma32(g, s.level, s.lists, 3, rho, s.colors, rounds);
   expect_proper_list_coloring(g, s.colors, s.lists);
 }
 
@@ -115,10 +116,10 @@ TEST(ExtendStep, SweepChargeMatchesSchedule) {
   Rng rng(761);
   const Vertex rho = 3;
   Staged s = stage(g, 4, rho, 10, rng);
-  RoundLedger ledger;
-  extend_level_lemma32(g, s.level, s.lists, 4, rho, s.colors, ledger);
+  Rounds rounds(s.ledger);
+  extend_level_lemma32(g, s.level, s.lists, 4, rho, s.colors, rounds);
   // alpha = 2*rho + 2 = 8; bits = ceil(log2 100) = 7; bound = 56; *(d+1).
-  EXPECT_EQ(ledger.phase("sweep"), 56 * 5);
+  EXPECT_EQ(s.ledger.phase("sweep"), 56 * 5);
 }
 
 }  // namespace

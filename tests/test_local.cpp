@@ -1,5 +1,5 @@
-// LOCAL engine semantics: flooding r rounds == radius-r balls (Linial's
-// characterization), ledger accounting, validators.
+// LOCAL semantics on the engine oracle: flooding r rounds == radius-r
+// balls (Linial's characterization), ledger accounting, validators.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,10 +9,11 @@
 #include "scol/gen/random.h"
 #include "scol/gen/special.h"
 #include "scol/graph/bfs.h"
-#include "scol/local/balls.h"
-#include "scol/local/engine.h"
 #include "scol/local/ledger.h"
+#include "scol/local/rounds.h"
 #include "scol/local/validate.h"
+
+#include "engine_oracle.h"
 
 namespace scol {
 namespace {
@@ -23,7 +24,8 @@ TEST(Engine, FloodEqualsBallOracle) {
     const Graph g = gnm(25, 40, rng);
     for (int r : {0, 1, 2, 3}) {
       RoundLedger ledger;
-      const auto flooded = flood_balls_engine(g, r, &ledger);
+      Rounds rounds(ledger);
+      const auto flooded = flood_balls_engine(g, r, rounds);
       EXPECT_EQ(ledger.total(), r);
       for (Vertex v = 0; v < g.num_vertices(); ++v) {
         auto oracle = ball(g, v, r);
@@ -50,24 +52,6 @@ TEST(Engine, StepSeesPreviousRoundOnly) {
         return best;
       });
   EXPECT_EQ(out, (std::vector<int>{10, 10, 10, 10, 0}));
-}
-
-TEST(Engine, UntilStableStopsEarly) {
-  const Graph p = path(6);
-  std::vector<int> init{1, 0, 0, 0, 0, 0};
-  RoundLedger ledger;
-  auto [states, used] = run_until_stable(
-      p, init, 100,
-      [](Vertex, const int& self, NeighborStates<int> nb) {
-        int best = self;
-        for (std::size_t i = 0; i < nb.size(); ++i)
-          best = std::max(best, nb.state(i));
-        return best;
-      },
-      EngineOptions{nullptr, &ledger, "engine"});
-  EXPECT_EQ(states, std::vector<int>(6, 1));
-  EXPECT_LE(used, 7);
-  EXPECT_EQ(ledger.total(), used);
 }
 
 TEST(Ledger, PhasesAccumulate) {

@@ -427,6 +427,18 @@ TEST(Sparsify, FallbackPathStaysValidAndDeterministic) {
     EXPECT_EQ(*serial.coloring, *pooled.coloring) << algo;
     EXPECT_EQ(serial.rounds, pooled.rounds) << algo;
     EXPECT_EQ(pooled.metrics.get_int("sparsify_fallback", -1), 1) << algo;
+    // Ledger bytes: the fallback's phases first, then the attempts' rounds
+    // (two capped attempts of 1000 two-round iterations) appended as
+    // "sparsified-attempts", only when nonzero.
+    using Phases = std::vector<std::pair<std::string, std::int64_t>>;
+    const Phases expected =
+        std::string(algo) == "dplus1-sparsified"
+            ? Phases{{"randomized-coloring",
+                      2 * serial.metrics.get_int("iterations", -1)},
+                     {"sparsified-attempts", 2 * 2 * 1000}}
+            : Phases{};
+    EXPECT_EQ(serial.ledger.breakdown(), expected) << algo;
+    EXPECT_EQ(pooled.ledger.breakdown(), expected) << algo;
   }
 }
 

@@ -95,9 +95,9 @@ TEST(Randomized, CliqueWithExactLists) {
 TEST(Randomized, LedgerCharged) {
   const Graph g = grid(8, 8);
   Rng rng(733);
-  RoundLedger ledger;
-  const auto r = randomized_list_coloring(g, uniform_lists(64, 5), rng, &ledger);
-  EXPECT_EQ(ledger.phase("randomized-coloring"), r.rounds);
+  const auto r = randomized_list_coloring(g, uniform_lists(64, 5), rng);
+  EXPECT_EQ(r.ledger.phase("randomized-coloring"), r.rounds);
+  EXPECT_EQ(r.rounds, 2 * r.metrics.get_int("iterations", -1));
 }
 
 // The shared propose/resolve kernel: the two exhaustion causes (no free
@@ -106,12 +106,13 @@ TEST(Randomized, LedgerCharged) {
 TEST(ProposeResolve, EmptyListIsExhaustedInTheFirstIteration) {
   const Graph g = path(3);
   const ListAssignment lists = ListAssignment::from_lists({{0, 1}, {}, {0}});
-  std::int64_t iterations = -1;
-  EXPECT_FALSE(propose_resolve_coloring(g, lists, 11, nullptr, 50,
-                                        OnExhausted::kAbandon, &iterations)
+  RoundLedger ledger;
+  Rounds rounds(ledger);
+  EXPECT_FALSE(propose_resolve_coloring(g, lists, 11, rounds, 50,
+                                        OnExhausted::kAbandon)
                    .has_value());
-  EXPECT_EQ(iterations, 1);
-  EXPECT_THROW(propose_resolve_coloring(g, lists, 11, nullptr, 50,
+  EXPECT_EQ(ledger.phase("randomized-coloring"), 2);  // one iteration
+  EXPECT_THROW(propose_resolve_coloring(g, lists, 11, rounds, 50,
                                         OnExhausted::kCheckFail),
                InternalError);
 }
@@ -120,24 +121,28 @@ TEST(ProposeResolve, IterationCapIsExhaustion) {
   // Both ends can only ever propose color 0, so they clash forever.
   const Graph g = path(2);
   const ListAssignment lists = ListAssignment::from_lists({{0}, {0}});
-  std::int64_t iterations = -1;
-  EXPECT_FALSE(propose_resolve_coloring(g, lists, 13, nullptr, 7,
-                                        OnExhausted::kAbandon, &iterations)
+  RoundLedger ledger;
+  Rounds rounds(ledger);
+  EXPECT_FALSE(propose_resolve_coloring(g, lists, 13, rounds, 7,
+                                        OnExhausted::kAbandon)
                    .has_value());
-  EXPECT_EQ(iterations, 7);
-  EXPECT_THROW(propose_resolve_coloring(g, lists, 13, nullptr, 7,
+  EXPECT_EQ(ledger.phase("randomized-coloring"), 2 * 7);
+  EXPECT_THROW(propose_resolve_coloring(g, lists, 13, rounds, 7,
                                         OnExhausted::kCheckFail),
                InternalError);
 }
 
 TEST(ProposeResolve, EmptyGraphTakesNoIterations) {
-  std::int64_t iterations = -1;
+  RoundLedger ledger;
+  Rounds rounds(ledger);
   const auto c = propose_resolve_coloring(Graph::from_edges(0, {}),
-                                          ListAssignment(), 17, nullptr, 5,
-                                          OnExhausted::kAbandon, &iterations);
+                                          ListAssignment(), 17, rounds, 5,
+                                          OnExhausted::kAbandon);
   ASSERT_TRUE(c.has_value());
   EXPECT_TRUE(c->empty());
-  EXPECT_EQ(iterations, 0);
+  // The phase is opened even though no round runs.
+  ASSERT_EQ(ledger.breakdown().size(), 1u);
+  EXPECT_EQ(ledger.phase("randomized-coloring"), 0);
 }
 
 }  // namespace

@@ -33,7 +33,8 @@ TEST_P(RulingForestProperty, AllInvariants) {
     }
   }
   RoundLedger ledger;
-  const RulingForest rf = ruling_forest(g, in_u, p.alpha, &ledger);
+  Rounds rounds(ledger);
+  const RulingForest rf = ruling_forest(g, in_u, p.alpha, rounds);
 
   // (1) Every U-vertex lies in some tree.
   for (Vertex v = 0; v < p.n; ++v) {
@@ -96,7 +97,9 @@ TEST(RulingForest, SingletonU) {
   const Graph g = grid(6, 6);
   std::vector<char> in_u(36, 0);
   in_u[14] = 1;
-  const RulingForest rf = ruling_forest(g, in_u, 4);
+  RoundLedger ledger;
+  Rounds rounds(ledger);
+  const RulingForest rf = ruling_forest(g, in_u, 4, rounds);
   ASSERT_EQ(rf.roots.size(), 1u);
   EXPECT_EQ(rf.roots[0], 14);
 }
@@ -104,7 +107,9 @@ TEST(RulingForest, SingletonU) {
 TEST(RulingForest, EmptyU) {
   const Graph g = grid(4, 4);
   std::vector<char> in_u(16, 0);
-  const RulingForest rf = ruling_forest(g, in_u, 3);
+  RoundLedger ledger;
+  Rounds rounds(ledger);
+  const RulingForest rf = ruling_forest(g, in_u, 3, rounds);
   EXPECT_TRUE(rf.roots.empty());
   for (Vertex v = 0; v < 16; ++v) EXPECT_FALSE(rf.in_forest(v));
 }
@@ -114,7 +119,9 @@ TEST(RulingForest, PathDense) {
   // still cover everything within the depth bound.
   const Graph p = grid(1, 50);
   std::vector<char> in_u(50, 1);
-  const RulingForest rf = ruling_forest(p, in_u, 6);
+  RoundLedger ledger;
+  Rounds rounds(ledger);
+  const RulingForest rf = ruling_forest(p, in_u, 6, rounds);
   for (Vertex v = 0; v < 50; ++v) EXPECT_TRUE(rf.in_forest(v));
   for (std::size_t i = 0; i < rf.roots.size(); ++i)
     for (std::size_t j = i + 1; j < rf.roots.size(); ++j)
@@ -183,7 +190,8 @@ TEST(RulingForest, SharedBfsBuffersMatchFreshPerBitOracle) {
       in_u[static_cast<std::size_t>(v)] = rng.chance(frac) ? 1 : 0;
     const Vertex alpha = 1 + static_cast<Vertex>(rng.below(8));
     RoundLedger ledger;
-    const RulingForest rf = ruling_forest(g, in_u, alpha, &ledger);
+    Rounds rounds(ledger);
+    const RulingForest rf = ruling_forest(g, in_u, alpha, rounds);
     EXPECT_EQ(rf.roots, oracle_ruling_set(g, in_u, alpha)) << "trial " << t;
     int bits = 1;
     while ((std::int64_t{1} << bits) < std::max<Vertex>(nv, 2)) ++bits;

@@ -83,11 +83,13 @@ def check(report: dict, schema: dict, campaign_line: bool = False
             errors.append("colored report with no colors used")
     if status == "failed" and not report.get("failure_reason"):
         errors.append("failed report without failure_reason")
-    # Sharded-executor telemetry: a run that reports metrics.shards must
-    # carry the whole exchange block, price its exchange from the ledger
-    # (one update per boundary pair per round, so messages are a multiple
-    # of rounds and zero on a single shard or a round-free run), and
-    # agree with the line-level "shards" field when both are present.
+    # Exchange pricing (--shards P prices a finished report on a P-shard
+    # partition; it executes nothing): a report that carries
+    # metrics.shards must carry the whole exchange block, price its
+    # exchange from the ledger (one update per boundary pair per round,
+    # so messages are a multiple of rounds and zero on a single shard or
+    # a round-free run), and agree with the line-level "shards" field
+    # when both are present.
     metrics = report.get("metrics")
     if isinstance(metrics, dict) and "shards" in metrics:
         require(metrics, schema["shard_metrics_required"], "metrics.")
@@ -173,8 +175,8 @@ def check_jsonl(stream, schema: dict, args) -> list[str]:
             errors.append(f"{failed} line(s) with status 'failed' "
                           f"(--expect-no-failed)")
     if args.expect_shards is not None:
-        # A telemetry-carrying sharded campaign stamps every line
-        # (skipped ones included) with the executor's shard count, and
+        # A campaign priced with --shards P stamps every line (skipped
+        # ones included) with the shard count P it was priced on, and
         # every line that actually solved must carry the exchange block
         # (check() above validated its shape and invariants).
         for lineno, r in enumerate(reports, start=1):
@@ -312,8 +314,8 @@ def main() -> int:
                              "(probe-filtered grids answer every cell)")
     parser.add_argument("--expect-shards", type=int, default=None,
                         help="require every JSONL line to carry this "
-                             "sharded-executor count and every solved "
-                             "line its exchange telemetry")
+                             "pricing shard count and every solved "
+                             "line its exchange metrics")
     parser.add_argument("--schema",
                         default=pathlib.Path(__file__).parent /
                         "report_schema.json")
