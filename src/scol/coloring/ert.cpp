@@ -19,18 +19,32 @@ bool has_color(const std::vector<Color>& list, Color c) {
 }
 
 // Colors `targets` (must be currently uncolored) sequentially in decreasing
-// `key` order; each picks the first avail color unused by colored
-// g-neighbors. Throws InternalError if some vertex has no free color — the
-// callers' orderings guarantee one.
+// `dist` order, ties by ascending id; each picks the first avail color
+// unused by colored g-neighbors. Throws InternalError if some vertex has no
+// free color — the callers' orderings guarantee one.
 void greedy_by_decreasing_key(const Graph& g, const std::vector<Vertex>& dist,
                               const std::vector<Vertex>& targets,
                               const AvailableLists& avail, Coloring& colors) {
-  std::vector<Vertex> order = targets;
-  std::sort(order.begin(), order.end(), [&](Vertex x, Vertex y) {
-    if (dist[static_cast<std::size_t>(x)] != dist[static_cast<std::size_t>(y)])
-      return dist[static_cast<std::size_t>(x)] > dist[static_cast<std::size_t>(y)];
-    return x < y;
-  });
+  // Every caller passes targets in ascending id, each reachable (dist >=
+  // 0), so one stable counting pass over distance yields the (distance
+  // desc, id asc) order.
+  Vertex max_dist = 0;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const Vertex v = targets[i];
+    SCOL_DCHECK(i == 0 || targets[i - 1] < v, + "targets must ascend");
+    SCOL_DCHECK(dist[static_cast<std::size_t>(v)] >= 0,
+                + "targets must be reachable");
+    max_dist = std::max(max_dist, dist[static_cast<std::size_t>(v)]);
+  }
+  // Bucket max_dist - dist[v] holds v; start[k] is bucket k's first slot.
+  const auto bucket = [&](Vertex v) {
+    return static_cast<std::size_t>(max_dist - dist[static_cast<std::size_t>(v)]);
+  };
+  std::vector<std::size_t> start(static_cast<std::size_t>(max_dist) + 2, 0);
+  for (Vertex v : targets) ++start[bucket(v) + 1];
+  for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
+  std::vector<Vertex> order(targets.size());
+  for (Vertex v : targets) order[start[bucket(v)]++] = v;
   SmallColorSet forbidden;
   for (std::size_t oi = 0; oi < order.size(); ++oi) {
     const Vertex v = order[oi];

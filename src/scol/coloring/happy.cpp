@@ -3,50 +3,141 @@
 #include <algorithm>
 #include <atomic>
 
-#include "scol/graph/bfs.h"
+#include "scol/graph/blocks.h"
 #include "scol/graph/components.h"
-#include "scol/graph/gallai.h"
 
 namespace scol {
 namespace {
 
-// Multi-source BFS marking happy[x] for all x within `limit` of `sources`
-// (in graph gr).
-void mark_within(const Graph& gr, const std::vector<Vertex>& sources,
-                 Vertex limit, std::vector<char>& happy) {
-  if (sources.empty() || limit < 0) return;
-  std::vector<Vertex> dist(static_cast<std::size_t>(gr.num_vertices()), -1);
-  std::vector<Vertex> queue;  // flat FIFO (head index), no deque chunking
-  queue.reserve(sources.size());
-  for (Vertex s : sources) {
-    if (dist[static_cast<std::size_t>(s)] != 0) {
-      dist[static_cast<std::size_t>(s)] = 0;
-      happy[static_cast<std::size_t>(s)] = 1;
-      queue.push_back(s);
+// BFS and Gallai-test scratch over one graph, allocated once per happy-set
+// computation. Every pass resets exactly the vertices it touched, so a
+// ball test costs O(size of the ball) rather than O(n).
+class BallScratch {
+ public:
+  explicit BallScratch(const Graph& g)
+      : g_(g),
+        dist_(static_cast<std::size_t>(g.num_vertices()), -1),
+        depth_(static_cast<std::size_t>(g.num_vertices()), -1),
+        low_(static_cast<std::size_t>(g.num_vertices()), 0),
+        vertices_at_(static_cast<std::size_t>(g.num_vertices()), 0),
+        edges_at_(static_cast<std::size_t>(g.num_vertices()), 0) {}
+
+  // Multi-source BFS marking happy[x] for all x within `limit` of
+  // `sources`.
+  void mark_within(const std::vector<Vertex>& sources, Vertex limit,
+                   std::vector<char>& happy) {
+    if (sources.empty() || limit < 0) return;
+    queue_.clear();
+    for (Vertex s : sources) {
+      if (dist_[static_cast<std::size_t>(s)] != 0) {
+        dist_[static_cast<std::size_t>(s)] = 0;
+        happy[static_cast<std::size_t>(s)] = 1;
+        queue_.push_back(s);
+      }
     }
+    bfs(limit, &happy);
+    clear_dist();
   }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const Vertex x = queue[head];
-    if (dist[static_cast<std::size_t>(x)] == limit) continue;
-    for (Vertex y : gr.neighbors(x)) {
-      if (dist[static_cast<std::size_t>(y)] < 0) {
-        dist[static_cast<std::size_t>(y)] = dist[static_cast<std::size_t>(x)] + 1;
-        happy[static_cast<std::size_t>(y)] = 1;
-        queue.push_back(y);
+
+  // Is the ball of radius r around v non-Gallai? r < 0 means no bound:
+  // the ball is v's whole component. (The ball is connected, so
+  // Gallai-forest == Gallai-tree.) A ball never leaves v's component, so
+  // no component mask is needed. When `ecc` is non-null it receives the
+  // largest distance reached from v.
+  bool ball_non_gallai(Vertex v, Vertex r, Vertex* ecc = nullptr) {
+    queue_.assign(1, v);
+    dist_[static_cast<std::size_t>(v)] = 0;
+    bfs(r, nullptr);
+    if (ecc != nullptr) *ecc = dist_[static_cast<std::size_t>(queue_.back())];
+    const bool bad = has_non_gallai_block(v);
+    for (Vertex x : queue_) depth_[static_cast<std::size_t>(x)] = -1;
+    clear_dist();
+    return bad;
+  }
+
+ private:
+  struct Frame {
+    Vertex v;
+    Vertex parent;
+    std::size_t edge_index;  // index into neighbors(v)
+  };
+
+  // Extends the BFS on queue_ (sources at distance 0) up to `limit`.
+  void bfs(Vertex limit, std::vector<char>* happy) {
+    for (std::size_t head = 0; head < queue_.size(); ++head) {
+      const Vertex x = queue_[head];
+      const Vertex dx = dist_[static_cast<std::size_t>(x)];
+      if (dx == limit) continue;
+      for (Vertex y : g_.neighbors(x)) {
+        if (dist_[static_cast<std::size_t>(y)] < 0) {
+          dist_[static_cast<std::size_t>(y)] = dx + 1;
+          if (happy != nullptr) (*happy)[static_cast<std::size_t>(y)] = 1;
+          queue_.push_back(y);
+        }
       }
     }
   }
-}
 
-// Is the ball of radius r around v (in gr, restricted to `comp_mask`)
-// non-Gallai? (The ball is connected, so Gallai-forest == Gallai-tree.)
-bool ball_non_gallai(const Graph& gr, const std::vector<char>& comp_mask,
-                     Vertex v, Vertex r) {
-  const std::vector<Vertex> b = ball_within(gr, comp_mask, v, r);
-  if (static_cast<Vertex>(b.size()) <= 2) return false;
-  const InducedSubgraph sub = induce(gr, b);
-  return !all_blocks_clique_or_odd_cycle(block_decomposition(sub.graph));
-}
+  void clear_dist() {
+    for (Vertex x : queue_) dist_[static_cast<std::size_t>(x)] = -1;
+  }
+
+  // Counting Hopcroft–Tarjan over the subgraph induced by the marked
+  // (dist >= 0) vertices, which is connected and contains `root`. Blocks
+  // are contiguous suffixes of the DFS vertex and edge stacks, so only the
+  // stack heights are kept: a block closed at tree edge (p, v) has the
+  // vertices pushed since v (plus p) and the edges pushed since (p, v).
+  bool has_non_gallai_block(Vertex root) {
+    std::int64_t vertices = 0, edges = 0;  // stack heights
+    depth_[static_cast<std::size_t>(root)] = 0;
+    low_[static_cast<std::size_t>(root)] = 0;
+    frames_.assign(1, Frame{root, -1, 0});
+    while (!frames_.empty()) {
+      Frame& f = frames_.back();
+      const auto nb = g_.neighbors(f.v);
+      if (f.edge_index < nb.size()) {
+        const Vertex w = nb[f.edge_index++];
+        const auto wi = static_cast<std::size_t>(w);
+        if (w == f.parent || dist_[wi] < 0) continue;
+        const auto vi = static_cast<std::size_t>(f.v);
+        if (depth_[wi] < 0) {
+          vertices_at_[wi] = vertices++;
+          edges_at_[wi] = edges++;
+          depth_[wi] = depth_[vi] + 1;
+          low_[wi] = depth_[wi];
+          frames_.push_back(Frame{w, f.v, 0});
+        } else if (depth_[wi] < depth_[vi]) {
+          ++edges;  // back edge
+          low_[vi] = std::min(low_[vi], depth_[wi]);
+        }
+      } else {
+        const auto vi = static_cast<std::size_t>(f.v);
+        const Vertex p = f.parent;
+        frames_.pop_back();
+        if (p < 0) continue;
+        const auto pi = static_cast<std::size_t>(p);
+        low_[pi] = std::min(low_[pi], low_[vi]);
+        if (low_[vi] < depth_[pi]) continue;
+        // p separates v's subtree: close one block.
+        const std::int64_t k = vertices - vertices_at_[vi] + 1;
+        const std::int64_t e = edges - edges_at_[vi];
+        vertices = vertices_at_[vi];
+        edges = edges_at_[vi];
+        if (!block_is_clique(k, e) && !block_is_odd_cycle(k, e)) return true;
+      }
+    }
+    return false;
+  }
+
+  const Graph& g_;
+  std::vector<Vertex> dist_;   // -1 outside the current BFS
+  std::vector<Vertex> queue_;  // the current BFS, in visit order
+  std::vector<Vertex> depth_;  // DFS depth, -1 unvisited
+  std::vector<Vertex> low_;
+  std::vector<std::int64_t> vertices_at_;  // vertex-stack height at push
+  std::vector<std::int64_t> edges_at_;     // edge-stack height at push
+  std::vector<Frame> frames_;
+};
 
 }  // namespace
 
@@ -102,6 +193,7 @@ HappyAnalysis compute_happy_set_general(const Graph& g,
   const InducedSubgraph gr = induce(g, out.rich);
   const Vertex nr = gr.graph.num_vertices();
   std::vector<char> happy_gr(static_cast<std::size_t>(nr), 0);
+  BallScratch scratch(gr.graph);
 
   // Condition 1 (exact): within rho of a witness, in G[R].
   std::vector<Vertex> low_degree;
@@ -109,21 +201,18 @@ HappyAnalysis compute_happy_set_general(const Graph& g,
     if (witness_mask[static_cast<std::size_t>(
             gr.to_original[static_cast<std::size_t>(x)])])
       low_degree.push_back(x);
-  mark_within(gr.graph, low_degree, rho, happy_gr);
+  scratch.mark_within(low_degree, rho, happy_gr);
 
   // Condition 2 (exact): per component of G[R].
   const Components comps = connected_components(gr.graph);
   for (const auto& comp : comps.groups()) {
     if (comp.size() <= 2) continue;  // tiny components are Gallai trees
-    std::vector<char> comp_mask(static_cast<std::size_t>(nr), 0);
-    for (Vertex x : comp) comp_mask[static_cast<std::size_t>(x)] = 1;
-    const InducedSubgraph cg = induce(gr.graph, comp);
+    // The unbounded ball around the least vertex is the whole component.
+    Vertex ecc = 0;
     // Fast path (2): a Gallai-tree component has only Gallai balls.
-    if (all_blocks_clique_or_odd_cycle(block_decomposition(cg.graph)))
-      continue;
+    if (!scratch.ball_non_gallai(comp[0], -1, &ecc)) continue;
     // Fast path (3): shallow component — every ball is the whole component,
     // which is non-Gallai, so everyone is happy.
-    const Vertex ecc = eccentricity(cg.graph, 0);
     if (2 * ecc <= rho) {
       for (Vertex x : comp) happy_gr[static_cast<std::size_t>(x)] = 1;
       continue;
@@ -134,13 +223,13 @@ HappyAnalysis compute_happy_set_general(const Graph& g,
       std::vector<Vertex> witnesses;
       for (Vertex x : comp) {
         if (happy_gr[static_cast<std::size_t>(x)]) continue;
-        if (ball_non_gallai(gr.graph, comp_mask, x, rr)) {
+        if (scratch.ball_non_gallai(x, rr)) {
           witnesses.push_back(x);
           happy_gr[static_cast<std::size_t>(x)] = 1;
         }
       }
       // Propagate: every vertex within rho - rr of a witness is happy.
-      mark_within(gr.graph, witnesses, rho - rr, happy_gr);
+      scratch.mark_within(witnesses, rho - rr, happy_gr);
       if (rr == rho) break;
     }
   }

@@ -19,17 +19,58 @@ RulingForest ruling_forest(const Graph& g, const std::vector<char>& in_u,
   out.alpha = alpha;
   out.depth_bound = alpha * bits;
 
-  // --- Ruling set by bit elimination. ---
-  // One dist/queue pair serves every bit: each BFS leaves exactly the
-  // vertices on its queue marked, and only those are reset.
-  std::vector<char> alive = in_u;
-  std::int64_t schedule = 0;
+  // --- Short components: the bit elimination in closed form. ---
+  // One BFS pass finds each component C and the eccentricity e of its
+  // least vertex. When 2e <= alpha - 1 every pair of C is within
+  // alpha - 1, so at each bit the truncated BFS from C's alive zero-bit
+  // candidates reaches all of C's alive one-bit candidates: a bit with
+  // both kinds alive keeps exactly the zero-bit ones. The lone survivor is
+  // the candidate that wins every comparison at the lowest differing id
+  // bit (a 0 there wins). Only the U-vertices of the remaining long
+  // components run the bit loop below.
+  std::vector<char> alive(static_cast<std::size_t>(n), 0);
+  std::vector<Vertex> long_candidates;
   std::vector<Vertex> dist(static_cast<std::size_t>(n), -1);
   std::vector<Vertex> queue;
+  for (Vertex s = 0; s < n; ++s) {
+    if (dist[static_cast<std::size_t>(s)] >= 0) continue;
+    queue.clear();
+    queue.push_back(s);
+    dist[static_cast<std::size_t>(s)] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const Vertex x = queue[head];
+      for (Vertex y : g.neighbors(x)) {
+        if (dist[static_cast<std::size_t>(y)] < 0) {
+          dist[static_cast<std::size_t>(y)] = dist[static_cast<std::size_t>(x)] + 1;
+          queue.push_back(y);
+        }
+      }
+    }
+    const Vertex ecc = dist[static_cast<std::size_t>(queue.back())];
+    if (2 * static_cast<std::int64_t>(ecc) <= alpha - 1) {
+      Vertex survivor = -1;
+      for (Vertex v : queue) {
+        if (!in_u[static_cast<std::size_t>(v)]) continue;
+        const Vertex diff = v ^ survivor;
+        if (survivor < 0 || (survivor & diff & -diff) != 0) survivor = v;
+      }
+      if (survivor >= 0) alive[static_cast<std::size_t>(survivor)] = 1;
+    } else {
+      for (Vertex v : queue)
+        if (in_u[static_cast<std::size_t>(v)]) long_candidates.push_back(v);
+    }
+  }
+  std::fill(dist.begin(), dist.end(), -1);
+  for (Vertex v : long_candidates) alive[static_cast<std::size_t>(v)] = 1;
+
+  // --- Long components: ruling set by bit elimination. ---
+  // One dist/queue pair serves every bit: each BFS leaves exactly the
+  // vertices on its queue marked, and only those are reset.
+  std::int64_t schedule = 0;
   for (int b = 0; b < bits; ++b) {
     queue.clear();
     bool has_one = false;
-    for (Vertex v = 0; v < n; ++v) {
+    for (Vertex v : long_candidates) {
       if (!alive[static_cast<std::size_t>(v)]) continue;
       if ((v >> b) & 1)
         has_one = true;
@@ -51,10 +92,11 @@ RulingForest ruling_forest(const Graph& g, const std::vector<char>& in_u,
         }
       }
     }
-    // Per-vertex elimination is independent (reads dist, writes own flag).
-    parallel_for_index(exec, static_cast<std::size_t>(n), [&](std::size_t i) {
-      const Vertex v = static_cast<Vertex>(i);
-      if (alive[i] && ((v >> b) & 1) && dist[i] >= 0) alive[i] = 0;
+    // Per-candidate elimination is independent (reads dist, writes own flag).
+    parallel_for_index(exec, long_candidates.size(), [&](std::size_t i) {
+      const Vertex v = long_candidates[i];
+      const auto vi = static_cast<std::size_t>(v);
+      if (alive[vi] && ((v >> b) & 1) && dist[vi] >= 0) alive[vi] = 0;
     });
     for (Vertex x : queue) dist[static_cast<std::size_t>(x)] = -1;
   }

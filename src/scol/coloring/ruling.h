@@ -6,6 +6,10 @@
 // candidate with bit 0 is within distance < alpha. Final survivors are
 // pairwise >= alpha apart, and every U-vertex is within alpha*ceil(log2 n)
 // of a survivor (each drop moves the "ruler" by < alpha, once per bit).
+// A component whose diameter is provably below alpha (twice the
+// eccentricity of its least vertex is <= alpha - 1) eliminates to one
+// known survivor, computed in closed form; only longer components run the
+// per-bit BFS.
 //
 // Ruling forest: the truncated BFS forest grown from the survivors. This
 // yields vertex-disjoint trees (BFS forest), roots = survivors (subset of

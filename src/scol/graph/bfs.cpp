@@ -71,13 +71,6 @@ std::vector<Vertex> ball_within(const Graph& g, const std::vector<char>& mask,
   return order;
 }
 
-Vertex eccentricity(const Graph& g, Vertex v) {
-  const auto dist = bfs_distances(g, v);
-  Vertex ecc = 0;
-  for (Vertex d : dist) ecc = std::max(ecc, d);
-  return ecc;
-}
-
 std::vector<Vertex> bfs_parents(const Graph& g, Vertex source) {
   SCOL_REQUIRE(g.valid(source));
   std::vector<Vertex> parent(static_cast<std::size_t>(g.num_vertices()), -1);

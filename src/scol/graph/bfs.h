@@ -1,5 +1,5 @@
 // Breadth-first search utilities: distances, truncated balls, multi-source
-// BFS, eccentricity. These back both the sequential substrate and the LOCAL
+// BFS. These back both the sequential substrate and the LOCAL
 // ball-collection oracle.
 #pragma once
 
@@ -25,9 +25,6 @@ std::vector<Vertex> ball(const Graph& g, Vertex v, Vertex radius);
 /// B_R(v) is empty iff v is not in R.
 std::vector<Vertex> ball_within(const Graph& g, const std::vector<char>& mask,
                                 Vertex v, Vertex radius);
-
-/// Eccentricity of v within its connected component (max distance).
-Vertex eccentricity(const Graph& g, Vertex v);
 
 /// BFS tree parents from source (-1 for source and unreachable vertices).
 std::vector<Vertex> bfs_parents(const Graph& g, Vertex source);

@@ -103,16 +103,24 @@ BlockDecomposition block_decomposition(const Graph& g) {
   return out;
 }
 
+bool block_is_clique(std::int64_t vertices, std::int64_t edges) {
+  return edges == vertices * (vertices - 1) / 2;
+}
+
+bool block_is_odd_cycle(std::int64_t vertices, std::int64_t edges) {
+  // A 2-connected graph with as many edges as vertices is exactly a cycle;
+  // single-edge blocks (k = 2, e = 1) are not cycles.
+  return vertices >= 3 && edges == vertices && (vertices % 2 == 1);
+}
+
 bool block_is_clique(const Block& b) {
-  const std::int64_t k = static_cast<std::int64_t>(b.vertices.size());
-  return b.num_edges == k * (k - 1) / 2;
+  return block_is_clique(static_cast<std::int64_t>(b.vertices.size()),
+                         b.num_edges);
 }
 
 bool block_is_odd_cycle(const Block& b) {
-  const std::int64_t k = static_cast<std::int64_t>(b.vertices.size());
-  // A 2-connected graph with as many edges as vertices is exactly a cycle;
-  // single-edge blocks (k = 2, e = 1) are not cycles.
-  return k >= 3 && b.num_edges == k && (k % 2 == 1);
+  return block_is_odd_cycle(static_cast<std::int64_t>(b.vertices.size()),
+                            b.num_edges);
 }
 
 }  // namespace scol

@@ -34,4 +34,9 @@ bool block_is_clique(const Block& b);
 /// clique and an odd cycle).
 bool block_is_odd_cycle(const Block& b);
 
+/// The same two tests on a block's vertex and edge counts alone, for
+/// callers that count blocks without listing them.
+bool block_is_clique(std::int64_t vertices, std::int64_t edges);
+bool block_is_odd_cycle(std::int64_t vertices, std::int64_t edges);
+
 }  // namespace scol

@@ -171,7 +171,7 @@ InducedSubgraph induce(const Graph& g, std::span<const char> keep) {
 }
 
 InducedSubgraph induce(const Graph& g, const std::vector<Vertex>& vertices) {
-  // The happy-set and root-ball paths induce many small balls out of a
+  // The root-ball and block paths induce many small pieces out of a
   // big graph; sorting the k ids directly keeps this overload at
   // O(k log k + k deg) past the unavoidable O(n) relabeling memset,
   // instead of a full keep-mask scan of the graph. The result is

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -388,6 +389,10 @@ int Server::listen_and_serve(int port,
       // thread; anything else is a real socket failure.
       break;
     }
+    // Responses are written as soon as they are ready; without
+    // TCP_NODELAY Nagle's algorithm would hold a short response back until
+    // the client acknowledges the previous one.
+    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections.emplace_back([this, conn, fd] {
       FdStreamBuf buf(conn);
       std::istream in(&buf);

@@ -66,6 +66,40 @@ TEST_P(HappyExactness, MatchesBruteForce) {
                                        << " rho=" << p.rho;
     EXPECT_EQ(fast.num_sad, brute.num_sad);
   }
+  // Structured family. Tori (4-regular) and grid strips at d = 4 form deep
+  // non-Gallai components, so small radii escalate. The disjoint unions
+  // mix Gallai blocks (cliques, odd cycles) with non-Gallai ones (even
+  // cycles, K4 - e), at d = 2 too, where every cycle is rich without a
+  // witness.
+  const auto check = [&](const Graph& g, Vertex d) {
+    const HappyAnalysis fast = compute_happy_set(g, d, p.rho);
+    const HappyAnalysis brute = happy_bruteforce(g, d, p.rho);
+    EXPECT_EQ(fast.happy, brute.happy)
+        << describe(g) << " d=" << d << " rho=" << p.rho;
+    EXPECT_EQ(fast.num_sad, brute.num_sad);
+  };
+  for (int t = 0; t < 3; ++t) {
+    check(torus_grid(4 + static_cast<Vertex>(rng.below(3)),
+                     8 + static_cast<Vertex>(rng.below(24))),
+          4);
+    check(grid(2 + static_cast<Vertex>(rng.below(3)),
+               10 + static_cast<Vertex>(rng.below(30))),
+          4);
+    const Graph k4e =
+        Graph::from_edges(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}});
+    Graph u = k4e;
+    for (int i = 0; i < 6; ++i) {
+      const Vertex k = 3 + static_cast<Vertex>(rng.below(12));
+      switch (rng.below(4)) {
+        case 0: u = disjoint_union(u, complete(2 + k % 5)); break;
+        case 1: u = disjoint_union(u, cycle(k | 1)); break;
+        case 2: u = disjoint_union(u, cycle(k + k % 2)); break;
+        default: u = disjoint_union(u, k4e); break;
+      }
+    }
+    check(u, 2);
+    check(u, p.d);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,7 @@
 #include "scol/coloring/ruling.h"
 #include "scol/gen/lattice.h"
 #include "scol/gen/random.h"
+#include "scol/gen/special.h"
 #include "scol/graph/bfs.h"
 
 namespace scol {
@@ -174,27 +175,95 @@ std::vector<Vertex> oracle_ruling_set(const Graph& g,
   return roots;
 }
 
+// The truncated BFS forest grown from `roots`, as ruling_forest builds it
+// from its survivors.
+RulingForest oracle_forest(const Graph& g, const std::vector<Vertex>& roots,
+                           Vertex depth_bound) {
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  RulingForest f;
+  f.root.assign(n, -1);
+  f.parent.assign(n, -1);
+  f.depth.assign(n, -1);
+  std::vector<Vertex> queue = roots;
+  for (Vertex r : roots) {
+    f.root[static_cast<std::size_t>(r)] = r;
+    f.depth[static_cast<std::size_t>(r)] = 0;
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Vertex x = queue[head];
+    const auto xi = static_cast<std::size_t>(x);
+    if (f.depth[xi] == depth_bound) continue;
+    for (Vertex y : g.neighbors(x)) {
+      const auto yi = static_cast<std::size_t>(y);
+      if (f.root[yi] >= 0) continue;
+      f.root[yi] = f.root[xi];
+      f.parent[yi] = x;
+      f.depth[yi] = f.depth[xi] + 1;
+      f.max_depth = std::max(f.max_depth, f.depth[yi]);
+      queue.push_back(y);
+    }
+  }
+  return f;
+}
+
+// Small components (each far shorter than 64) on both sides of one long
+// path or grid strip (longer than 1098), so a single call with a large
+// alpha runs both the closed form and the per-bit BFS.
+Graph short_pieces_around_strip(Rng& rng) {
+  const auto piece = [&rng]() {
+    const Vertex k = 1 + static_cast<Vertex>(rng.below(12));
+    switch (rng.below(4)) {
+      case 0: return complete(k);
+      case 1: return k >= 3 ? cycle(k) : path(k);
+      case 2: return path(k);
+      default: return gnm(k, static_cast<std::int64_t>(rng.below(k)), rng);
+    }
+  };
+  Graph g = piece();
+  for (int i = static_cast<int>(rng.below(6)); i > 0; --i)
+    g = disjoint_union(g, piece());
+  g = disjoint_union(g, grid(1 + static_cast<Vertex>(rng.below(3)),
+                             600 + static_cast<Vertex>(rng.below(600))));
+  for (int i = static_cast<int>(rng.below(6)); i > 0; --i)
+    g = disjoint_union(g, piece());
+  return g;
+}
+
 TEST(RulingForest, SharedBfsBuffersMatchFreshPerBitOracle) {
-  // Every bit's BFS resets only what the previous one visited; roots,
-  // forest and charged rounds must equal the fresh-buffer computation.
+  // Every bit's BFS resets only what the previous one visited, and
+  // components shorter than alpha skip the bit loop for a closed form;
+  // roots, forest and charged rounds must equal the fresh-buffer
+  // full-graph computation. alpha 64 and 1098 exceed the diameter of most
+  // small components but not of the long strips.
   Rng rng(31);
-  for (int t = 0; t < 24; ++t) {
+  const Vertex alphas[] = {1, 2, 3, 4, 5, 6, 7, 8, 64, 1098};
+  for (int t = 0; t < 48; ++t) {
     const Vertex n = 20 + static_cast<Vertex>(rng.below(300));
     const Graph g =
-        t % 3 == 0 ? grid(1 + static_cast<Vertex>(rng.below(4)), n)
-                   : gnm(n, static_cast<std::int64_t>(rng.below(3 * n)), rng);
+        t % 4 == 0   ? grid(1 + static_cast<Vertex>(rng.below(4)), n)
+        : t % 4 == 3 ? short_pieces_around_strip(rng)
+                     : gnm(n, static_cast<std::int64_t>(rng.below(3 * n)), rng);
     const Vertex nv = g.num_vertices();
     std::vector<char> in_u(static_cast<std::size_t>(nv), 0);
     const double frac = 0.05 + 0.9 * rng.real();
     for (Vertex v = 0; v < nv; ++v)
       in_u[static_cast<std::size_t>(v)] = rng.chance(frac) ? 1 : 0;
-    const Vertex alpha = 1 + static_cast<Vertex>(rng.below(8));
+    // The strip trials take a large alpha so both paths run in one call.
+    const Vertex alpha = t % 4 == 3 ? alphas[8 + (t / 4) % 2]
+                                    : alphas[rng.below(std::size(alphas))];
     RoundLedger ledger;
     Rounds rounds(ledger);
     const RulingForest rf = ruling_forest(g, in_u, alpha, rounds);
-    EXPECT_EQ(rf.roots, oracle_ruling_set(g, in_u, alpha)) << "trial " << t;
+    const std::vector<Vertex> roots = oracle_ruling_set(g, in_u, alpha);
+    EXPECT_EQ(rf.roots, roots) << "trial " << t << " alpha " << alpha;
+    const RulingForest want = oracle_forest(g, roots, rf.depth_bound);
+    EXPECT_EQ(rf.root, want.root) << "trial " << t;
+    EXPECT_EQ(rf.parent, want.parent) << "trial " << t;
+    EXPECT_EQ(rf.depth, want.depth) << "trial " << t;
+    EXPECT_EQ(rf.max_depth, want.max_depth) << "trial " << t;
     int bits = 1;
     while ((std::int64_t{1} << bits) < std::max<Vertex>(nv, 2)) ++bits;
+    EXPECT_EQ(rf.depth_bound, alpha * bits) << "trial " << t;
     EXPECT_EQ(ledger.total(),
               static_cast<std::int64_t>(alpha) * bits + rf.depth_bound)
         << "trial " << t;
