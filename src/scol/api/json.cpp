@@ -171,13 +171,6 @@ void json_escape_to(std::string& out, const std::string& s) {
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  json_escape_to(out, s);
-  return out;
-}
-
 void Json::dump_to(std::string& out, int indent, int depth) const {
   const bool pretty = indent >= 0;
   const char* nl = pretty ? "\n" : "";

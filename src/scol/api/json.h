@@ -92,8 +92,6 @@ class Json {
   void dump_to(std::string& out, int indent, int depth) const;
 };
 
-std::string json_escape(const std::string& s);
-
 /// The ParamBag as a JSON object (insertion order preserved).
 Json to_json(const ParamBag& bag);
 

@@ -27,8 +27,6 @@ struct ColoringRequest {
   Vertex k = -1;                          ///< optional palette-ish parameter
   std::string algorithm;                  ///< AlgorithmRegistry name
   ParamBag params;                        ///< per-algorithm knobs
-
-  bool has_lists() const { return lists != nullptr; }
 };
 
 /// Convenience builders for the two common shapes.

@@ -71,23 +71,4 @@ std::vector<Vertex> ball_within(const Graph& g, const std::vector<char>& mask,
   return order;
 }
 
-std::vector<Vertex> bfs_parents(const Graph& g, Vertex source) {
-  SCOL_REQUIRE(g.valid(source));
-  std::vector<Vertex> parent(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<char> seen(static_cast<std::size_t>(g.num_vertices()), 0);
-  std::vector<Vertex> queue{source};
-  seen[source] = 1;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const Vertex u = queue[head];
-    for (Vertex w : g.neighbors(u)) {
-      if (!seen[w]) {
-        seen[w] = 1;
-        parent[w] = u;
-        queue.push_back(w);
-      }
-    }
-  }
-  return parent;
-}
-
 }  // namespace scol

@@ -26,7 +26,4 @@ std::vector<Vertex> ball(const Graph& g, Vertex v, Vertex radius);
 std::vector<Vertex> ball_within(const Graph& g, const std::vector<char>& mask,
                                 Vertex v, Vertex radius);
 
-/// BFS tree parents from source (-1 for source and unreachable vertices).
-std::vector<Vertex> bfs_parents(const Graph& g, Vertex source);
-
 }  // namespace scol

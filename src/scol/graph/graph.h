@@ -101,15 +101,6 @@ class GraphBuilder {
     edges_.emplace_back(std::min(u, v), std::max(u, v));
   }
 
-  /// True iff {u, v} was added before (linear scan; builder-side checks
-  /// in generators only, never on hot paths).
-  bool has_recorded_edge(Vertex u, Vertex v) const {
-    Edge e{std::min(u, v), std::max(u, v)};
-    for (const auto& f : edges_)
-      if (f == e) return true;
-    return false;
-  }
-
   /// Number of vertices the built graph will have.
   Vertex num_vertices() const { return n_; }
 

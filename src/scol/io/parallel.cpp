@@ -395,8 +395,6 @@ ReadResult read_metis_parallel(const std::string& path, std::string_view text,
 
 }  // namespace
 
-bool parallel_read_supported() { return SCOL_HAVE_MMAP != 0; }
-
 bool try_read_file_parallel(const std::string& path, GraphFormat format,
                             int threads, ReadResult& out) {
 #if SCOL_HAVE_MMAP

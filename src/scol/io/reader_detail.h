@@ -467,10 +467,6 @@ inline Graph finish_edge_list(
 
 // --- Parallel reader entry point (parallel.cpp). -------------------------
 
-/// True when this build can mmap files (POSIX). When false,
-/// read_graph_file silently stays on the streaming reader.
-bool parallel_read_supported();
-
 /// Attempts the mmap chunk-parallel read of `path` (format must be
 /// kEdgeList or kMetis). Returns false — leaving `out` untouched — when
 /// the file cannot be mapped (unsupported platform, empty file, special

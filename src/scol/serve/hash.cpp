@@ -37,11 +37,6 @@ Hasher& Hasher::update(const void* data, std::size_t size) {
   return *this;
 }
 
-Hasher& Hasher::update_str(const std::string& s) {
-  update_u64(s.size());
-  return update(s.data(), s.size());
-}
-
 Digest Hasher::digest() const {
   Digest d;
   d.hi = static_cast<std::uint64_t>(state_ >> 64);

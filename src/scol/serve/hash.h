@@ -47,8 +47,6 @@ class Hasher {
  public:
   Hasher& update(const void* data, std::size_t size);
   Hasher& update_u64(std::uint64_t v) { return update(&v, sizeof(v)); }
-  /// Length-prefixed, so ("ab","c") never collides with ("a","bc").
-  Hasher& update_str(const std::string& s);
   Digest digest() const;
 
  private:

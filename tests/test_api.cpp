@@ -254,6 +254,30 @@ TEST(Solve, ContextBudgetsLedgerAndTelemetry) {
                                      b.ledger.breakdown().size()));
 }
 
+TEST(Solve, ExactNodeBudgetsThroughRegistry) {
+  // node_budget counts search-tree nodes; a 36-vertex search needs more
+  // than 5, so the run ends in a typed failure.
+  const Graph g = grid(6, 6);
+  ColoringRequest exact = make_request("exact", g);
+  exact.k = 3;
+  exact.params.set_int("node_budget", 5);
+  RunContext ctx;
+  const ColoringReport a = solve(exact, ctx);
+  EXPECT_EQ(a.status, SolveStatus::kFailed);
+  EXPECT_EQ(a.failure_reason, "find_k_coloring: budget exceeded");
+
+  // A one-node budget defeats every sampled attempt, so list-sparsified
+  // colours through its full-list fallback.
+  const Graph h = grid(4, 4);
+  const ListAssignment lists = uniform_lists(h.num_vertices(), 2);
+  ColoringRequest sparsified = make_request("list-sparsified", h, lists);
+  sparsified.params.set_int("sparsify_node_budget", 1);
+  const ColoringReport b = solve(sparsified, ctx);
+  ASSERT_EQ(b.status, SolveStatus::kColored) << b.failure_reason;
+  EXPECT_TRUE(is_proper(h, *b.coloring));
+  EXPECT_EQ(b.metrics.get_int("sparsify_fallback", -1), 1);
+}
+
 TEST(Solve, RandomizedSeedDeterminismThroughContext) {
   Rng g_rng(31);
   const Graph g = gnm(80, 140, g_rng);

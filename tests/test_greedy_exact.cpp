@@ -73,13 +73,27 @@ TEST(Exact, ListColoringAgreesWithUniform) {
   for (int t = 0; t < 10; ++t) {
     const Graph g = gnm(12, 24, rng);
     for (Vertex k = 2; k <= 4; ++k) {
-      const bool plain = find_k_coloring(g, k).has_value();
-      const bool listed =
-          find_list_coloring(g, uniform_lists(12, static_cast<Color>(k)))
-              .has_value();
-      EXPECT_EQ(plain, listed) << describe(g) << " k=" << k;
+      // One search with one order: identical lists reproduce the plain
+      // k-coloring exactly, not only its existence.
+      EXPECT_EQ(find_k_coloring(g, k),
+                find_list_coloring(g, uniform_lists(12, static_cast<Color>(k))))
+          << describe(g) << " k=" << k;
     }
   }
+}
+
+TEST(Exact, DeepSearchNeedsNoCallStack) {
+  // One search-tree level per vertex: 10^5 levels would overflow a
+  // recursive solver's default stack.
+  const Vertex n = 100'000;
+  const Graph g = path(n);
+  const auto plain = find_k_coloring(g, 2);
+  ASSERT_TRUE(plain.has_value());
+  expect_proper(g, *plain);
+  const ListAssignment lists = uniform_lists(n, 2);
+  const auto listed = find_list_coloring(g, lists);
+  ASSERT_TRUE(listed.has_value());
+  expect_proper_list_coloring(g, *listed, lists);
 }
 
 TEST(Exact, OddCycleWithTwoListsFails) {

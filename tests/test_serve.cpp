@@ -286,6 +286,23 @@ TEST(Server, OrdersResponsesEchoesIdsRecoversFromGarbage) {
   EXPECT_EQ(r0.get("cache")->get("report")->as_str(), "miss");
 }
 
+TEST(Server, DeepExactSearchBetweenTwoGoodLines) {
+  // exact on pref-attach (n = 65536) is one search-tree level per vertex:
+  // the daemon answers it like any other line, in order.
+  const auto lines = serve({
+      R"({"id":1,"algo":"greedy","gen":"petersen"})",
+      R"({"id":2,"algo":"exact","gen":"pref-attach","k":8})",
+      R"({"id":3,"algo":"greedy","gen":"petersen"})",
+  });
+  ASSERT_EQ(lines.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    const Json r = Json::parse(lines[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(r.get("id")->as_int(), i + 1);
+    ASSERT_TRUE(r.get("ok")->as_bool()) << lines[static_cast<std::size_t>(i)];
+    EXPECT_EQ(r.get("report")->get("status")->as_str(), "colored");
+  }
+}
+
 TEST(Server, StatsShutdownAndHashAddressing) {
   const auto lines = serve({
       R"({"id":1,"algo":"greedy","gen":"petersen"})",
