@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <numeric>
 
-#include "scol/coloring/small_color_set.h"
 #include "scol/graph/bfs.h"
-#include "scol/util/prefetch.h"
 #include "scol/graph/blocks.h"
 #include "scol/graph/components.h"
-#include "scol/graph/gallai.h"
-#include "scol/util/executor.h"
+#include "scol/util/prefetch.h"
 
 namespace scol {
 namespace {
@@ -73,17 +70,6 @@ void greedy_by_decreasing_key(const Graph& g, const std::vector<Vertex>& dist,
   }
 }
 
-// Case 1: surplus vertex w. Colors all uncolored vertices of the connected
-// graph g.
-void color_from_surplus(const Graph& g, Vertex w, const AvailableLists& avail,
-                        Coloring& colors) {
-  const auto dist = bfs_distances(g, w);
-  std::vector<Vertex> targets;
-  for (Vertex v = 0; v < g.num_vertices(); ++v)
-    if (colors[static_cast<std::size_t>(v)] == kUncolored) targets.push_back(v);
-  greedy_by_decreasing_key(g, dist, targets, avail, colors);
-}
-
 // Shrinks avail[x] by the colors of x's colored neighbors (call after
 // coloring a region adjacent to x).
 void shrink_avail(const Graph& g, Vertex x, AvailableLists& avail,
@@ -108,11 +94,10 @@ void color_two_connected(const Graph& b, AvailableLists av, Coloring& out) {
   SCOL_CHECK(n >= 3, + "2-connected block should have >= 3 vertices");
   Coloring colors = empty_coloring(n);
 
-  // (a) surplus vertex.
+  // (a) surplus vertex: Case 1 on b.
   for (Vertex v = 0; v < n; ++v) {
     if (static_cast<Vertex>(av[static_cast<std::size_t>(v)].size()) > b.degree(v)) {
-      color_from_surplus(b, v, av, colors);
-      out = std::move(colors);
+      out = degree_choosable_coloring(b, av);
       return;
     }
   }
@@ -242,43 +227,11 @@ void color_two_connected(const Graph& b, AvailableLists av, Coloring& out) {
       "(graph is a Gallai tree with tight lists)");
 }
 
-}  // namespace
-
-Coloring degree_choosable_coloring(const Graph& g, const AvailableLists& avail,
-                                   const Executor* executor) {
+// Case 2 on connected g with n >= 2, every list tight: peel the block tree
+// toward a non-Gallai block B*, then color B* as a 2-connected graph.
+Coloring tight_coloring(const Graph& g, AvailableLists av) {
   const Vertex n = g.num_vertices();
-  const Executor& exec = resolve_executor(executor);
-  SCOL_REQUIRE(static_cast<Vertex>(avail.size()) == n);
-  SCOL_REQUIRE(n >= 1);
-  SCOL_REQUIRE(is_connected(g), + "input must be connected");
-  parallel_for_index(exec, static_cast<std::size_t>(n), [&](std::size_t i) {
-    SCOL_REQUIRE(std::is_sorted(avail[i].begin(), avail[i].end()),
-                 + "avail lists must be sorted");
-    SCOL_REQUIRE(static_cast<Vertex>(avail[i].size()) >=
-                     g.degree(static_cast<Vertex>(i)),
-                 + "need |avail(v)| >= deg(v)");
-  });
-
   Coloring colors = empty_coloring(n);
-  if (n == 1) {
-    SCOL_REQUIRE(!avail[0].empty(), + "need at least one color");
-    colors[0] = avail[0][0];
-    return colors;
-  }
-
-  // Case 1: global surplus vertex — the SMALLEST one, so the parallel scan
-  // (min-reduction over chunks) picks the same vertex as the serial scan.
-  const std::size_t surplus =
-      parallel_min_index(exec, static_cast<std::size_t>(n), [&](std::size_t i) {
-        return static_cast<Vertex>(avail[i].size()) >
-               g.degree(static_cast<Vertex>(i));
-      });
-  if (surplus < static_cast<std::size_t>(n)) {
-    color_from_surplus(g, static_cast<Vertex>(surplus), avail, colors);
-    return colors;
-  }
-
-  // Case 2: all tight; peel the block tree toward a non-Gallai block B*.
   const BlockDecomposition dec = block_decomposition(g);
   Vertex target_block = -1;
   for (std::size_t i = 0; i < dec.blocks.size(); ++i) {
@@ -291,8 +244,6 @@ Coloring degree_choosable_coloring(const Graph& g, const AvailableLists& avail,
     throw PreconditionError(
         "degree_choosable_coloring: Gallai tree with tight lists is not "
         "degree-choosable");
-
-  AvailableLists av = avail;
 
   // Order blocks by decreasing distance from B* in the block tree. Build
   // the block tree over (block, cut-vertex) incidences.
@@ -373,6 +324,150 @@ Coloring degree_choosable_coloring(const Graph& g, const AvailableLists& avail,
         sub_colors[static_cast<std::size_t>(x)];
 
   return colors;
+}
+
+}  // namespace
+
+BallColorer::BallColorer(const Graph& host)
+    : host_(host), local_(static_cast<std::size_t>(host.num_vertices()), -1) {}
+
+void BallColorer::begin(std::span<const Vertex> members) {
+  for (std::size_t i = 0; i < members.size(); ++i)
+    SCOL_REQUIRE(host_.valid(members[i]) &&
+                     (i == 0 || members[i - 1] < members[i]),
+                 + "piece members must be strictly ascending host ids");
+  for (Vertex x : members_) local_[static_cast<std::size_t>(x)] = -1;
+  members_.assign(members.begin(), members.end());
+  for (std::size_t i = 0; i < members_.size(); ++i)
+    local_[static_cast<std::size_t>(members_[i])] = static_cast<Vertex>(i);
+  degree_.assign(members_.size(), 0);
+  for (std::size_t i = 0; i < members_.size(); ++i)
+    for (Vertex y : host_.neighbors(members_[i]))
+      if (local_[static_cast<std::size_t>(y)] >= 0) ++degree_[i];
+  list_off_.assign(1, 0);
+  list_colors_.clear();
+}
+
+void BallColorer::end_list() {
+  SCOL_REQUIRE(list_off_.size() <= members_.size(), + "one list per member");
+  SCOL_REQUIRE(std::is_sorted(list_colors_.begin() +
+                                  static_cast<std::ptrdiff_t>(list_off_.back()),
+                              list_colors_.end()),
+               + "avail lists must be sorted");
+  list_off_.push_back(list_colors_.size());
+}
+
+std::span<const Color> BallColorer::list(std::size_t i) const {
+  return {list_colors_.data() + list_off_[i], list_off_[i + 1] - list_off_[i]};
+}
+
+// BFS over the piece from local id `root`: dist_ and queue_ (BFS order).
+void BallColorer::bfs_from(Vertex root) {
+  dist_.assign(members_.size(), -1);
+  queue_.assign(1, root);
+  dist_[static_cast<std::size_t>(root)] = 0;
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const Vertex x = queue_[head];
+    for (Vertex y : host_.neighbors(members_[static_cast<std::size_t>(x)])) {
+      const Vertex ly = local_[static_cast<std::size_t>(y)];
+      if (ly >= 0 && dist_[static_cast<std::size_t>(ly)] < 0) {
+        dist_[static_cast<std::size_t>(ly)] =
+            dist_[static_cast<std::size_t>(x)] + 1;
+        queue_.push_back(ly);
+      }
+    }
+  }
+  SCOL_REQUIRE(queue_.size() == members_.size(), + "input must be connected");
+}
+
+// Case 1: colors the piece greedily by (distance from surplus vertex w
+// desc, local id asc). Every vertex but w still has its uncolored BFS
+// parent at its turn, and w has spare capacity, so each finds a free color.
+void BallColorer::color_from_surplus(Vertex w) {
+  bfs_from(w);
+  const std::size_t k = members_.size();
+  const Vertex max_dist = dist_[static_cast<std::size_t>(queue_.back())];
+  // Bucket max_dist - dist[x] holds x; filling buckets in ascending x
+  // turns queue_ into the greedy order.
+  const auto bucket = [&](std::size_t x) {
+    return static_cast<std::size_t>(max_dist - dist_[x]);
+  };
+  bucket_start_.assign(static_cast<std::size_t>(max_dist) + 2, 0);
+  for (std::size_t x = 0; x < k; ++x) ++bucket_start_[bucket(x) + 1];
+  for (std::size_t b = 1; b < bucket_start_.size(); ++b)
+    bucket_start_[b] += bucket_start_[b - 1];
+  for (std::size_t x = 0; x < k; ++x)
+    queue_[bucket_start_[bucket(x)]++] = static_cast<Vertex>(x);
+  for (Vertex x : queue_) {
+    forbidden_.clear();
+    for (Vertex y : host_.neighbors(members_[static_cast<std::size_t>(x)])) {
+      const Vertex ly = local_[static_cast<std::size_t>(y)];
+      if (ly >= 0 && colors_[static_cast<std::size_t>(ly)] != kUncolored)
+        forbidden_.insert(colors_[static_cast<std::size_t>(ly)]);
+    }
+    Color pick = kUncolored;
+    for (Color c : list(static_cast<std::size_t>(x))) {
+      if (!forbidden_.contains(c)) {
+        pick = c;
+        break;
+      }
+    }
+    SCOL_CHECK(pick != kUncolored, + "greedy order must leave a free color");
+    colors_[static_cast<std::size_t>(x)] = pick;
+  }
+}
+
+// Case 2: the only path that builds a graph for the piece (none when the
+// piece is the whole host).
+void BallColorer::color_tight() {
+  const std::size_t k = members_.size();
+  AvailableLists avail(k);
+  for (std::size_t i = 0; i < k; ++i)
+    avail[i].assign(list(i).begin(), list(i).end());
+  const Coloring c =
+      k == static_cast<std::size_t>(host_.num_vertices())
+          ? tight_coloring(host_, std::move(avail))
+          : tight_coloring(induce(host_, members_).graph, std::move(avail));
+  std::copy(c.begin(), c.end(), colors_.begin());
+}
+
+std::span<const Color> BallColorer::color() {
+  const std::size_t k = members_.size();
+  SCOL_REQUIRE(list_off_.size() == k + 1, + "one list per member");
+  std::size_t surplus = k;  // the SMALLEST surplus vertex
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto size = static_cast<Vertex>(list_off_[i + 1] - list_off_[i]);
+    SCOL_REQUIRE(size >= degree_[i], + "need |avail(v)| >= deg(v)");
+    if (surplus == k && size > degree_[i]) surplus = i;
+  }
+  colors_.assign(k, kUncolored);
+  if (k == 1) {
+    SCOL_REQUIRE(!list(0).empty(), + "need at least one color");
+    colors_[0] = list(0)[0];
+  } else if (surplus < k) {
+    color_from_surplus(static_cast<Vertex>(surplus));
+  } else if (k > 1) {  // all tight
+    bfs_from(0);  // block decomposition needs a connected piece
+    color_tight();
+  }
+  return colors_;
+}
+
+Coloring degree_choosable_coloring(const Graph& g, const AvailableLists& avail,
+                                   const Executor* /*executor*/) {
+  const Vertex n = g.num_vertices();
+  SCOL_REQUIRE(static_cast<Vertex>(avail.size()) == n);
+  SCOL_REQUIRE(n >= 1);
+  std::vector<Vertex> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
+  BallColorer kernel(g);
+  kernel.begin(all);
+  for (const auto& list : avail) {
+    for (Color c : list) kernel.push_color(c);
+    kernel.end_list();
+  }
+  const std::span<const Color> c = kernel.color();
+  return Coloring(c.begin(), c.end());
 }
 
 }  // namespace scol

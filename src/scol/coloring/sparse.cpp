@@ -6,7 +6,6 @@
 #include "scol/coloring/kcoloring.h"
 #include "scol/coloring/ruling.h"
 #include "scol/coloring/small_color_set.h"
-#include "scol/graph/bfs.h"
 #include "scol/graph/cliques.h"
 #include "scol/util/prefetch.h"
 
@@ -201,69 +200,95 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
   rounds.charge("sweep", static_cast<std::int64_t>(rf.depth_bound) * (d + 1));
 
   // --- Root balls: uncolor and finish with constructive Theorem 1.1. ---
-  std::vector<std::vector<Vertex>> balls;  // gr ids
+  // One pass over G_i[R]. Each ball grows layer by layer with its own id
+  // in ball_of as the visited mark, so meeting another ball's id is an
+  // overlap. One counting pass then lays the balls out flat, each in
+  // ascending gr id (the local id order of the induced ball), and one
+  // BallColorer colors them in turn at O(ball) cost each.
+  const std::size_t num_balls = rf.roots.size();
   std::vector<Vertex> ball_of(static_cast<std::size_t>(nr), -1);
-  for (std::size_t ri = 0; ri < rf.roots.size(); ++ri) {
-    std::vector<Vertex> b = ball(gr.graph, rf.roots[ri], rho);
-    for (Vertex x : b) {
-      SCOL_CHECK(ball_of[static_cast<std::size_t>(x)] < 0,
-                 + "root balls must be disjoint");
-      ball_of[static_cast<std::size_t>(x)] = static_cast<Vertex>(ri);
+  std::vector<Vertex> queue;
+  for (std::size_t ri = 0; ri < num_balls; ++ri) {
+    const Vertex id = static_cast<Vertex>(ri);
+    const Vertex root = rf.roots[ri];
+    SCOL_CHECK(ball_of[static_cast<std::size_t>(root)] < 0,
+               + "root balls must be disjoint");
+    ball_of[static_cast<std::size_t>(root)] = id;
+    queue.assign(1, root);
+    std::size_t head = 0;
+    for (Vertex dist = 0; dist < rho && head < queue.size(); ++dist) {
+      const std::size_t layer_end = queue.size();
+      for (; head < layer_end; ++head) {
+        for (Vertex y : gr.graph.neighbors(queue[head])) {
+          if (ball_of[static_cast<std::size_t>(y)] == id) continue;
+          SCOL_CHECK(ball_of[static_cast<std::size_t>(y)] < 0,
+                     + "root balls must be disjoint");
+          ball_of[static_cast<std::size_t>(y)] = id;
+          queue.push_back(y);
+        }
+      }
     }
-    balls.push_back(std::move(b));
   }
-  // Non-adjacency between distinct balls.
+  // Ball b will span [ball_off[b], ball_off[b + 1]) of `members`.
+  std::vector<std::size_t> ball_off(num_balls + 2, 0);
   for (Vertex x = 0; x < nr; ++x) {
-    if (ball_of[static_cast<std::size_t>(x)] < 0) continue;
+    const Vertex b = ball_of[static_cast<std::size_t>(x)];
+    if (b < 0) continue;
     for (Vertex y : gr.graph.neighbors(x)) {
       SCOL_CHECK(ball_of[static_cast<std::size_t>(y)] < 0 ||
-                     ball_of[static_cast<std::size_t>(y)] ==
-                         ball_of[static_cast<std::size_t>(x)],
+                     ball_of[static_cast<std::size_t>(y)] == b,
                  + "root balls must be pairwise non-adjacent");
     }
+    ++ball_off[static_cast<std::size_t>(b) + 2];
+    colors[static_cast<std::size_t>(
+        gr.to_original[static_cast<std::size_t>(x)])] = kUncolored;
   }
-  for (const auto& b : balls)
-    for (Vertex x : b)
-      colors[static_cast<std::size_t>(
-          gr.to_original[static_cast<std::size_t>(x)])] = kUncolored;
+  for (std::size_t b = 2; b < ball_off.size(); ++b)
+    ball_off[b] += ball_off[b - 1];
+  std::vector<Vertex> members(ball_off.back());
+  for (Vertex x = 0; x < nr; ++x) {
+    const Vertex b = ball_of[static_cast<std::size_t>(x)];
+    if (b >= 0) members[ball_off[static_cast<std::size_t>(b) + 1]++] = x;
+  }
 
-  for (const auto& b : balls) {
-    const InducedSubgraph bg = induce(gr.graph, b);
-    AvailableLists avail(static_cast<std::size_t>(bg.graph.num_vertices()));
-    for (Vertex bx = 0; bx < bg.graph.num_vertices(); ++bx) {
-      const Vertex x = bg.to_original[static_cast<std::size_t>(bx)];  // gr id
-      const Vertex v = gr.to_original[static_cast<std::size_t>(x)];
+  BallColorer balls(gr.graph);
+  for (std::size_t bi = 0; bi < num_balls; ++bi) {
+    const std::span<const Vertex> b(members.data() + ball_off[bi],
+                                    ball_off[bi + 1] - ball_off[bi]);
+    balls.begin(b);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      const Vertex v = gr.to_original[static_cast<std::size_t>(b[i])];
       forbidden.clear();
       const auto nbv = g.neighbors(v);
-      for (std::size_t i = 0; i < nbv.size(); ++i) {
-        if (i + kPrefetchAhead < nbv.size())
+      for (std::size_t j = 0; j < nbv.size(); ++j) {
+        if (j + kPrefetchAhead < nbv.size())
           SCOL_PREFETCH_RO(
-              &colors[static_cast<std::size_t>(nbv[i + kPrefetchAhead])]);
-        const Vertex w = nbv[i];
+              &colors[static_cast<std::size_t>(nbv[j + kPrefetchAhead])]);
+        const Vertex w = nbv[j];
         if (!level.alive[static_cast<std::size_t>(w)]) continue;
         const Color cw = colors[static_cast<std::size_t>(w)];
         if (cw != kUncolored) forbidden.insert(cw);
       }
       // Only the first deg_ball(x) + 1 free colors are kept. A tight list
       // (|avail| == deg) is never cut, a surplus list stays a surplus list,
-      // and every greedy pick in degree_choosable_coloring sees at most
-      // deg_ball(x) colored neighbors, so the coloring is unchanged.
-      auto& out = avail[static_cast<std::size_t>(bx)];
+      // and every greedy pick of Theorem 1.1 sees at most deg_ball(x)
+      // colored neighbors, so the coloring is unchanged.
       const auto lv = lists.of(v);
-      const std::size_t keep =
-          static_cast<std::size_t>(bg.graph.degree(bx)) + 1;
-      out.reserve(std::min(lv.size(), keep));
-      for (std::size_t i = 0; i < lv.size() && out.size() < keep; ++i)
-        if (!forbidden.contains(lv[i])) out.push_back(lv[i]);
-      SCOL_CHECK(static_cast<Vertex>(out.size()) >= bg.graph.degree(bx),
+      const Vertex keep = balls.degree(i) + 1;
+      Vertex len = 0;
+      for (std::size_t j = 0; j < lv.size() && len < keep; ++j) {
+        if (forbidden.contains(lv[j])) continue;
+        balls.push_color(lv[j]);
+        ++len;
+      }
+      balls.end_list();
+      SCOL_CHECK(len >= balls.degree(i),
                  + "ball lists must cover ball degrees (Obs. 5.1)");
     }
-    const Coloring bc = degree_choosable_coloring(bg.graph, avail, &exec);
-    for (Vertex bx = 0; bx < bg.graph.num_vertices(); ++bx) {
-      const Vertex v = gr.to_original[static_cast<std::size_t>(
-          bg.to_original[static_cast<std::size_t>(bx)])];
-      colors[static_cast<std::size_t>(v)] = bc[static_cast<std::size_t>(bx)];
-    }
+    const std::span<const Color> bc = balls.color();
+    for (std::size_t i = 0; i < b.size(); ++i)
+      colors[static_cast<std::size_t>(
+          gr.to_original[static_cast<std::size_t>(b[i])])] = bc[i];
   }
   rounds.charge("ert-balls", 2 * static_cast<std::int64_t>(rho) + 2);
 

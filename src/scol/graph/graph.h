@@ -132,10 +132,11 @@ InducedSubgraph induce(const Graph& g, std::span<const char> keep);
 
 /// Induced subgraph on an explicit vertex set (need not be sorted; must not
 /// contain duplicates). Past the O(n) relabeling memset this costs only
-/// O(k log k + sum deg over the kept vertices), so inducing small pieces
-/// out of a big graph — Lemma 3.2's root balls, Theorem 1.1's blocks —
-/// stays proportional to their size. Result is identical to the mask
-/// overload (vertices ordered by original id).
+/// O(k log k + sum deg over the kept vertices). Theorem 1.1 induces its
+/// blocks and its all-tight pieces this way; a caller with many small
+/// pieces of one graph should keep its own relabel scratch instead, as
+/// `BallColorer` does. Result is identical to the mask overload
+/// (vertices ordered by original id).
 InducedSubgraph induce(const Graph& g, const std::vector<Vertex>& vertices);
 
 /// Relabels vertices by `perm` (new id of v is perm[v]); perm must be a

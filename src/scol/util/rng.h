@@ -44,11 +44,12 @@ class Rng {
   /// Uniform integer in [0, bound). bound must be positive.
   std::uint64_t below(std::uint64_t bound) {
     SCOL_CHECK(bound > 0);
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = -bound % bound;
+    // Rejection sampling to avoid modulo bias: reject r below the
+    // threshold (2^64 - bound) % bound. The threshold is below bound, so
+    // a draw r >= bound is accepted without computing it.
     for (;;) {
       const std::uint64_t r = next();
-      if (r >= threshold) return r % bound;
+      if (r >= bound || r >= -bound % bound) return r % bound;
     }
   }
 

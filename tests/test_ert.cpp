@@ -3,11 +3,16 @@
 // cases, block-tree peeling, and the classical negative cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <optional>
+
 #include "scol/coloring/ert.h"
 #include "scol/coloring/exact.h"
 #include "scol/gen/lattice.h"
 #include "scol/gen/random.h"
 #include "scol/gen/special.h"
+#include "scol/graph/bfs.h"
 #include "scol/graph/gallai.h"
 #include "scol/local/validate.h"
 
@@ -165,6 +170,142 @@ TEST(Ert, ListTooSmallRejected) {
   const Graph k3 = complete(3);
   AvailableLists avail{{0}, {0, 1}, {0, 1}};
   EXPECT_THROW(degree_choosable_coloring(k3, avail), PreconditionError);
+}
+
+// Case 1 as the proof states it, on a whole graph: take the smallest
+// surplus vertex w, then color greedily by (distance from w desc, id asc).
+Coloring textbook_case1(const Graph& g, const AvailableLists& avail) {
+  const Vertex n = g.num_vertices();
+  Vertex w = 0;
+  while (static_cast<Vertex>(avail[static_cast<std::size_t>(w)].size()) <=
+         g.degree(w))
+    ++w;
+  const std::vector<Vertex> dist = bfs_distances(g, w);
+  std::vector<Vertex> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](Vertex a, Vertex b) {
+    const Vertex da = dist[static_cast<std::size_t>(a)];
+    const Vertex db = dist[static_cast<std::size_t>(b)];
+    return da != db ? da > db : a < b;
+  });
+  Coloring c = empty_coloring(n);
+  for (Vertex v : order) {
+    for (Color x : avail[static_cast<std::size_t>(v)]) {
+      bool used = false;
+      for (Vertex u : g.neighbors(v))
+        used |= c[static_cast<std::size_t>(u)] == x;
+      if (!used) {
+        c[static_cast<std::size_t>(v)] = x;
+        break;
+      }
+    }
+  }
+  return c;
+}
+
+// A connected piece of `host`: the first `size` vertices of a BFS from a
+// random start, ascending.
+std::vector<Vertex> random_piece(const Graph& host, Vertex size, Rng& rng) {
+  const Vertex start = static_cast<Vertex>(
+      rng.below(static_cast<std::uint64_t>(host.num_vertices())));
+  std::vector<Vertex> piece = ball(host, start, host.num_vertices());
+  piece.resize(std::min(piece.size(), static_cast<std::size_t>(size)));
+  std::sort(piece.begin(), piece.end());
+  return piece;
+}
+
+// A random sorted list of `size` colors out of [0, palette).
+std::vector<Color> random_list(Vertex size, Color palette, Rng& rng) {
+  std::vector<Color> all(static_cast<std::size_t>(palette));
+  std::iota(all.begin(), all.end(), 0);
+  rng.shuffle(all);
+  all.resize(static_cast<std::size_t>(size));
+  std::sort(all.begin(), all.end());
+  return all;
+}
+
+enum class Shape { kSurplus, kTight, kSingleton };
+
+TEST(BallColorer, MatchesDegreeChoosableOnInducedPiece) {
+  Rng rng(331);
+  const Graph hosts[] = {random_regular(80, 4, rng), grid(9, 9),
+                         gnm(70, 150, rng), torus_grid(6, 8)};
+  int tight_colored = 0, surplus_colored = 0;
+  for (const Graph& host : hosts) {
+    // One kernel for every piece of the host: overlapping pieces in a row
+    // catch scratch that is not reset between pieces.
+    BallColorer kernel(host);
+    const Color palette = static_cast<Color>(host.max_degree() + 4);
+    for (int t = 0; t < 60; ++t) {
+      const Shape shape = static_cast<Shape>(t % 3);
+      const Vertex size =
+          shape == Shape::kSingleton
+              ? 1
+              : static_cast<Vertex>(2 + rng.below(static_cast<std::uint64_t>(
+                                            host.num_vertices() - 1)));
+      const std::vector<Vertex> piece = random_piece(host, size, rng);
+      const InducedSubgraph sub = induce(host, piece);
+      AvailableLists avail(piece.size());
+      const std::size_t extra_at = rng.below(piece.size());
+      for (std::size_t i = 0; i < piece.size(); ++i) {
+        Vertex len = sub.graph.degree(static_cast<Vertex>(i));
+        if (shape == Shape::kSingleton)
+          len = 1 + static_cast<Vertex>(rng.below(3));
+        if (shape == Shape::kSurplus && (i == extra_at || rng.chance(0.3)))
+          ++len;
+        avail[i] = random_list(len, palette, rng);
+      }
+      std::optional<Coloring> expected;
+      try {
+        expected = degree_choosable_coloring(sub.graph, avail);
+      } catch (const PreconditionError&) {
+      }
+      kernel.begin(piece);
+      for (std::size_t i = 0; i < piece.size(); ++i) {
+        EXPECT_EQ(kernel.degree(i), sub.graph.degree(static_cast<Vertex>(i)));
+        for (Color c : avail[i]) kernel.push_color(c);
+        kernel.end_list();
+      }
+      if (!expected) {
+        EXPECT_THROW(kernel.color(), PreconditionError);
+        continue;
+      }
+      const std::span<const Color> got = kernel.color();
+      EXPECT_EQ(Coloring(got.begin(), got.end()), *expected);
+      check(sub.graph, avail, *expected);
+      if (shape == Shape::kSurplus) {
+        EXPECT_EQ(*expected, textbook_case1(sub.graph, avail));
+        ++surplus_colored;
+      }
+      if (shape == Shape::kTight) ++tight_colored;
+    }
+  }
+  // Every shape is exercised, the block-tree path included.
+  EXPECT_GT(tight_colored, 10);
+  EXPECT_EQ(surplus_colored, 80);
+}
+
+TEST(BallColorer, RejectsBadPiecesAndLists) {
+  const Graph host = grid(3, 3);
+  BallColorer kernel(host);
+  EXPECT_THROW(kernel.begin(std::vector<Vertex>{1, 0}), PreconditionError);
+  EXPECT_THROW(kernel.begin(std::vector<Vertex>{0, 9}), PreconditionError);
+  // Vertices 0 and 8 are corners: not connected inside the piece.
+  kernel.begin(std::vector<Vertex>{0, 8});
+  for (int i = 0; i < 2; ++i) {
+    kernel.push_color(0);
+    kernel.end_list();
+  }
+  EXPECT_THROW(kernel.color(), PreconditionError);
+  kernel.begin(std::vector<Vertex>{0, 1});
+  kernel.push_color(1);
+  kernel.push_color(0);
+  EXPECT_THROW(kernel.end_list(), PreconditionError);
+  kernel.begin(std::vector<Vertex>{0, 1});
+  kernel.end_list();
+  kernel.push_color(0);
+  kernel.end_list();
+  EXPECT_THROW(kernel.color(), PreconditionError);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // families (gen/scale.h), edge-count exactness, degree-distribution
 // shape, per-seed determinism, and campaign JSONL bit-identity across
 // job counts.
+#include <array>
 #include <cmath>
 #include <gtest/gtest.h>
 
@@ -75,6 +76,34 @@ TEST(Gen, StackedTriangulationIsMaximalPlanar) {
   EXPECT_TRUE(is_planar(g));
   EXPECT_TRUE(is_connected(g));
   EXPECT_LT(maximum_average_degree(g).value(), 6.0);
+}
+
+// The textbook construction: an array of faces, the chosen one erased.
+Graph erasing_stacked_triangulation(Vertex n, Rng& rng) {
+  std::vector<Edge> edges{{0, 1}, {1, 2}, {0, 2}};
+  std::vector<std::array<Vertex, 3>> faces{{0, 1, 2}, {0, 1, 2}};
+  for (Vertex v = 3; v < n; ++v) {
+    const std::size_t f = rng.below(faces.size());
+    const std::array<Vertex, 3> tri = faces[f];
+    faces.erase(faces.begin() + static_cast<std::ptrdiff_t>(f));
+    for (Vertex corner : tri) edges.emplace_back(corner, v);
+    faces.push_back({tri[0], tri[1], v});
+    faces.push_back({tri[1], tri[2], v});
+    faces.push_back({tri[0], tri[2], v});
+  }
+  return Graph::from_edges(n, edges);
+}
+
+TEST(Gen, StackedTriangulationMatchesErasingOracle) {
+  for (const Vertex n : {3, 4, 5, 100, 5000}) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      Rng a(seed), b(seed);
+      const Graph fast = random_stacked_triangulation(n, a);
+      const Graph oracle = erasing_stacked_triangulation(n, b);
+      EXPECT_EQ(fast.edges(), oracle.edges()) << "n " << n << " seed " << seed;
+      EXPECT_EQ(a.next(), b.next()) << "n " << n << " seed " << seed;
+    }
+  }
 }
 
 TEST(Gen, GridRandomDiagonalsDegrees) {

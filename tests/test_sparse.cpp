@@ -3,6 +3,8 @@
 // determinism, and ID-permutation robustness.
 #include <gtest/gtest.h>
 
+#include "scol/api/scenario.h"
+#include "scol/api/solve.h"
 #include "scol/coloring/sparse.h"
 #include "scol/flow/density.h"
 #include "scol/gen/lattice.h"
@@ -10,6 +12,7 @@
 #include "scol/gen/random.h"
 #include "scol/gen/special.h"
 #include "scol/local/validate.h"
+#include "scol/util/thread_pool.h"
 
 namespace scol {
 namespace {
@@ -223,6 +226,81 @@ TEST(Sparse, RadiusOneStallsOnTorusGrid) {
   const SparseResult r = list_color_sparse(g, 4, uniform_lists(60, 4), opts);
   ASSERT_TRUE(r.coloring.has_value());
   expect_proper(g, *r.coloring);
+}
+
+// Pinned reports of the Theorem 1.3 family. The tight rows reach the
+// all-tight root-ball path (regular graphs with k = degree); the radius
+// rows color many small surplus balls per level. A change in the root-ball
+// step that alters a coloring, a round count or the arena footprint fails
+// here, under the serial executor and a thread pool alike.
+struct PinnedRun {
+  const char* algorithm;
+  const char* scenario;
+  Color k;
+  Color palette;  // 0 = uniform k-lists, else random k-subsets
+  Vertex radius;  // 0 = the paper radius
+  std::uint64_t coloring_digest;
+  std::int64_t rounds;
+  std::int64_t arena_bytes;
+};
+
+std::uint64_t fnv1a(const Coloring& c) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (Color x : c) {
+    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(x));
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Sparse, RootBallReportsArePinned) {
+  const PinnedRun runs[] = {
+      {"planar6", "torus-tri", 6, 0, 0, 8905620194912579110ULL, 30585, 2632},
+      {"planar6", "torus-tri:rows=6,cols=10", 6, 9, 0,
+       15173993590786560841ULL, 30137, 2468},
+      {"planar6", "planar:n=2000", 6, 0, 0,
+       10216043081776010540ULL, 315157, 114040},
+      {"nice", "torus", 4, 0, 0, 1611069547038922599ULL, 37953, 4616},
+      {"nice", "torus-tri:rows=6,cols=8", 6, 0, 0,
+       12245807249482391807ULL, 28458, 1928},
+      {"sparse", "torus:rows=16,cols=16", 4, 0, 0,
+       13519023684632212039ULL, 42210, 8456},
+      {"sparse", "torus:rows=10,cols=12", 4, 5, 0,
+       11731707000557389324ULL, 32135, 3968},
+      {"sparse", "torus:rows=16,cols=64", 4, 6, 4,
+       6858192341123257459ULL, 835, 33800},
+      {"sparse", "torus-tri:rows=12,cols=40", 6, 0, 2,
+       878252585840910849ULL, 661, 19688},
+      {"planar4-trianglefree", "torus", 4, 0, 0,
+       1611069547038922599ULL, 37955, 4760},
+      {"planar4-trianglefree", "hex:rows=24,cols=24", 4, 0, 0,
+       4351167656851202119ULL, 60180, 19016},
+  };
+  ThreadPoolExecutor pool(4, /*grain=*/16);
+  for (const PinnedRun& run : runs) {
+    SCOPED_TRACE(std::string(run.algorithm) + " " + run.scenario);
+    Rng gen_rng(1);
+    const Graph g = build_scenario(run.scenario, gen_rng);
+    Rng list_rng(2);
+    const ListAssignment lists =
+        run.palette > 0
+            ? random_lists(g.num_vertices(), run.k, run.palette, list_rng)
+            : uniform_lists(g.num_vertices(), run.k);
+    ColoringRequest req = make_request(run.algorithm, g, lists);
+    req.k = run.k;
+    if (run.radius > 0) req.params.set_int("radius", run.radius);
+    for (const Executor* exec : {static_cast<const Executor*>(nullptr),
+                                 static_cast<const Executor*>(&pool)}) {
+      RunContext ctx;
+      ctx.executor = exec;
+      const ColoringReport r = solve(req, ctx);
+      ASSERT_EQ(r.status, SolveStatus::kColored) << r.failure_reason;
+      expect_proper_list_coloring(g, *r.coloring, lists);
+      EXPECT_EQ(fnv1a(*r.coloring), run.coloring_digest);
+      EXPECT_EQ(r.rounds, run.rounds);
+      EXPECT_EQ(r.metrics.get_int("arena_bytes", -1), run.arena_bytes);
+    }
+  }
 }
 
 }  // namespace

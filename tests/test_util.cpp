@@ -54,6 +54,34 @@ TEST(Rng, BelowIsInRangeAndCoversValues) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
+TEST(Rng, BelowMatchesTwoDivisionFormula) {
+  // below() skips the threshold division when r >= bound; every draw and
+  // every rejection must match the textbook formula that always divides.
+  // At 2^63 + 1 the threshold is 2^63 - 1, so about half the draws reject.
+  const std::uint64_t bounds[] = {1,
+                                  2,
+                                  3,
+                                  813,
+                                  (std::uint64_t{1} << 32) - 1,
+                                  (std::uint64_t{1} << 32) + 1,
+                                  std::uint64_t{1} << 63,
+                                  (std::uint64_t{1} << 63) + 1,
+                                  ~std::uint64_t{0}};
+  for (const std::uint64_t bound : bounds) {
+    Rng fast(bound ^ 0x5eed), reference(bound ^ 0x5eed);
+    const std::uint64_t threshold = -bound % bound;
+    for (int i = 0; i < 100000; ++i) {
+      std::uint64_t expected;
+      do {
+        expected = reference.next();
+      } while (expected < threshold);
+      ASSERT_EQ(fast.below(bound), expected % bound)
+          << "bound " << bound << " draw " << i;
+    }
+    EXPECT_EQ(fast.next(), reference.next()) << "bound " << bound;
+  }
+}
+
 TEST(Rng, UniformBoundsInclusive) {
   Rng rng(11);
   std::set<std::int64_t> seen;
