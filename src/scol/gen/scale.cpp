@@ -1,8 +1,9 @@
 #include "scol/gen/scale.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "scol/util/check.h"
@@ -30,10 +31,14 @@ Graph rmat(Vertex scale, std::int64_t edgefactor, double a, double b,
     // with it every later attempt — is a pure function of the seed.
     Vertex u = 0;
     Vertex v = 0;
+    // The quadrant bits are computed without branches: on a uniform
+    // double every comparison is a coin flip a branch predictor loses.
     for (Vertex level = 0; level < scale; ++level) {
       const double r = rng.real();
-      u = static_cast<Vertex>(2 * u + (r >= ab ? 1 : 0));
-      v = static_cast<Vertex>(2 * v + (r >= a && r < ab ? 1 : r >= abc));
+      const bool u_high = r >= ab;                             // c or d
+      const bool v_high = ((r >= a) & (r < ab)) | (r >= abc);  // b or d
+      u = static_cast<Vertex>(2 * u + u_high);
+      v = static_cast<Vertex>(2 * v + v_high);
     }
     if (u == v) continue;  // self-attempt; dropped like io self-loops
     builder.add_edge(u, v);
@@ -53,8 +58,9 @@ Graph powerlaw(Vertex n, std::int64_t m, double alpha, Rng& rng) {
                   std::to_string(max_m)));
   // Chung–Lu expected-degree weights w_v = (n / (v + 1))^(1 / (alpha-1)):
   // the resulting degree tail follows P[deg >= d] ~ d^(1 - alpha).
-  // Endpoints are drawn independently from the weight distribution via a
-  // prefix-sum + binary search.
+  // Endpoints are drawn independently from the weight distribution: a
+  // uniform r in [0, total) picks the vertex whose prefix-sum interval
+  // holds it, the upper_bound of r.
   std::vector<double> prefix(static_cast<std::size_t>(n) + 1, 0.0);
   const double exponent = 1.0 / (alpha - 1.0);
   for (Vertex v = 0; v < n; ++v)
@@ -63,9 +69,36 @@ Graph powerlaw(Vertex n, std::int64_t m, double alpha, Rng& rng) {
         std::pow(static_cast<double>(n) / static_cast<double>(v + 1),
                  exponent);
   const double total = prefix.back();
+  // Guide table: a draw r belongs to bucket bucket_of(r), about
+  // r * n / total, and guide[b] is the first index whose prefix sum
+  // belongs to bucket b or a later one. bucket_of is monotone, so every
+  // prefix sum before guide[b] is <= r and every one from guide[b + 1] on
+  // is > r: searching only [guide[b], guide[b + 1]) — usually empty or a
+  // few entries — finds exactly the upper_bound of the full array, equal
+  // prefix sums and r == total included.
+  const std::size_t buckets = std::max<std::size_t>(1, prefix.size() - 1);
+  const double buckets_per_unit = static_cast<double>(buckets) / total;
+  const auto bucket_of = [&](double x) {
+    // A NaN or infinite product (weights that overflow to infinity when
+    // alpha is near 1) lands in the last bucket, as r == total does.
+    const double slot = x * buckets_per_unit;
+    return slot < static_cast<double>(buckets)
+               ? static_cast<std::size_t>(slot)
+               : buckets - 1;
+  };
+  std::vector<std::uint32_t> guide(
+      buckets + 1, static_cast<std::uint32_t>(prefix.size()));
+  for (std::size_t i = 0, b = 0; i < prefix.size(); ++i)
+    for (const std::size_t last = bucket_of(prefix[i]); b <= last; ++b)
+      guide[b] = static_cast<std::uint32_t>(i);
   const auto draw = [&]() {
     const double r = rng.real() * total;
-    const auto it = std::upper_bound(prefix.begin(), prefix.end(), r);
+    const std::size_t b = bucket_of(r);
+    const auto it = std::upper_bound(prefix.begin() + guide[b],
+                                     prefix.begin() + guide[b + 1], r);
+    SCOL_DCHECK((it == prefix.begin() || !(r < it[-1])) &&
+                    (it == prefix.end() || r < *it),
+                + "powerlaw guide window must hold the upper_bound");
     const auto idx = static_cast<Vertex>(
         std::min<std::ptrdiff_t>(it - prefix.begin() - 1, n - 1));
     return std::max<Vertex>(0, idx);
@@ -73,8 +106,21 @@ Graph powerlaw(Vertex n, std::int64_t m, double alpha, Rng& rng) {
   // Exactly m DISTINCT edges: rejection on self-loops and repeats. The
   // attempt cap turns a near-infeasible request (m too close to what the
   // skewed weights can reach) into a loud error instead of a hang.
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(static_cast<std::size_t>(m) * 2);
+  // `seen` is a flat open-addressing set of key + 1 (0 marks an empty
+  // slot), at most half full, probed linearly. The keys lo * n + hi are
+  // structured, so a key's home slot is the high bits of a
+  // multiplicative hash, not its low bits.
+  const std::size_t capacity =
+      std::bit_ceil(std::max<std::size_t>(2, 2 * static_cast<std::size_t>(m)));
+  const int shift = 64 - std::countr_zero(capacity);
+  std::vector<std::uint64_t> seen(capacity, 0);
+  const auto insert = [&](std::uint64_t key) {
+    std::size_t slot = (key * 0x9e3779b97f4a7c15ULL) >> shift;
+    for (; seen[slot] != 0; slot = (slot + 1) & (capacity - 1))
+      if (seen[slot] == key + 1) return false;
+    seen[slot] = key + 1;
+    return true;
+  };
   std::vector<Edge> edges;
   edges.reserve(static_cast<std::size_t>(m));
   const std::int64_t attempt_cap = 64 * m + 4096;
@@ -94,7 +140,7 @@ Graph powerlaw(Vertex n, std::int64_t m, double alpha, Rng& rng) {
     const std::uint64_t key = static_cast<std::uint64_t>(lo) *
                                   static_cast<std::uint64_t>(n) +
                               static_cast<std::uint64_t>(hi);
-    if (!seen.insert(key).second) continue;
+    if (!insert(key)) continue;
     edges.emplace_back(lo, hi);
   }
   return Graph::from_edges(n, edges);

@@ -18,7 +18,8 @@
 // differential and fuzz tests (test_csr_differential.cpp,
 // test_io_fuzz.cpp) pin.
 //
-// Not installed; include only from within src/scol/io/.
+// Not installed; include only from within src/scol/io/ (and from the
+// reader tests, which check the tokenizer against an oracle).
 #pragma once
 
 #include <algorithm>
@@ -61,20 +62,24 @@ struct Token {
 
 inline std::string str(std::string_view sv) { return std::string(sv); }
 
+// Token separators: exactly the C locale's whitespace — space, '\t',
+// '\n', '\v', '\f' and '\r' — tested inline, so the readers never
+// consult the process locale (0xA0 and other bytes are token bytes under
+// every locale).
+inline bool is_separator(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 // Splits `line` into tokens, reusing `out` (hot loops keep one buffer
 // per reader instead of allocating a vector per line).
 inline void tokenize(std::string_view line, std::vector<Token>& out) {
   out.clear();
   std::size_t i = 0;
   while (i < line.size()) {
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i])))
-      ++i;
+    while (i < line.size() && is_separator(line[i])) ++i;
     if (i >= line.size()) break;
     const std::size_t start = i;
-    while (i < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[i])))
-      ++i;
+    while (i < line.size() && !is_separator(line[i])) ++i;
     out.push_back({line.substr(start, i - start), start + 1});
   }
 }
@@ -309,7 +314,8 @@ std::int64_t parse_metis_line(const Ctx& r, const std::vector<Token>& toks,
 // sorted; row u of the graph is the merged union of R_u and T_u. An
 // undirected edge must be listed once from EACH endpoint, so every v in
 // R_u \ T_u is an asymmetric (unmirrored) listing — tolerated and
-// counted, never silent. O(n + entries + sum deg log deg).
+// counted, never silent. O(n + entries + sum deg log deg), and
+// O(n + entries) when every row is listed sorted (the sort is skipped).
 inline Graph finish_metis(const std::string& name,
                           const EdgeAccumulator& acc, ReadStats& stats) {
   // Resolve indexing on the neighbor ids only (the first element of each
@@ -344,7 +350,9 @@ inline Graph finish_metis(const std::string& name,
   for (std::size_t u = 0; u < n; ++u) {
     const std::size_t begin = end;
     end = row[u + 1];
-    std::sort(listed.data() + begin, listed.data() + end);
+    // write_metis and most real files list rows sorted already.
+    if (!std::is_sorted(listed.data() + begin, listed.data() + end))
+      std::sort(listed.data() + begin, listed.data() + end);
     for (std::size_t i = begin; i < end; ++i) {
       const Vertex v = listed[i];
       if (v == static_cast<Vertex>(u))

@@ -3,11 +3,14 @@
 // families (gen/scale.h), edge-count exactness, degree-distribution
 // shape, per-seed determinism, and campaign JSONL bit-identity across
 // job counts.
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "scol/api/campaign.h"
@@ -282,6 +285,217 @@ TEST(GenScale, PowerlawTailSlopeWithinTolerance) {
   const double slope = (k * sxy - sx * sy) / (k * sxx - sx * sx);
   EXPECT_LT(slope, -0.9) << "tail too flat for alpha=2.5";
   EXPECT_GT(slope, -2.3) << "tail too steep for alpha=2.5";
+}
+
+// Pinned output of the three web-scale families: the CSR digest and the
+// caller's next Rng draw, as in Gen.RandomRegularPinned. A seed that
+// repeats is not enough: a change to the endpoint draw, the dedup or the
+// quadrant descent would still repeat but would change every campaign
+// instance built from these specs.
+TEST(GenScale, PowerlawPinned) {
+  struct Pin {
+    Vertex n;
+    std::int64_t m;
+    double alpha;
+    std::uint64_t seed;
+    const char* digest;
+    std::uint64_t next;
+  };
+  for (const Pin& pin : {
+           // The campaign size (powerlaw:n=65536 defaults) and the tail
+           // exponents around it. At alpha = 1.5 the head is so heavy
+           // that m = 4n is out of reach, and most draws are rejected.
+           Pin{65536, 262144, 2.5, 1, "c3a595b7e2e28b3ba27c02fbe54989a9",
+               0x135156f509a82badULL},
+           Pin{65536, 1000, 1.5, 2, "8b9822879e3f0c1b8af256bd471cafbb",
+               0xb245773b8007a454ULL},
+           Pin{65536, 262144, 2.1, 3, "fd911adc797f7b218ffe130ac2fd7e64",
+               0xe2a09e5c25738a6fULL},
+           Pin{65536, 262144, 3.0, 4, "e63de008c69f81c5394aa24be2a8a0d3",
+               0x419deb8d37a12a2cULL},
+           // Near the rejection budget: a heavy head, and a graph with
+           // 700 of its 780 possible edges.
+           Pin{1000, 1000, 1.5, 5, "ac2919413d4d9d05af05b9e90d75ded6",
+               0x6ad6b59919dfda21ULL},
+           Pin{40, 700, 2.5, 6, "2a08fe499bfcb8eea6b3471560132279",
+               0xb2cad9baa65284c2ULL},
+           // Degenerate sizes: the only edge, and no edges at all.
+           Pin{2, 1, 2.5, 7, "6fd677f8c426150e203837c9f2f7a2de",
+               0xd6f1d349952c7996ULL},
+           Pin{1, 0, 2.5, 8, "b8f037ee3df524bf516b05abed79728c",
+               0xd22f5048870c16bfULL},
+       }) {
+    Rng rng(pin.seed);
+    const Graph g = powerlaw(pin.n, pin.m, pin.alpha, rng);
+    EXPECT_EQ(g.num_edges(), pin.m) << "n=" << pin.n;
+    EXPECT_EQ(hash_graph(g).hex(), pin.digest)
+        << "n=" << pin.n << " alpha=" << pin.alpha;
+    EXPECT_EQ(rng.next(), pin.next)
+        << "n=" << pin.n << " alpha=" << pin.alpha;
+  }
+}
+
+// powerlaw with a full upper_bound per endpoint and a node-based hash
+// set, as it was first written. Kept as the oracle for the guide table
+// and the flat dedup set: both must make the same draws and accept the
+// same edges in the same order. Empty when the rejection budget runs out.
+std::optional<std::vector<Edge>> powerlaw_oracle(Vertex n, std::int64_t m,
+                                                 double alpha, Rng& rng) {
+  std::vector<double> prefix(static_cast<std::size_t>(n) + 1, 0.0);
+  for (Vertex v = 0; v < n; ++v)
+    prefix[static_cast<std::size_t>(v) + 1] =
+        prefix[static_cast<std::size_t>(v)] +
+        std::pow(static_cast<double>(n) / static_cast<double>(v + 1),
+                 1.0 / (alpha - 1.0));
+  const auto draw = [&]() {
+    const double r = rng.real() * prefix.back();
+    const auto it = std::upper_bound(prefix.begin(), prefix.end(), r);
+    return std::max<Vertex>(
+        0, static_cast<Vertex>(
+               std::min<std::ptrdiff_t>(it - prefix.begin() - 1, n - 1)));
+  };
+  std::unordered_set<std::uint64_t> seen;
+  std::vector<Edge> edges;
+  for (std::int64_t tries = 0; static_cast<std::int64_t>(edges.size()) < m;
+       ++tries) {
+    if (tries >= 64 * m + 4096) return std::nullopt;
+    const Vertex u = draw();
+    const Vertex v = draw();
+    if (u == v) continue;
+    const Vertex lo = std::min(u, v);
+    const Vertex hi = std::max(u, v);
+    if (!seen.insert(static_cast<std::uint64_t>(lo) *
+                         static_cast<std::uint64_t>(n) +
+                     static_cast<std::uint64_t>(hi))
+             .second)
+      continue;
+    edges.emplace_back(lo, hi);
+  }
+  return edges;
+}
+
+TEST(GenScale, PowerlawMatchesUpperBoundOracle) {
+  // Weights from nearly uniform (alpha = 1e9: every prefix sum close to
+  // an integer) to overflowing (alpha = 1.001: every weight past the
+  // first is lost in the first one's rounding, or all are infinite),
+  // sizes from 2 vertices up, and m from sparse to near the budget.
+  int compared = 0;
+  for (const double alpha : {1.001, 1.05, 1.5, 2.5, 4.0, 1e9})
+    for (const Vertex n : {2, 3, 10, 100, 1000})
+      for (const std::int64_t m :
+           {std::int64_t{1}, std::int64_t{n},
+            std::min<std::int64_t>(3000, std::int64_t{n} * (n - 1) / 3)})
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          SCOPED_TRACE("alpha=" + std::to_string(alpha) +
+                       " n=" + std::to_string(n) + " m=" + std::to_string(m) +
+                       " seed=" + std::to_string(seed));
+          Rng want_rng(seed);
+          const auto want = powerlaw_oracle(n, m, alpha, want_rng);
+          Rng got_rng(seed);
+          if (!want) {
+            EXPECT_THROW((void)powerlaw(n, m, alpha, got_rng),
+                         PreconditionError);
+            continue;
+          }
+          const Graph got = powerlaw(n, m, alpha, got_rng);
+          EXPECT_EQ(hash_graph(got).hex(),
+                    hash_graph(Graph::from_edges(n, *want)).hex());
+          EXPECT_EQ(got_rng.next(), want_rng.next());
+          ++compared;
+        }
+  EXPECT_GT(compared, 100);
+}
+
+TEST(GenScale, PowerlawRejectionBudgetErrorIsPinned) {
+  // The message after the source location is part of the contract.
+  struct Case {
+    Vertex n;
+    std::int64_t m;
+    double alpha;
+    const char* what;
+  };
+  for (const Case& c : {
+           // The skewed weights keep redrawing the same head pairs.
+           Case{1000, 20000, 1.5,
+                "could not place 20000 distinct edges on 1000 vertices "
+                "with alpha = 1.500000"},
+           // Weights overflow to infinity: every draw is the last vertex.
+           Case{100, 10, 1.001,
+                "could not place 10 distinct edges on 100 vertices with "
+                "alpha = 1.001000"},
+       }) {
+    Rng rng(9);
+    std::string what;
+    try {
+      (void)powerlaw(c.n, c.m, c.alpha, rng);
+    } catch (const PreconditionError& e) {
+      what = e.what();
+    }
+    const std::size_t dash = what.find(" — ");
+    ASSERT_NE(dash, std::string::npos) << what;
+    EXPECT_EQ(what.substr(0, what.find(" at ")),
+              "REQUIRE failed: tries++ < attempt_cap");
+    EXPECT_EQ(what.substr(dash),
+              std::string(" — powerlaw rejection budget exhausted: ") +
+                  c.what + " (lower m or alpha)");
+  }
+}
+
+TEST(GenScale, RmatPinned) {
+  struct Pin {
+    Vertex scale;
+    std::int64_t edgefactor;
+    double a;
+    double b;
+    double c;
+    std::uint64_t seed;
+    const char* digest;
+    std::uint64_t next;
+  };
+  for (const Pin& pin : {
+           // The rmat:scale=14 campaign instance (Graph500 defaults).
+           Pin{14, 16, 0.57, 0.19, 0.19, 1, "76c648c3c5cf55fd036e72f3b3a83b2a",
+               0x8de82381a889ca1aULL},
+           // Skewed quadrants, c = 0, and a + b + c = 1 (no d quadrant).
+           Pin{12, 8, 0.75, 0.1, 0.1, 2, "b8c3c7eb5e22bca1d64454ccd1ba6615",
+               0xdf56ac3878a567c8ULL},
+           Pin{12, 8, 0.6, 0.4, 0.0, 3, "579746d81cd2d06baeb09a4e2b66eaad",
+               0xb88fcefe14fbd170ULL},
+           Pin{11, 8, 0.45, 0.15, 0.4, 4, "f5322ebddaeb57f2f049c08e7f9fabf0",
+               0xe78f56fc4e86bcdaULL},
+           Pin{10, 4, 0.25, 0.25, 0.25, 5, "e7779210f8b303fd4a23fb58a3c7c79e",
+               0x680de2336d5e2350ULL},
+       }) {
+    Rng rng(pin.seed);
+    const Graph g = rmat(pin.scale, pin.edgefactor, pin.a, pin.b, pin.c, rng);
+    EXPECT_EQ(hash_graph(g).hex(), pin.digest) << "scale=" << pin.scale;
+    EXPECT_EQ(rng.next(), pin.next) << "scale=" << pin.scale;
+  }
+}
+
+TEST(GenScale, PrefAttachPinned) {
+  struct Pin {
+    Vertex n;
+    Vertex k;
+    std::uint64_t seed;
+    const char* digest;
+    std::uint64_t next;
+  };
+  for (const Pin& pin : {
+           // The pref-attach:n=65536 campaign instance (k = 4 default).
+           Pin{65536, 4, 1, "6c2bbbb283f3b1952002ae7ab1d5bc1c",
+               0x481d3048e26e7fa5ULL},
+           Pin{600, 5, 2, "e2e3f85a524025bf6fdbf5ae6bfe1ba7",
+               0x1761f417937ddd67ULL},
+           // k = 1: the first attachment has no stubs and picks uniformly.
+           Pin{100, 1, 3, "6e2f14d712e2079457bd1d8ad315ebeb",
+               0x392dc381eb35622cULL},
+       }) {
+    Rng rng(pin.seed);
+    const Graph g = pref_attach(pin.n, pin.k, rng);
+    EXPECT_EQ(hash_graph(g).hex(), pin.digest) << "n=" << pin.n;
+    EXPECT_EQ(rng.next(), pin.next) << "n=" << pin.n;
+  }
 }
 
 TEST(GenScale, PrefAttachExactEdgeCountAndMinDegree) {

@@ -5,9 +5,14 @@
 // Every reader failure must carry a "name:line:column" position — the
 // contract cataloged in docs/FORMATS.md — so each adversarial case
 // asserts both the reason and the position of its error message.
+#include <algorithm>
+#include <cctype>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +25,9 @@
 #include "scol/gen/special.h"
 #include "scol/io/io.h"
 #include "scol/io/probe.h"
+#include "scol/io/reader_detail.h"
+#include "scol/serve/hash.h"
+#include "scol/util/rng.h"
 
 namespace scol {
 namespace {
@@ -239,6 +247,106 @@ TEST(IoMetis, AsymmetricAdjacencyListsAreKeptButCounted) {
   EXPECT_EQ(r.graph.num_edges(), 3);
   EXPECT_EQ(r.stats.asymmetric_edges, 2);
   EXPECT_EQ(r.stats.duplicate_edges, 0);
+}
+
+// Rows in every order the METIS tail must handle: unsorted, sorted,
+// descending, with same-row duplicates, self-loops and entries the other
+// endpoint does not mirror. Both readers must build the same graph and
+// ReadStats, and both are pinned (digest and counts).
+struct MetisRowsPin {
+  std::string text;
+  const char* digest;
+  std::int64_t duplicates;
+  std::int64_t self_loops;
+  std::int64_t asymmetric;
+  bool zero_indexed;
+};
+
+// A seeded METIS file of `n` vertices: mostly mirrored edges, plus
+// duplicates, self-loops and one-sided entries, each row written sorted,
+// shuffled or descending. `base` is 0 or 1; with base 0 vertex 0 is
+// listed so the file resolves as 0-based.
+std::string seeded_metis_rows(int n, int base, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<int>> rows(static_cast<std::size_t>(n));
+  for (int e = 0; e < 3 * n; ++e) {
+    const std::size_t u = rng.below(rows.size());
+    const std::size_t v = rng.below(rows.size());
+    rows[u].push_back(static_cast<int>(v));
+    if (u != v && !rng.chance(0.1)) rows[v].push_back(static_cast<int>(u));
+    if (rng.chance(0.1)) rows[u].push_back(static_cast<int>(v));
+  }
+  rows[0].push_back(0);  // a guaranteed self-loop (and id `base`)
+  std::size_t entries = 0;
+  for (const auto& row : rows) entries += row.size();
+  if (entries % 2 != 0) {
+    rows[1].push_back(1);
+    ++entries;
+  }
+  std::string text = "% seeded rows\n" + std::to_string(n) + " " +
+                     std::to_string(entries / 2) + "\n";
+  for (auto& row : rows) {
+    switch (rng.below(3)) {
+      case 0:
+        std::sort(row.begin(), row.end());
+        break;
+      case 1:
+        rng.shuffle(row);
+        break;
+      default:
+        std::sort(row.rbegin(), row.rend());
+        break;
+    }
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (i != 0) text += ' ';
+      text += std::to_string(row[i] + base);
+    }
+    text += '\n';
+  }
+  return text;
+}
+
+TEST(IoMetis, UnsortedDuplicateAndUnmirroredRowsArePinned) {
+  const std::string path = ::testing::TempDir() + "/scol_io_metis_rows.graph";
+  for (const MetisRowsPin& pin : {
+           // Row 1 unsorted with a duplicate, row 2 sorted with one and
+           // listing 4, which row 4 does not mirror; row 3 unsorted with
+           // a self-loop.
+           MetisRowsPin{"4 6\n3 2 2 4\n1 1 3 4\n2 1 3\n1\n",
+                        "62e6eee6da8f6e9cb632960998c474a8", 2, 1, 1, false},
+           // Self-loops first, inside, last and alone; sorted and unsorted
+           // rows that repeat.
+           MetisRowsPin{"4 6\n1 3 2\n1 2 3 3\n2 2 1 3\n4\n",
+                        "75b9f43e5ec402de4d60e33c68b6e91b", 2, 4, 0, false},
+           // 0-based, every row descending.
+           MetisRowsPin{"4 4\n3 2 1\n0\n3 0\n2 0\n",
+                        "007adfacfd16e1f6bd20385f57bd63ca", 0, 0, 0, true},
+           MetisRowsPin{seeded_metis_rows(300, 1, 41),
+                        "453bfb0df405cdf7f606d05156bb8cd3", 104, 4, 72,
+                        false},
+           MetisRowsPin{seeded_metis_rows(2000, 0, 42),
+                        "3c43a005d77380a9e2c182ab06d1828b", 634, 6, 564,
+                        true},
+       }) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << pin.text;
+    }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(pin.digest) + " threads=" +
+                   std::to_string(threads));
+      ReadOptions options;
+      options.threads = threads;
+      const ReadResult r = read_graph_file(path, GraphFormat::kMetis, options);
+      EXPECT_EQ(hash_graph(r.graph).hex(), pin.digest);
+      EXPECT_EQ(r.stats.duplicate_edges, pin.duplicates);
+      EXPECT_EQ(r.stats.self_loops, pin.self_loops);
+      EXPECT_EQ(r.stats.asymmetric_edges, pin.asymmetric);
+      EXPECT_EQ(r.stats.zero_indexed, pin.zero_indexed);
+      EXPECT_EQ(r.stats.edge_records, 2 * r.stats.declared_m);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(IoMetis, TruncatedFileCarriesPosition) {
@@ -549,6 +657,75 @@ TEST(IoFile, WriteFileInfersFormatAndRoundTrips) {
   const ReadResult r = read_graph_file(path);
   EXPECT_EQ(r.stats.format, GraphFormat::kDimacs);
   EXPECT_EQ(r.graph.edges(), g.edges());
+}
+
+// --- Tokenizer ------------------------------------------------------------
+
+// The tokenizer as it was before whitespace became an explicit byte set:
+// one std::isspace call per byte, under the process locale (never changed
+// from "C" in this program). Kept as the oracle that the explicit set cuts
+// the same tokens at the same columns.
+std::vector<io_detail::Token> isspace_tokens(std::string_view line) {
+  std::vector<io_detail::Token> out;
+  std::size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[i])))
+      ++i;
+    if (i >= line.size()) break;
+    const std::size_t start = i;
+    while (i < line.size() &&
+           !std::isspace(static_cast<unsigned char>(line[i])))
+      ++i;
+    out.push_back({line.substr(start, i - start), start + 1});
+  }
+  return out;
+}
+
+void expect_same_tokens(std::string_view line) {
+  std::vector<io_detail::Token> got;
+  io_detail::tokenize(line, got);
+  const std::vector<io_detail::Token> want = isspace_tokens(line);
+  std::string shown;
+  for (const char c : line)
+    shown += std::to_string(static_cast<unsigned char>(c)) + " ";
+  ASSERT_EQ(got.size(), want.size()) << "bytes: " << shown;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].text, want[i].text) << "bytes: " << shown;
+    EXPECT_EQ(got[i].col, want[i].col) << "bytes: " << shown;
+  }
+}
+
+TEST(IoTokenize, MatchesIsspaceOracleOnEveryByte) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    // `c` as a separator, as a whole token, and inside a token.
+    for (const std::string& line :
+         {std::string{'1', c, '2'}, std::string{c, '1', '2', c},
+          std::string{c}, std::string{c, c}, std::string{'7', ' ', c, ' ', '8'},
+          std::string{'\t', c, c, '\r'}, std::string{'+', '0', c, '-', '0'}})
+      expect_same_tokens(line);
+  }
+  for (const std::string_view line :
+       {std::string_view("1\t2"), std::string_view("\v3\f4\r"),
+        std::string_view(" +007 -0 0009\t\t-12\r"),
+        std::string_view("1\xA0" "2 \xA0" "3\xA0"),
+        std::string_view("+ - +- -+ 00 -007"),
+        std::string_view("\f\v\t\r\n "), std::string_view(""),
+        std::string_view("\0 1\0", 4)})
+    expect_same_tokens(line);
+}
+
+TEST(IoTokenize, MatchesIsspaceOracleOnSeededLines) {
+  // Lines over separators, near-separators (0xA0, NUL, 0x1C..0x1F) and
+  // the bytes numbers are made of.
+  const std::string alphabet("  \t\v\f\r\n\xA0\x1c\x1f\0+-0017x", 18);
+  Rng rng(0x70c);
+  for (int t = 0; t < 4000; ++t) {
+    std::string line(rng.below(40), ' ');
+    for (char& c : line) c = alphabet[rng.below(alphabet.size())];
+    expect_same_tokens(line);
+  }
 }
 
 // --- Bundled instances (examples/graphs) match the generators -------------
