@@ -378,30 +378,17 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         const ListAssignment* lists = nullptr;
         if (info.caps.needs_lists) {
           run.lists = spec.lists_mode;
-          if (spec.lists_mode == "random")
-            run.palette_eff = spec.palette > 0
-                                  ? spec.palette
-                                  : static_cast<Color>(4 * run.k_eff);
+          const ListShape shape =
+              list_shape(spec.lists_mode, spec.palette, run.k_eff);
+          run.palette_eff = shape.palette;
+          // Every job that asks for this shape sees the same assignment,
+          // under any job executor and shard split.
           const auto key = std::make_pair(run.k_eff, run.palette_eff);
           auto it = lists_cache.find(key);
-          if (it == lists_cache.end()) {
-            ListAssignment built;
-            if (spec.lists_mode == "uniform") {
-              built = uniform_lists(graph->num_vertices(),
-                                    static_cast<Color>(run.k_eff));
-            } else {
-              // Pure function of (seed, k, palette): every job that asks
-              // for this shape sees the same assignment, under any job
-              // executor and shard split.
-              Rng list_rng = Rng::stream(
-                  seed, (static_cast<std::uint64_t>(run.k_eff) << 32) ^
-                            static_cast<std::uint64_t>(run.palette_eff));
-              built = random_lists(graph->num_vertices(),
-                                   static_cast<Color>(run.k_eff),
-                                   run.palette_eff, list_rng);
-            }
-            it = lists_cache.emplace(key, std::move(built)).first;
-          }
+          if (it == lists_cache.end())
+            it = lists_cache
+                     .emplace(key, shape.build(graph->num_vertices(), seed))
+                     .first;
           lists = &it->second;
           req.lists = lists;
         }

@@ -39,21 +39,9 @@ Json one_shot_report_on(const Graph& g, const OneShotSpec& spec,
   req.algorithm = spec.algorithm;
   req.k = k;
   req.params = spec.params;
-  Color palette = spec.palette;
   if (info.caps.needs_lists) {
-    if (spec.lists_mode == "uniform") {
-      lists = uniform_lists(g.num_vertices(), static_cast<Color>(k));
-    } else {
-      if (palette <= 0) palette = static_cast<Color>(4 * k);
-      // Pure function of (seed, k, palette), matching the campaign
-      // runner: the assignment never depends on how the graph was
-      // obtained (fresh generator state vs cache hit).
-      Rng list_rng =
-          Rng::stream(spec.seed, (static_cast<std::uint64_t>(k) << 32) ^
-                                     static_cast<std::uint64_t>(palette));
-      lists = random_lists(g.num_vertices(), static_cast<Color>(k), palette,
-                           list_rng);
-    }
+    lists = list_shape(spec.lists_mode, spec.palette, k)
+                .build(g.num_vertices(), spec.seed);
     req.lists = &lists;
   }
 

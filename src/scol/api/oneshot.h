@@ -12,9 +12,9 @@
 // Determinism notes baked into this path:
 //
 //  - random list assignments are a pure function of (seed, k, palette)
-//    via Rng::stream — never of leftover generator state — matching the
-//    campaign runner, so a cached graph and a freshly built one yield
-//    the same lists;
+//    via list_shape() (registry.h) — never of leftover generator state —
+//    the policy the campaign runner and the server's cache key share, so
+//    a cached graph and a freshly built one yield the same lists;
 //  - `include_timing=false` zeroes wall_ms (the only nondeterministic
 //    report field); scol-serve always runs in this mode and reports real
 //    latencies in its envelope telemetry instead;

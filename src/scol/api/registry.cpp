@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "scol/util/rng.h"
+
 namespace scol {
 namespace {
 
@@ -90,6 +92,18 @@ Vertex effective_k(const AlgorithmInfo& info, Vertex k, Vertex max_degree,
   Vertex out = std::max<Vertex>(3, max_degree + 1);
   if (info.min_k) out = std::max(out, info.min_k(params));
   return out;
+}
+
+ListAssignment ListShape::build(Vertex n, std::uint64_t seed) const {
+  if (palette <= 0) return uniform_lists(n, static_cast<Color>(k));
+  Rng list_rng = Rng::stream(seed, (static_cast<std::uint64_t>(k) << 32) ^
+                                       static_cast<std::uint64_t>(palette));
+  return random_lists(n, static_cast<Color>(k), palette, list_rng);
+}
+
+ListShape list_shape(const std::string& lists_mode, Color palette, Vertex k) {
+  if (lists_mode != "random") return ListShape{k, -1};
+  return ListShape{k, palette > 0 ? palette : static_cast<Color>(4 * k)};
 }
 
 }  // namespace scol

@@ -120,4 +120,16 @@ std::string algorithm_skip_reason(const AlgorithmInfo& info,
 Vertex effective_k(const AlgorithmInfo& info, Vertex k, Vertex max_degree,
                    const ParamBag& params);
 
+/// A run's resolved list shape, shared by one-shot runs, campaign jobs
+/// and the server's cache key: uniform k-lists (palette -1) or random
+/// k-subsets of `palette`, a pure function of (seed, k, palette).
+struct ListShape {
+  Vertex k = -1;
+  Color palette = -1;
+  ListAssignment build(Vertex n, std::uint64_t seed) const;
+};
+
+/// Lists mode "random" gets `palette`, or 4k when it is <= 0.
+ListShape list_shape(const std::string& lists_mode, Color palette, Vertex k);
+
 }  // namespace scol

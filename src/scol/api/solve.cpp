@@ -402,10 +402,10 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          "Constructive Theorem 1.1 (Borodin; ERT): degree-choosable "
          "coloring of a connected non-Gallai (or surplus) graph",
          caps(true, false, false, false),
-         [](const ColoringRequest& req, RunContext& ctx) {
+         [](const ColoringRequest& req, RunContext&) {
            AvailableLists avail = to_lists(*req.lists);
            return ColoringReport::colored(
-               degree_choosable_coloring(*req.graph, avail, ctx.executor));
+               degree_choosable_coloring(*req.graph, avail));
          },
          {},
          [](const EligibilityQuery& q) {

@@ -453,8 +453,8 @@ std::span<const Color> BallColorer::color() {
   return colors_;
 }
 
-Coloring degree_choosable_coloring(const Graph& g, const AvailableLists& avail,
-                                   const Executor* /*executor*/) {
+Coloring degree_choosable_coloring(const Graph& g,
+                                   const AvailableLists& avail) {
   const Vertex n = g.num_vertices();
   SCOL_REQUIRE(static_cast<Vertex>(avail.size()) == n);
   SCOL_REQUIRE(n >= 1);

@@ -34,7 +34,6 @@
 #include "scol/coloring/small_color_set.h"
 #include "scol/coloring/types.h"
 #include "scol/graph/graph.h"
-#include "scol/util/executor.h"
 
 namespace scol {
 
@@ -46,10 +45,9 @@ using AvailableLists = std::vector<std::vector<Color>>;
 /// Preconditions (throws PreconditionError otherwise): g connected,
 /// every avail[v] sorted, |avail[v]| >= deg(v) for all v, and (some
 /// vertex has surplus |avail[w]| > deg(w)) OR (g is not a Gallai tree).
-/// The construction is sequential, so the result is identical under
-/// every executor; `executor` is accepted for call-site uniformity.
-Coloring degree_choosable_coloring(const Graph& g, const AvailableLists& avail,
-                                   const Executor* executor = nullptr);
+/// The construction is sequential.
+Coloring degree_choosable_coloring(const Graph& g,
+                                   const AvailableLists& avail);
 
 /// Theorem 1.1 on pieces of one host graph, one piece at a time. Scratch
 /// (one relabel array over the host, the rest sized by the largest piece)

@@ -8,7 +8,10 @@
 // vertices (|L(v)| > deg(v) in the current residual graph — peeling
 // manufactures surplus, since a vertex that lost a neighbor keeps its
 // list), and the extension step is extend_level_lemma32 with aux_dmax =
-// Delta. Round complexity O(Delta^2 log^3 n).
+// Delta. So nice_list_coloring is Theorem 1.3's driver, peel_and_extend
+// (sparse.h), under PeelRule::kSurplus with aux_dmax = max(Delta, 1); the
+// radius, the Arena, the peel cap (SparseOptions::max_peels) and the stall
+// check are the driver's. Round complexity O(Delta^2 log^3 n).
 //
 // This also yields Corollary 2.1 (all lists of size Delta) — see
 // derived.h for the clique-aware entry point.
@@ -28,8 +31,8 @@ namespace scol {
 bool is_nice_assignment(const Graph& g, const ListAssignment& lists);
 
 /// Theorem 6.1: finds an L-list-coloring for a nice list assignment L.
-/// Throws PreconditionError if L is not nice (or the peel stalls, which
-/// niceness rules out).
+/// Throws PreconditionError if L is not nice, or if the peel hits its cap
+/// or stalls (at the paper's radius niceness rules a stall out).
 ColoringReport nice_list_coloring(const Graph& g, const ListAssignment& lists,
                                   const SparseOptions& opts = {});
 

@@ -1,6 +1,7 @@
 #include "scol/coloring/sparse.h"
 
 #include <algorithm>
+#include <string>
 
 #include "scol/coloring/ert.h"
 #include "scol/coloring/kcoloring.h"
@@ -300,35 +301,18 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
   }
 }
 
-SparseResult list_color_sparse(const Graph& g, Vertex d,
-                               const ListAssignment& lists,
-                               const SparseOptions& opts) {
-  const Vertex n = g.num_vertices();
-  SCOL_REQUIRE(d >= 3, + "Theorem 1.3 needs d >= 3");
-  SCOL_REQUIRE(lists.size() == n, + "one list per vertex");
-  SCOL_REQUIRE(lists.canonical(), + "lists must be sorted unique");
-  for (Vertex v = 0; v < n; ++v)
-    SCOL_REQUIRE(static_cast<Vertex>(lists.of(v).size()) >= d,
-                 + "need a d-list-assignment");
+Vertex peel_ball_radius(Vertex n, const SparseOptions& opts) {
+  return opts.radius_override > 0 ? opts.radius_override
+                                  : paper_ball_radius(n, opts.ball_constant);
+}
 
+Coloring peel_and_extend(const Graph& g, const ListAssignment& lists,
+                         PeelRule rule, Vertex aux_dmax, Vertex rho,
+                         const SparseOptions& opts, Rounds& rounds,
+                         std::vector<PeelRecord>& peels) {
+  const Vertex n = g.num_vertices();
   Arena local_arena;
   Arena& arena = opts.arena != nullptr ? *opts.arena : local_arena;
-
-  SparseResult out;
-  if (n == 0) {
-    out.coloring = Coloring{};
-    return out;
-  }
-  Rounds rounds(out.ledger, opts.executor);
-  out.radius = opts.radius_override > 0 ? opts.radius_override
-                                        : paper_ball_radius(n, opts.ball_constant);
-
-  // --- (d+1)-clique detection: 2 rounds (the clique lies in B_1). ---
-  rounds.charge("clique-detect", 2);
-  if (auto clique = find_clique(g, d + 1)) {
-    out.clique = std::move(*clique);
-    return out;
-  }
 
   // --- Peel A_1, ..., A_k. ---
   // Level masks are carved from the arena (they must survive until the
@@ -343,52 +327,91 @@ SparseResult list_color_sparse(const Graph& g, Vertex d,
     SCOL_REQUIRE(static_cast<Vertex>(levels.size()) < max_peels,
                  + "peel cap exceeded");
     const InducedSubgraph gi = induce(g, alive);
-    const HappyAnalysis ha =
-        compute_happy_set(gi.graph, d, out.radius, opts.executor);
-    rounds.charge("peel-balls", out.radius + 2);
-
-    PeelRecord rec;
-    rec.graph_size = gi.graph.num_vertices();
-    rec.num_rich = ha.num_rich;
-    rec.num_poor = ha.num_poor;
-    rec.num_happy = ha.num_happy;
-    rec.num_sad = ha.num_sad;
-    out.peels.push_back(rec);
+    const Vertex ni = gi.graph.num_vertices();
+    HappyAnalysis ha;
+    if (rule == PeelRule::kDegree) {
+      ha = compute_happy_set(gi.graph, aux_dmax, rho, opts.executor);
+    } else {  // Everyone is rich; witnesses have list surplus in G_i.
+      std::vector<char> witness(static_cast<std::size_t>(ni), 0);
+      for (Vertex x = 0; x < ni; ++x)
+        witness[static_cast<std::size_t>(x)] =
+            static_cast<Vertex>(
+                lists.of(gi.to_original[static_cast<std::size_t>(x)]).size()) >
+            gi.graph.degree(x);
+      ha = compute_happy_set_general(
+          gi.graph, std::vector<char>(static_cast<std::size_t>(ni), 1),
+          witness, rho, opts.executor);
+    }
+    rounds.charge("peel-balls", rho + 2);
+    peels.push_back(PeelRecord{ni, ha.num_rich, ha.num_poor, ha.num_happy,
+                               ha.num_sad});
 
     if (ha.num_happy == 0) {
       throw PreconditionError(
-          "list_color_sparse: peeling stalled (no happy vertices); the "
-          "promise d >= max(3, mad(G)) must be violated");
+          "peel stalled at radius " + std::to_string(rho) +
+          " (no happy vertex); only at the paper's radius does a stall "
+          "certify a violated promise (d >= max(3, mad(G)) for Theorem "
+          "1.3, a nice assignment for Theorem 6.1)");
     }
 
     std::span<char> lvl_alive = arena.alloc<char>(static_cast<std::size_t>(n));
     std::copy(alive.begin(), alive.end(), lvl_alive.begin());
-    std::span<char> lvl_rich = arena.alloc_zero<char>(static_cast<std::size_t>(n));
+    // Under the surplus rule everyone alive is rich: R_i aliases G_i.
+    std::span<char> lvl_rich = lvl_alive;
+    if (rule == PeelRule::kDegree)
+      lvl_rich = arena.alloc_zero<char>(static_cast<std::size_t>(n));
     std::span<char> lvl_happy =
         arena.alloc_zero<char>(static_cast<std::size_t>(n));
-    for (Vertex x = 0; x < gi.graph.num_vertices(); ++x) {
-      const Vertex v = gi.to_original[static_cast<std::size_t>(x)];
-      lvl_rich[static_cast<std::size_t>(v)] =
-          ha.rich[static_cast<std::size_t>(x)];
-      lvl_happy[static_cast<std::size_t>(v)] =
-          ha.happy[static_cast<std::size_t>(x)];
-    }
-    levels.push_back(LevelMasks{lvl_alive, lvl_rich, lvl_happy});
-    for (Vertex v = 0; v < n; ++v) {
-      if (lvl_happy[static_cast<std::size_t>(v)]) {
-        alive[static_cast<std::size_t>(v)] = 0;
+    for (Vertex x = 0; x < ni; ++x) {
+      const auto v = static_cast<std::size_t>(
+          gi.to_original[static_cast<std::size_t>(x)]);
+      if (rule == PeelRule::kDegree)
+        lvl_rich[v] = ha.rich[static_cast<std::size_t>(x)];
+      if (ha.happy[static_cast<std::size_t>(x)]) {
+        lvl_happy[v] = 1;
+        alive[v] = 0;
         --alive_count;
       }
     }
+    levels.push_back(LevelMasks{lvl_alive, lvl_rich, lvl_happy});
   }
 
   // --- Extend back: i = k..1. ---
   Coloring colors = empty_coloring(n);
   for (auto it = levels.rbegin(); it != levels.rend(); ++it)
-    extend_level_lemma32(g, *it, lists, d, out.radius, colors, rounds,
+    extend_level_lemma32(g, *it, lists, aux_dmax, rho, colors, rounds,
                          &arena);
+  return colors;
+}
 
-  out.coloring = std::move(colors);
+SparseResult list_color_sparse(const Graph& g, Vertex d,
+                               const ListAssignment& lists,
+                               const SparseOptions& opts) {
+  const Vertex n = g.num_vertices();
+  SCOL_REQUIRE(d >= 3, + "Theorem 1.3 needs d >= 3");
+  SCOL_REQUIRE(lists.size() == n, + "one list per vertex");
+  SCOL_REQUIRE(lists.canonical(), + "lists must be sorted unique");
+  for (Vertex v = 0; v < n; ++v)
+    SCOL_REQUIRE(static_cast<Vertex>(lists.of(v).size()) >= d,
+                 + "need a d-list-assignment");
+
+  SparseResult out;
+  if (n == 0) {
+    out.coloring = Coloring{};
+    return out;
+  }
+  Rounds rounds(out.ledger, opts.executor);
+  out.radius = peel_ball_radius(n, opts);
+
+  // --- (d+1)-clique detection: 2 rounds (the clique lies in B_1). ---
+  rounds.charge("clique-detect", 2);
+  if (auto clique = find_clique(g, d + 1)) {
+    out.clique = std::move(*clique);
+    return out;
+  }
+
+  out.coloring = peel_and_extend(g, lists, PeelRule::kDegree, d, out.radius,
+                                 opts, rounds, out.peels);
   return out;
 }
 

@@ -19,6 +19,9 @@
 //            radius-rho balls around the roots and finish each with the
 //            constructive Theorem 1.1 (the root's happiness supplies the
 //            needed surplus vertex or non-Gallai block).
+//
+// Both halves are one driver, peel_and_extend, shared with Theorem 6.1
+// (nice.h); list_color_sparse adds input checks and clique detection.
 #pragma once
 
 #include <optional>
@@ -70,24 +73,24 @@ struct SparseResult {
 };
 
 /// Theorem 1.3. Throws PreconditionError if d < 3, lists are smaller than
-/// d, or the peeling stalls (which certifies that the promise
-/// d >= mad(G) was violated).
+/// d, or peel_and_extend fails (at the paper's radius a stall certifies
+/// that the promise d >= mad(G) was violated).
 SparseResult list_color_sparse(const Graph& g, Vertex d,
                                const ListAssignment& lists,
                                const SparseOptions& opts = {});
 
 /// One peel level's masks, in original vertex ids: the residual graph G_i
 /// (alive), its rich set R_i, and its happy set A_i. Non-owning views —
-/// list_color_sparse carves them from its arena; ad-hoc callers (Theorem
-/// 6.1, tests, benches) wrap plain vectors, which convert implicitly.
+/// peel_and_extend carves them from its arena; ad-hoc callers (tests,
+/// benches) wrap plain vectors, which convert implicitly.
 struct LevelMasks {
   std::span<const char> alive;
   std::span<const char> rich;
   std::span<const char> happy;
 };
 
-/// The Lemma 3.2 extension step, exposed for Theorem 6.1 and for the
-/// extension-in-isolation bench: given a partial coloring of G_i - A_i
+/// The Lemma 3.2 extension step (exposed for the extension-in-isolation
+/// tests and bench): given a partial coloring of G_i - A_i
 /// (alive, non-happy vertices colored; A_i uncolored), extends it to all of
 /// G_i, possibly recoloring parts of G_i - A_i. `aux_dmax` bounds the max
 /// degree of G_i[R_i] and sizes the auxiliary stable-set partition (d for
@@ -97,5 +100,25 @@ void extend_level_lemma32(const Graph& g, const LevelMasks& level,
                           const ListAssignment& lists, Vertex aux_dmax,
                           Vertex rho, Coloring& colors, Rounds& rounds,
                           Arena* arena = nullptr);
+
+/// Each level's rich set R_i and condition-1 witnesses W_i inside G_i
+/// (degrees are deg_{G_i}; d = aux_dmax).
+enum class PeelRule {
+  kDegree,   ///< Theorem 1.3: R_i = {deg <= d}, W_i = {deg <= d - 1}
+  kSurplus,  ///< Theorem 6.1: R_i = G_i, W_i = {|L(v)| > deg}
+};
+
+/// rho: opts.radius_override if positive, else ceil(opts.ball_constant ln n).
+Vertex peel_ball_radius(Vertex n, const SparseOptions& opts);
+
+/// The peel-and-extend driver of Theorems 1.3 and 6.1: peels happy sets
+/// under `rule` at radius rho (one "peel-balls" charge and PeelRecord per
+/// level), then extends back level by level with extend_level_lemma32.
+/// Throws PreconditionError past opts.max_peels levels (default 4n + 16) or
+/// on a stall, which certifies a violated promise only at the paper's radius.
+Coloring peel_and_extend(const Graph& g, const ListAssignment& lists,
+                         PeelRule rule, Vertex aux_dmax, Vertex rho,
+                         const SparseOptions& opts, Rounds& rounds,
+                         std::vector<PeelRecord>& peels);
 
 }  // namespace scol

@@ -219,10 +219,7 @@ void Server::flush(std::vector<Pending>& batch, std::ostream& out) {
       Color palette_eff = -1;
       if (info.caps.needs_lists) {
         lists = spec.lists_mode;
-        if (spec.lists_mode == "random")
-          palette_eff = spec.palette > 0
-                            ? spec.palette
-                            : static_cast<Color>(4 * k_eff);
+        palette_eff = list_shape(spec.lists_mode, spec.palette, k_eff).palette;
       }
       p.key = p.entry->digest().hex() + '|' + spec.scenario + '|' +
               spec.algorithm + '|' + std::to_string(spec.seed) + '|' +

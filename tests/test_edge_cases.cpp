@@ -3,8 +3,10 @@
 // and the sharp Corollary 2.11 variant.
 #include <gtest/gtest.h>
 
+#include "scol/api/scenario.h"
 #include "scol/coloring/derived.h"
 #include "scol/coloring/exact.h"
+#include "scol/coloring/nice.h"
 #include "scol/coloring/sparse.h"
 #include "scol/flow/density.h"
 #include "scol/gen/circulant.h"
@@ -155,6 +157,15 @@ TEST(EdgeCases, PeelCapTriggers) {
   SparseOptions opts;
   opts.max_peels = 1;
   EXPECT_THROW(list_color_sparse(s, 3, uniform_lists(31, 3), opts),
+               PreconditionError);
+  // Theorem 6.1 shares the peel loop, cap included: a 4-regular graph
+  // with 4-lists peels 3 levels at radius 2, so a cap of 1 must fire.
+  Rng rng(1);
+  const Graph g = build_scenario("regular:n=512,d=4", rng);
+  SparseOptions nice_opts;
+  nice_opts.radius_override = 2;
+  nice_opts.max_peels = 1;
+  EXPECT_THROW(nice_list_coloring(g, uniform_lists(512, 4), nice_opts),
                PreconditionError);
 }
 

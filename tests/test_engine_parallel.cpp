@@ -14,7 +14,6 @@
 #include "scol/api/json.h"
 #include "scol/api/oneshot.h"
 #include "scol/api/scenario.h"
-#include "scol/coloring/ert.h"
 #include "scol/coloring/kcoloring.h"
 #include "scol/coloring/randomized.h"
 #include "scol/coloring/ruling.h"
@@ -206,22 +205,6 @@ TEST(EngineParallel, RulingForestBitIdentical) {
     EXPECT_EQ(serial.max_depth, parallel.max_depth);
     EXPECT_EQ(serial_ledger.phase("ruling-forest"),
               pool_ledger.phase("ruling-forest"));
-  }
-}
-
-TEST(EngineParallel, DegreeChoosableColoringBitIdentical) {
-  ThreadPoolExecutor pool(4, /*grain=*/16);
-  Rng rng(2047);
-  for (int trial = 0; trial < 3; ++trial) {
-    const Graph g = random_non_gallai(120, rng);
-    AvailableLists avail(static_cast<std::size_t>(g.num_vertices()));
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      auto& list = avail[static_cast<std::size_t>(v)];
-      for (Color c = 0; c < g.degree(v); ++c) list.push_back(c);
-    }
-    const Coloring serial = degree_choosable_coloring(g, avail);
-    const Coloring parallel = degree_choosable_coloring(g, avail, &pool);
-    EXPECT_EQ(serial, parallel);
   }
 }
 

@@ -230,15 +230,18 @@ TEST(Sparse, RadiusOneStallsOnTorusGrid) {
 
 // Pinned reports of the Theorem 1.3 family. The tight rows reach the
 // all-tight root-ball path (regular graphs with k = degree); the radius
-// rows color many small surplus balls per level. A change in the root-ball
-// step that alters a coloring, a round count or the arena footprint fails
-// here, under the serial executor and a thread pool alike.
+// rows color many small surplus balls per level; the regular radius-2 rows
+// peel several levels, so the extension walk runs more than once. A change
+// in the peel loop or the extension step that alters a coloring, a round
+// count, the level count or the arena footprint fails here, under the
+// serial executor and a thread pool alike.
 struct PinnedRun {
   const char* algorithm;
   const char* scenario;
   Color k;
   Color palette;  // 0 = uniform k-lists, else random k-subsets
   Vertex radius;  // 0 = the paper radius
+  std::int64_t peels;
   std::uint64_t coloring_digest;
   std::int64_t rounds;
   std::int64_t arena_bytes;
@@ -255,26 +258,34 @@ std::uint64_t fnv1a(const Coloring& c) {
 
 TEST(Sparse, RootBallReportsArePinned) {
   const PinnedRun runs[] = {
-      {"planar6", "torus-tri", 6, 0, 0, 8905620194912579110ULL, 30585, 2632},
-      {"planar6", "torus-tri:rows=6,cols=10", 6, 9, 0,
+      {"planar6", "torus-tri", 6, 0, 0, 1,
+       8905620194912579110ULL, 30585, 2632},
+      {"planar6", "torus-tri:rows=6,cols=10", 6, 9, 0, 1,
        15173993590786560841ULL, 30137, 2468},
-      {"planar6", "planar:n=2000", 6, 0, 0,
+      {"planar6", "planar:n=2000", 6, 0, 0, 5,
        10216043081776010540ULL, 315157, 114040},
-      {"nice", "torus", 4, 0, 0, 1611069547038922599ULL, 37953, 4616},
-      {"nice", "torus-tri:rows=6,cols=8", 6, 0, 0,
+      {"nice", "torus", 4, 0, 0, 1,
+       1611069547038922599ULL, 37953, 4616},
+      {"nice", "torus-tri:rows=6,cols=8", 6, 0, 0, 1,
        12245807249482391807ULL, 28458, 1928},
-      {"sparse", "torus:rows=16,cols=16", 4, 0, 0,
+      {"sparse", "torus:rows=16,cols=16", 4, 0, 0, 1,
        13519023684632212039ULL, 42210, 8456},
-      {"sparse", "torus:rows=10,cols=12", 4, 5, 0,
+      {"sparse", "torus:rows=10,cols=12", 4, 5, 0, 1,
        11731707000557389324ULL, 32135, 3968},
-      {"sparse", "torus:rows=16,cols=64", 4, 6, 4,
+      {"sparse", "torus:rows=16,cols=64", 4, 6, 4, 1,
        6858192341123257459ULL, 835, 33800},
-      {"sparse", "torus-tri:rows=12,cols=40", 6, 0, 2,
+      {"sparse", "torus-tri:rows=12,cols=40", 6, 0, 2, 1,
        878252585840910849ULL, 661, 19688},
-      {"planar4-trianglefree", "torus", 4, 0, 0,
+      {"planar4-trianglefree", "torus", 4, 0, 0, 1,
        1611069547038922599ULL, 37955, 4760},
-      {"planar4-trianglefree", "hex:rows=24,cols=24", 4, 0, 0,
+      {"planar4-trianglefree", "hex:rows=24,cols=24", 4, 0, 0, 1,
        4351167656851202119ULL, 60180, 19016},
+      {"nice", "regular:n=512,d=4", 4, 0, 2, 3,
+       16130027618685995646ULL, 1322, 34763},
+      {"sparse", "regular:n=512,d=4", 4, 0, 2, 3,
+       16130027618685995646ULL, 1324, 36299},
+      {"nice", "regular:n=512,d=3", 3, 0, 2, 4,
+       16724040697611034365ULL, 1487, 47576},
   };
   ThreadPoolExecutor pool(4, /*grain=*/16);
   for (const PinnedRun& run : runs) {
@@ -298,6 +309,7 @@ TEST(Sparse, RootBallReportsArePinned) {
       expect_proper_list_coloring(g, *r.coloring, lists);
       EXPECT_EQ(fnv1a(*r.coloring), run.coloring_digest);
       EXPECT_EQ(r.rounds, run.rounds);
+      EXPECT_EQ(r.metrics.get_int("peels", -1), run.peels);
       EXPECT_EQ(r.metrics.get_int("arena_bytes", -1), run.arena_bytes);
     }
   }
