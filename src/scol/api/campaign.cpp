@@ -27,9 +27,7 @@ void validate_spec(const CampaignSpec& spec) {
   SCOL_REQUIRE(!spec.algorithms.empty(), + "campaign needs >= 1 algorithm");
   SCOL_REQUIRE(spec.seeds >= 1, + "campaign needs seeds >= 1");
   SCOL_REQUIRE(spec.exec_shards >= 1, + "campaign needs shards >= 1");
-  SCOL_REQUIRE(spec.lists_mode == "uniform" || spec.lists_mode == "random",
-               + ("lists_mode must be uniform or random, got '" +
-                  spec.lists_mode + "'"));
+  require_lists_mode(spec.lists_mode);
   for (const auto& s : spec.scenarios) validate_scenario_spec(s);
   for (const auto& a : spec.algorithms) AlgorithmRegistry::instance().at(a);
   for (const auto& [name, params] : spec.algo_params) {

@@ -26,10 +26,7 @@ Json one_shot_report_on(const Graph& g, const OneShotSpec& spec,
                         std::shared_ptr<Arena> arena) {
   const AlgorithmInfo& info =
       AlgorithmRegistry::instance().at(spec.algorithm);
-  SCOL_REQUIRE(
-      spec.lists_mode == "uniform" || spec.lists_mode == "random",
-      + ("lists_mode must be uniform or random, got '" + spec.lists_mode +
-         "'"));
+  require_lists_mode(spec.lists_mode);
 
   const Vertex k = effective_k(info, spec.k, g.max_degree(), spec.params);
 

@@ -9,26 +9,10 @@ namespace {
 
 // Default guarantee for every list-respecting algorithm: a coloring drawn
 // from the lists can use at most the number of distinct colors across
-// them (equal to k for uniform k-lists).
+// them (k for uniform k-lists, read off the shared list).
 std::int64_t distinct_list_colors(const ColoringRequest& req) {
   if (req.lists == nullptr) return -1;
-  const ListAssignment& lists = *req.lists;
-  if (lists.size() == 0) return 0;
-  // Fast path for the dominant shape, uniform lists: every list equals
-  // the first, so the distinct count is its size (lists are canonical —
-  // sorted and duplicate-free).
-  const auto first = lists.of(0);
-  bool all_equal = true;
-  for (Vertex v = 1; v < lists.size() && all_equal; ++v) {
-    const auto l = lists.of(v);
-    all_equal = std::equal(l.begin(), l.end(), first.begin(), first.end());
-  }
-  if (all_equal) return static_cast<std::int64_t>(first.size());
-  const auto flat = lists.flat();
-  std::vector<Color> all(flat.begin(), flat.end());
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return static_cast<std::int64_t>(all.size());
+  return static_cast<std::int64_t>(req.lists->palette().size());
 }
 
 }  // namespace
@@ -99,6 +83,12 @@ ListAssignment ListShape::build(Vertex n, std::uint64_t seed) const {
   Rng list_rng = Rng::stream(seed, (static_cast<std::uint64_t>(k) << 32) ^
                                        static_cast<std::uint64_t>(palette));
   return random_lists(n, static_cast<Color>(k), palette, list_rng);
+}
+
+void require_lists_mode(const std::string& lists_mode) {
+  SCOL_REQUIRE(lists_mode == "uniform" || lists_mode == "random",
+               + ("lists mode must be uniform or random, got '" +
+                  lists_mode + "'"));
 }
 
 ListShape list_shape(const std::string& lists_mode, Color palette, Vertex k) {

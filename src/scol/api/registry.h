@@ -129,6 +129,11 @@ struct ListShape {
   ListAssignment build(Vertex n, std::uint64_t seed) const;
 };
 
+/// The one check on a lists mode, shared by one-shot runs, campaign specs
+/// and the serve protocol: throws PreconditionError unless it is
+/// "uniform" or "random".
+void require_lists_mode(const std::string& lists_mode);
+
 /// Lists mode "random" gets `palette`, or 4k when it is <= 0.
 ListShape list_shape(const std::string& lists_mode, Color palette, Vertex k);
 

@@ -127,11 +127,7 @@ ColoringReport delta_list_coloring(const Graph& g, const ListAssignment& lists,
 
   const InducedSubgraph rest = induce(g, keep);
   if (rest.graph.num_vertices() > 0) {
-    ListAssignment rest_lists;
-    rest_lists.reserve(rest.graph.num_vertices(), lists.flat().size());
-    for (Vertex x = 0; x < rest.graph.num_vertices(); ++x)
-      rest_lists.append(
-          lists.of(rest.to_original[static_cast<std::size_t>(x)]));
+    const ListAssignment rest_lists = lists.select(rest.to_original);
     SparseResult r = list_color_sparse(rest.graph, delta, rest_lists, opts);
     SCOL_CHECK(!r.clique.has_value(),
                + "K_{Delta+1} must be a full component at max degree Delta");

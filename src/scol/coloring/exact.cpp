@@ -52,18 +52,18 @@ std::optional<Coloring> search(const Graph& g, const ListAssignment& lists,
   const Vertex n = g.num_vertices();
   const auto un = static_cast<std::size_t>(n);
 
-  // Dense colour ids index the counters; `ids` mirrors `lists`.
-  std::vector<Color> palette(lists.flat().begin(), lists.flat().end()), row;
-  std::ranges::sort(palette);
-  palette.erase(std::unique(palette.begin(), palette.end()), palette.end());
+  // Dense colour ids index the counters; `ids` mirrors `lists`. Uniform
+  // lists are [0, k) over the palette [0, k), so they are their own ids.
+  const std::vector<Color> palette = lists.palette();
   const std::size_t p = palette.size();
   // blocked[v*p + c]: v's placed neighbours coloured c, plus one when c is
   // not on v's list, so a list colour is free for v iff its count is 0.
-  std::vector<Vertex> blocked(un * p, 1), free_count(un);
-  ListAssignment ids;
-  std::size_t max_len = 0;
+  std::vector<Vertex> blocked(un * p, lists.uniform() ? 0 : 1);
+  std::vector<Vertex> free_count(un);
+  ListAssignment ids = lists.uniform() ? lists : ListAssignment{};
   bool identical = true;
-  for (Vertex v = 0; v < n; ++v) {
+  std::vector<Color> row;
+  for (Vertex v = 0; v < n && !lists.uniform(); ++v) {
     row.clear();
     for (Color x : lists.of(v)) {
       row.push_back(static_cast<Color>(
@@ -71,9 +71,12 @@ std::optional<Coloring> search(const Graph& g, const ListAssignment& lists,
       blocked[v * p + row.back()] = 0;
     }
     ids.append(row);
-    free_count[v] = static_cast<Vertex>(row.size());
-    max_len = std::max(max_len, row.size());
     identical = identical && std::ranges::equal(lists.of(v), lists.of(0));
+  }
+  std::size_t max_len = 0;
+  for (Vertex v = 0; v < n; ++v) {
+    free_count[v] = static_cast<Vertex>(ids.of(v).size());
+    max_len = std::max(max_len, ids.of(v).size());
   }
 
   // The queue holds each uncoloured vertex v not yet branched on at

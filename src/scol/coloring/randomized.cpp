@@ -1,13 +1,53 @@
 #include "scol/coloring/randomized.h"
 
+#include <algorithm>
 #include <atomic>
 
-#include "scol/coloring/small_color_set.h"
 #include "scol/util/executor.h"
 
 namespace scol {
 
 constexpr std::string_view kPhase = "randomized-coloring";
+
+namespace {
+
+// Index of the first element >= c in the sorted `list`. The halving steps
+// compile to conditional moves, so a search costs log |L| dependent loads
+// and no mispredicted branch.
+std::size_t lower_bound_index(std::span<const Color> list, Color c) {
+  if (list.empty()) return 0;
+  const Color* base = list.data();
+  std::size_t n = list.size();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half] < c ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - list.data()) + (*base < c ? 1 : 0);
+}
+
+}  // namespace
+
+std::size_t FreeListPick::free_count(std::span<const Color> list) {
+  list_ = list;
+  hits_.clear();
+  for (const Color c : blocked_) {
+    const std::size_t at = lower_bound_index(list, c);
+    if (at < list.size() && list[at] == c) hits_.push_back(at);
+  }
+  // Only the hits are sorted: a hub next to a short list sorts few.
+  std::sort(hits_.begin(), hits_.end());
+  hits_.erase(std::unique(hits_.begin(), hits_.end()), hits_.end());
+  return list.size() - hits_.size();
+}
+
+Color FreeListPick::pick(std::size_t r) const {
+  for (const std::size_t h : hits_) {
+    if (h > r) break;
+    ++r;
+  }
+  return list_[r];
+}
 
 std::optional<Coloring> propose_resolve_coloring(
     const Graph& g, const ListAssignment& lists, std::uint64_t base_seed,
@@ -35,38 +75,29 @@ std::optional<Coloring> propose_resolve_coloring(
           "randomized coloring did not converge (astronomically unlikely)");
     const std::uint64_t round_tag = static_cast<std::uint64_t>(iters) << 32;
     // Propose: a uniform color from L(v) minus colored neighbors. One
-    // forbidden set per chunk serves all of its vertices, and the pick is
-    // the r-th free list color, so no vertex allocates.
+    // FreeListPick per chunk serves all of its vertices, and the pick is
+    // the r-th free list color, found without scanning the list.
     rounds.round(
         kPhase, static_cast<std::size_t>(n),
         [&](std::size_t begin, std::size_t end) {
-          SmallColorSet blocked;
+          FreeListPick free_colors;
           for (std::size_t i = begin; i < end; ++i) {
             const Vertex v = static_cast<Vertex>(i);
             proposal[i] = kUncolored;
             if (coloring[i] != kUncolored) continue;
-            blocked.clear();
+            free_colors.clear();
             for (Vertex w : g.neighbors(v)) {
               const Color cw = coloring[static_cast<std::size_t>(w)];
-              if (cw != kUncolored) blocked.insert(cw);
+              if (cw != kUncolored) free_colors.block(cw);
             }
-            const auto list = lists.of(v);
-            std::size_t free = 0;
-            for (Color c : list) free += blocked.contains(c) ? 0 : 1;
+            const std::size_t free = free_colors.free_count(lists.of(v));
             if (free == 0) {
               stuck.store(true, std::memory_order_relaxed);
               continue;
             }
             Rng vr = Rng::stream(base_seed,
                                  round_tag | static_cast<std::uint64_t>(v));
-            std::uint64_t r = vr.below(free);
-            for (Color c : list) {
-              if (blocked.contains(c)) continue;
-              if (r-- == 0) {
-                proposal[i] = c;
-                break;
-              }
-            }
+            proposal[i] = free_colors.pick(vr.below(free));
           }
         });
     // Resolve: keep the proposal iff no neighbor proposed the same color.

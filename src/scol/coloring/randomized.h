@@ -17,6 +17,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "scol/api/report.h"
 #include "scol/coloring/types.h"
@@ -32,6 +34,30 @@ namespace scol {
 enum class OnExhausted {
   kCheckFail,  ///< throw InternalError: (deg+1)-lists make this a bug
   kAbandon,    ///< return nullopt: a sampled palette may legitimately fail
+};
+
+/// The propose step's pick of a uniform free list color, in
+/// O(deg log |L|) rather than O(|L|): block() collects the colored
+/// neighbors' colors (any order, repeats allowed); free_count(list)
+/// binary-searches each in the canonical list, sorts and dedups the
+/// positions found, and returns |L| minus their number; pick(r) is the
+/// r-th free color of that list (0-based, list order), r stepped past the
+/// found positions. One instance serves a whole chunk of vertices; clear()
+/// keeps capacity.
+class FreeListPick {
+ public:
+  void clear() { blocked_.clear(); }
+  void block(Color c) { blocked_.push_back(c); }
+  /// The number of colors of `list` (sorted, duplicate-free) not blocked.
+  /// `list` must outlive the pick() calls that follow.
+  std::size_t free_count(std::span<const Color> list);
+  /// The r-th free color of the last free_count() list; r < that count.
+  Color pick(std::size_t r) const;
+
+ private:
+  std::vector<Color> blocked_;
+  std::vector<std::size_t> hits_;  // list positions of blocked colors, sorted
+  std::span<const Color> list_;
 };
 
 /// The randomized propose/resolve kernel. Each iteration, every uncolored

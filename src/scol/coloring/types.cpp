@@ -25,16 +25,41 @@ std::vector<std::vector<Color>> to_lists(const ListAssignment& lists) {
   return out;
 }
 
+ListAssignment ListAssignment::select(std::span<const Vertex> vertices) const {
+  ListAssignment out;
+  if (uniform_) {
+    out = *this;
+    out.n_ = static_cast<Vertex>(vertices.size());
+    return out;
+  }
+  std::size_t total = 0;
+  for (Vertex v : vertices) total += of(v).size();
+  out.reserve(static_cast<Vertex>(vertices.size()), total);
+  for (Vertex v : vertices) out.append(of(v));
+  return out;
+}
+
 std::size_t ListAssignment::min_list_size() const {
   if (size() == 0) return 0;
+  if (uniform_) return colors_.size();
   std::size_t m = ~static_cast<std::size_t>(0);
   for (Vertex v = 0; v < size(); ++v) m = std::min(m, of(v).size());
   return m;
 }
 
+std::vector<Color> ListAssignment::palette() const {
+  if (uniform_) return n_ > 0 ? colors_ : std::vector<Color>{};
+  std::vector<Color> all(colors_);
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  return all;
+}
+
 bool ListAssignment::canonical() const {
-  // Sorted and duplicate-free is strictly increasing: one pass per list.
-  for (Vertex v = 0; v < size(); ++v) {
+  // Sorted and duplicate-free is strictly increasing: one pass per list,
+  // and a uniform assignment has one list.
+  const Vertex lists = uniform_ ? std::min<Vertex>(n_, 1) : n_;
+  for (Vertex v = 0; v < lists; ++v) {
     const auto l = of(v);
     if (std::adjacent_find(l.begin(), l.end(), std::greater_equal<>()) !=
         l.end())
@@ -45,11 +70,11 @@ bool ListAssignment::canonical() const {
 
 ListAssignment uniform_lists(Vertex n, Color k) {
   SCOL_REQUIRE(n >= 0 && k >= 1);
-  std::vector<Color> base(static_cast<std::size_t>(k));
-  for (Color c = 0; c < k; ++c) base[static_cast<std::size_t>(c)] = c;
   ListAssignment out;
-  out.reserve(n, static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
-  for (Vertex v = 0; v < n; ++v) out.append(base);
+  out.colors_.resize(static_cast<std::size_t>(k));
+  for (Color c = 0; c < k; ++c) out.colors_[static_cast<std::size_t>(c)] = c;
+  out.n_ = n;
+  out.uniform_ = true;
   return out;
 }
 
@@ -95,6 +120,13 @@ bool is_partial_proper(const Graph& g, const Coloring& c) {
 
 bool respects_lists(const Coloring& c, const ListAssignment& lists) {
   if (static_cast<Vertex>(c.size()) != lists.size()) return false;
+  if (lists.uniform()) {
+    // Every list is [0, k).
+    const auto k = static_cast<Color>(lists.min_list_size());
+    return std::all_of(c.begin(), c.end(), [k](Color x) {
+      return x == kUncolored || (x >= 0 && x < k);
+    });
+  }
   for (std::size_t v = 0; v < c.size(); ++v) {
     if (c[v] == kUncolored) continue;
     if (!list_contains(lists.of(static_cast<Vertex>(v)), c[v])) return false;

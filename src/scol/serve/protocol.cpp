@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "scol/api/registry.h"
 #include "scol/util/check.h"
 
 namespace scol {
@@ -84,11 +85,7 @@ ServeRequest parse_request(const std::string& line) {
       req.spec.k = static_cast<Vertex>(want_int(value, "k"));
     } else if (key == "lists") {
       req.spec.lists_mode = want_str(value, "lists");
-      SCOL_REQUIRE(
-          req.spec.lists_mode == "uniform" ||
-              req.spec.lists_mode == "random",
-          + ("field 'lists' wants uniform or random, got '" +
-             req.spec.lists_mode + "'"));
+      require_lists_mode(req.spec.lists_mode);
     } else if (key == "palette") {
       req.spec.palette = static_cast<Color>(want_int(value, "palette"));
     } else if (key == "params") {

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace scol {
 
@@ -25,11 +26,17 @@ class InternalError : public std::logic_error {
 };
 
 namespace detail {
+// The message names the file by its basename, so a failure text (and a
+// report's failure_reason) does not depend on where the tree is checked
+// out.
 [[noreturn]] inline void check_failed(const char* kind, const char* expr,
                                       const char* file, int line,
                                       const std::string& msg) {
+  const std::string_view path(file);
+  // With no separator, find_last_of's npos + 1 wraps to 0: the whole name.
+  const std::string_view base = path.substr(path.find_last_of("/\\") + 1);
   std::ostringstream os;
-  os << kind << " failed: " << expr << " at " << file << ":" << line;
+  os << kind << " failed: " << expr << " at " << base << ":" << line;
   if (!msg.empty()) os << " — " << msg;
   if (kind[0] == 'S') throw InternalError(os.str());
   throw PreconditionError(os.str());

@@ -107,11 +107,7 @@ inline ListAssignment permuted_lists(const ListAssignment& lists,
   std::vector<Vertex> inverse(perm.size());
   for (std::size_t v = 0; v < perm.size(); ++v)
     inverse[static_cast<std::size_t>(perm[v])] = static_cast<Vertex>(v);
-  ListAssignment out;
-  out.reserve(static_cast<Vertex>(perm.size()), lists.flat().size());
-  for (std::size_t x = 0; x < perm.size(); ++x)
-    out.append(lists.of(inverse[x]));
-  return out;
+  return lists.select(inverse);
 }
 
 /// One eligible registry cell for an instance: the ready-to-solve request

@@ -229,6 +229,25 @@ TEST(Solve, MisuseThrowsButAlgorithmFailureReports) {
   EXPECT_FALSE(r.failure_reason.empty());
 }
 
+TEST(Solve, FailureReasonNamesTheSourceFileNotItsPath) {
+  // A REQUIRE failing inside a solver (Theorem 6.1's peel cap) names its
+  // source by basename, so the report reads the same from any checkout.
+  Rng rng(1);
+  const Graph g = build_scenario("regular:n=512,d=4", rng);
+  const ListAssignment lists = uniform_lists(g.num_vertices(), 4);
+  ColoringRequest req = make_request("nice", g, lists);
+  req.params.set_int("radius", 2).set_int("max_peels", 1);
+  RunContext ctx;
+  const ColoringReport r = solve(req, ctx);
+  ASSERT_EQ(r.status, SolveStatus::kFailed);
+  EXPECT_NE(r.failure_reason.find("peel cap exceeded"), std::string::npos)
+      << r.failure_reason;
+  EXPECT_NE(r.failure_reason.find(" at sparse.cpp:"), std::string::npos)
+      << r.failure_reason;
+  EXPECT_EQ(r.failure_reason.find('/'), std::string::npos)
+      << r.failure_reason;
+}
+
 TEST(Solve, ContextBudgetsLedgerAndTelemetry) {
   const Graph g = grid(6, 6);
   const ListAssignment lists = uniform_lists(g.num_vertices(), 6);

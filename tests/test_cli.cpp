@@ -203,11 +203,12 @@ TEST(Cli, RuntimeFailuresExitOne) {
 #endif
   const std::string bin = binary("scol-cli");
   SKIP_WITHOUT(bin);
-  // Δ+1 uniform lists on rmat:16 need gigabytes: under a 1 GB address
-  // space cap the run dies with std::bad_alloc. That is a runtime
-  // failure (1), not a usage error (2), as --help says.
+  // An rmat:26 graph (2^26 vertices, 2^30 edge draws) needs gigabytes:
+  // under a 1 GB address space cap its generation dies with
+  // std::bad_alloc. That is a runtime failure (1), not a usage error (2),
+  // as --help says.
   const RunResult r = run("(ulimit -v 1000000; " + bin +
-                          " --algo dplus1-sparsified --gen rmat:scale=16)");
+                          " --algo greedy --gen rmat:scale=26)");
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("bad_alloc"), std::string::npos) << r.output;
 }

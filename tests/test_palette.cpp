@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scol/api/registry.h"
@@ -158,6 +160,80 @@ TEST(PaletteCanonical, OnePassMatchesSortedAndUnique) {
   EXPECT_TRUE(ListAssignment::from_lists({{}, {0}, {0, 5, 9}}).canonical());
 }
 
+// uniform_lists(n, k) stores one shared [0, k) array; from_lists of the
+// same n lists is the explicit CSR form it replaced. Every query must
+// answer alike on the two.
+TEST(PaletteUniform, ImplicitListsMatchExplicitOnes) {
+  const std::pair<Vertex, Color> shapes[] = {
+      {0, 1}, {1, 1}, {7, 3}, {300, 5}, {64, 207}};
+  Rng rng(31);
+  for (const auto& [n, k] : shapes) {
+    const std::string what =
+        "n=" + std::to_string(n) + " k=" + std::to_string(k);
+    std::vector<Color> base(static_cast<std::size_t>(k));
+    std::iota(base.begin(), base.end(), 0);
+    const ListAssignment implicit = uniform_lists(n, k);
+    const ListAssignment expl = ListAssignment::from_lists(
+        std::vector<std::vector<Color>>(static_cast<std::size_t>(n), base));
+    EXPECT_TRUE(implicit.uniform()) << what;
+    EXPECT_FALSE(expl.uniform()) << what;
+    ASSERT_EQ(implicit.size(), expl.size()) << what;
+    EXPECT_EQ(implicit.empty(), expl.empty()) << what;
+    for (Vertex v = 0; v < n; ++v)
+      ASSERT_TRUE(std::ranges::equal(implicit.of(v), expl.of(v)))
+          << what << " v " << v;
+    EXPECT_EQ(implicit.min_list_size(), expl.min_list_size()) << what;
+    EXPECT_EQ(implicit.canonical(), expl.canonical()) << what;
+    EXPECT_EQ(implicit.palette(), expl.palette()) << what;
+    EXPECT_EQ(implicit.flat().size(), expl.flat().size()) << what;
+    EXPECT_EQ(implicit.flat().size(),
+              static_cast<std::size_t>(n) * static_cast<std::size_t>(k))
+        << what;
+    EXPECT_TRUE(std::ranges::equal(implicit.flat(), expl.flat())) << what;
+
+    // A sub-assignment (reversed, every other vertex) stays uniform.
+    std::vector<Vertex> some;
+    for (Vertex v = n - 1; v >= 0; v -= 2) some.push_back(v);
+    const ListAssignment sub = implicit.select(some);
+    const ListAssignment sub_expl = expl.select(some);
+    EXPECT_TRUE(sub.uniform()) << what;
+    ASSERT_EQ(sub.size(), sub_expl.size()) << what;
+    EXPECT_TRUE(std::ranges::equal(sub.flat(), sub_expl.flat())) << what;
+
+    // The registry's default colour bound reads the distinct list colours.
+    const AlgorithmInfo& info = AlgorithmRegistry::instance().at("randomized");
+    const Graph g = Graph::from_edges(n, {});
+    EXPECT_EQ(info.color_bound(make_request("randomized", g, implicit)),
+              info.color_bound(make_request("randomized", g, expl)))
+        << what;
+
+    // respects_lists: valid partial colourings, then one colour off the
+    // lists (above, negative, far above), then a size mismatch.
+    Coloring c(static_cast<std::size_t>(n));
+    for (Color& x : c) {
+      x = static_cast<Color>(rng.below(static_cast<std::uint64_t>(k)));
+      if (rng.chance(0.2)) x = kUncolored;
+    }
+    EXPECT_TRUE(respects_lists(c, implicit)) << what;
+    EXPECT_TRUE(respects_lists(c, expl)) << what;
+    if (n > 0) {
+      for (const Color bad : {k, Color{-2}, Color{1} << 20}) {
+        Coloring off = c;
+        off[static_cast<std::size_t>(n / 2)] = bad;
+        EXPECT_FALSE(respects_lists(off, implicit)) << what << " " << bad;
+        EXPECT_FALSE(respects_lists(off, expl)) << what << " " << bad;
+      }
+    }
+    c.push_back(0);
+    EXPECT_FALSE(respects_lists(c, implicit)) << what;
+    EXPECT_FALSE(respects_lists(c, expl)) << what;
+
+    // The shared list is complete: no list can be appended to it.
+    ListAssignment grown = implicit;
+    EXPECT_THROW(grown.append({0}), PreconditionError) << what;
+  }
+}
+
 // Reports computed before the palette passes were cut: the coloring
 // digest, the charged rounds and the arena footprint must not move, under
 // the serial executor and a four-thread pool alike.
@@ -179,6 +255,12 @@ TEST(PalettePinned, DeltaPlusOneReportsAreUnchanged) {
        505812, 282672},
       {"pref-attach:n=4096", "deglist-sparsified", -1,
        "9c1ae03a0c67957c7bb7dc03c773cd69", 0, 0},
+      // The propose pick, pinned with the two O(|L|) scans FreeListPick
+      // replaced (7 iterations on the regular graph).
+      {"planar:n=4096", "randomized", -1, "8631f0770954a332a371be8feb2ddabb",
+       4, 0},
+      {"regular:n=4096,d=4", "randomized", -1,
+       "c865b1f379e697d62ade5f7b298bb64b", 14, 0},
   };
   ThreadPoolExecutor pool(4);
   for (const Pin& pin : pins) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
 
 #include "scol/coloring/randomized.h"
+#include "scol/coloring/small_color_set.h"
+#include "scol/coloring/sparsify.h"
 #include "scol/gen/lattice.h"
 #include "scol/gen/random.h"
 #include "scol/gen/special.h"
@@ -98,6 +102,80 @@ TEST(Randomized, LedgerCharged) {
   const auto r = randomized_list_coloring(g, uniform_lists(64, 5), rng);
   EXPECT_EQ(r.ledger.phase("randomized-coloring"), r.rounds);
   EXPECT_EQ(r.rounds, 2 * r.metrics.get_int("iterations", -1));
+}
+
+// The propose pick as it was before FreeListPick: a forbidden set of the
+// neighbours' colours, one O(|L|) scan to count the free list colours and
+// a second to walk to the r-th.
+std::size_t scan_free_count(std::span<const Color> list,
+                            const SmallColorSet& blocked) {
+  std::size_t free = 0;
+  for (Color c : list) free += blocked.contains(c) ? 0 : 1;
+  return free;
+}
+
+Color scan_pick(std::span<const Color> list, const SmallColorSet& blocked,
+                std::uint64_t r) {
+  for (Color c : list) {
+    if (blocked.contains(c)) continue;
+    if (r-- == 0) return c;
+  }
+  return kUncolored;
+}
+
+// Per vertex, a few random neighbourhoods: colours drawn from [0,
+// max_color], so repeats and colours off the list occur, and a last one
+// that also blocks the whole list (free == 0, a stuck vertex). Every r
+// below the free count must pick what the scan picks.
+void expect_pick_matches_scan(const ListAssignment& lists, Color max_color,
+                              Rng& rng, const std::string& what) {
+  FreeListPick pick;
+  SmallColorSet blocked;
+  for (Vertex v = 0; v < lists.size(); ++v) {
+    const auto list = lists.of(v);
+    for (int trial = 0; trial < 4; ++trial) {
+      pick.clear();
+      blocked.clear();
+      const std::uint64_t deg = rng.below(2 * list.size() + 3);
+      for (std::uint64_t i = 0; i < deg; ++i) {
+        const auto c = static_cast<Color>(
+            rng.below(static_cast<std::uint64_t>(max_color) + 1));
+        pick.block(c);
+        blocked.insert(c);
+      }
+      if (trial == 3) {
+        for (Color c : list) {
+          pick.block(c);
+          blocked.insert(c);
+        }
+      }
+      const std::size_t free = pick.free_count(list);
+      ASSERT_EQ(free, scan_free_count(list, blocked))
+          << what << " v " << v << " trial " << trial;
+      if (trial == 3) {
+        EXPECT_EQ(free, 0u) << what << " v " << v;
+      }
+      for (std::size_t r = 0; r < free; ++r)
+        ASSERT_EQ(pick.pick(r), scan_pick(list, blocked, r))
+            << what << " v " << v << " trial " << trial << " r " << r;
+    }
+  }
+}
+
+TEST(ProposePick, MatchesTheListScan) {
+  Rng rng(43);
+  expect_pick_matches_scan(uniform_lists(40, 1), 3, rng, "uniform k=1");
+  expect_pick_matches_scan(uniform_lists(40, 37), 50, rng, "uniform k=37");
+  expect_pick_matches_scan(random_lists(60, 9, 40, rng), 45, rng,
+                           "random 9 of 40");
+  expect_pick_matches_scan(random_lists(20, 70, 300, rng), 320, rng,
+                           "random 70 of 300");
+  // Sampled sub-palettes, as the *-sparsified attempts propose from.
+  expect_pick_matches_scan(sparsify_palette(uniform_lists(64, 300), 12, 7, 0),
+                           310, rng, "sampled 12 of 300");
+  expect_pick_matches_scan(
+      ListAssignment::from_lists({{}, {5}, {0, 2, 4, 6, 8}, {100, 200}}), 210,
+      rng, "hand-made");
 }
 
 // The shared propose/resolve kernel: the two exhaustion causes (no free

@@ -286,6 +286,26 @@ TEST(Server, OrdersResponsesEchoesIdsRecoversFromGarbage) {
   EXPECT_EQ(r0.get("cache")->get("report")->as_str(), "miss");
 }
 
+TEST(Server, BadListsModeGetsAnErrorEnvelope) {
+  // The lists-mode check the one-shot and campaign paths share: a bad
+  // value answers its own line with an error and the stream continues.
+  const auto lines = serve({
+      R"({"id":1,"algo":"randomized","gen":"petersen","lists":"fancy"})",
+      R"({"id":2,"algo":"randomized","gen":"petersen","lists":"random"})",
+  });
+  ASSERT_EQ(lines.size(), 2u);
+  const Json bad = Json::parse(lines[0]);
+  const Json good = Json::parse(lines[1]);
+  EXPECT_FALSE(bad.get("ok")->as_bool());
+  EXPECT_NE(bad.get("error")->as_str().find(
+                "lists mode must be uniform or random, got 'fancy'"),
+            std::string::npos)
+      << lines[0];
+  EXPECT_EQ(good.get("id")->as_int(), 2);
+  ASSERT_TRUE(good.get("ok")->as_bool()) << lines[1];
+  EXPECT_EQ(good.get("report")->get("status")->as_str(), "colored");
+}
+
 TEST(Server, DeepExactSearchBetweenTwoGoodLines) {
   // exact on pref-attach (n = 65536) is one search-tree level per vertex:
   // the daemon answers it like any other line, in order.
