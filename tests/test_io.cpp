@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -1014,6 +1015,228 @@ TEST(Eligibility, StructureGatedAlgorithms) {
   // Algorithms with no structural requirement never skip.
   EXPECT_EQ(skip_reason("greedy", k5, -1), "");
   EXPECT_EQ(skip_reason("dsatur", two, -1), "");
+}
+
+// Every entry's auto-k (effective_k) and verdict, at auto-k, one below
+// it (when that is above 2) and at 2, on five probed graphs; the
+// entries that read a guarantee param also with that param. One line per
+// (entry, params, graph): `name [params] graph: k=K "reason"; k=K "reason"`.
+std::string eligibility_table() {
+  const std::vector<std::pair<std::string, GraphProbe>> graphs = {
+      {"grid4x4", probe_graph(grid(4, 4))},
+      {"petersen", probe_graph(petersen())},
+      {"K8", probe_graph(complete(8))},
+      {"hex3x3", probe_graph(hex_patch(3, 3))},
+      {"grid3x3+P4", probe_graph(disjoint_union(grid(3, 3), path(4)))}};
+  const auto bag = [](std::int64_t arboricity, std::int64_t genus,
+                      std::int64_t threshold, double eps) {
+    ParamBag p;
+    if (arboricity > 0) p.set_int("arboricity", arboricity);
+    if (genus > 0) p.set_int("genus", genus);
+    if (threshold > 0) p.set_int("threshold", threshold);
+    if (eps > 0) p.set_real("eps", eps);
+    return p;
+  };
+  const std::vector<std::tuple<std::string, std::string, ParamBag>> extra = {
+      {"arboricity", "arboricity=3", bag(3, -1, -1, -1)},
+      {"barenboim-elkin", "arboricity=3", bag(3, -1, -1, -1)},
+      {"barenboim-elkin", "arboricity=2 eps=0.5", bag(2, -1, -1, 0.5)},
+      {"genus", "genus=2", bag(-1, 2, -1, -1)},
+      {"genus", "genus=3", bag(-1, 3, -1, -1)},
+      {"genus-sharp", "genus=2", bag(-1, 2, -1, -1)},
+      {"genus-sharp", "genus=3", bag(-1, 3, -1, -1)},
+      {"gps", "threshold=4", bag(-1, -1, 4, -1)}};
+  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
+  std::string table;
+  const auto rows = [&](const std::string& name, const std::string& label,
+                        const ParamBag& params) {
+    const AlgorithmInfo& info = registry.at(name);
+    for (const auto& [graph, probe] : graphs) {
+      const Vertex auto_k = effective_k(info, -1, probe.max_degree, params);
+      table += name + " [" + label + "] " + graph + ":";
+      std::vector<Vertex> ks = {auto_k};
+      if (auto_k > 3) ks.push_back(auto_k - 1);
+      ks.push_back(2);
+      for (const Vertex k : ks) {
+        table += " k=" + std::to_string(k) + " \"" +
+                 algorithm_skip_reason(info,
+                                       EligibilityQuery{&probe, &params, k}) +
+                 "\";";
+      }
+      table += "\n";
+    }
+  };
+  for (const std::string& name : registry.names()) {
+    rows(name, "", ParamBag{});
+    for (const auto& [algo, label, params] : extra)
+      if (algo == name) rows(name, label, params);
+  }
+  return table;
+}
+
+// Pinned verdicts: the list sizes, premises and auto-k of every entry.
+TEST(Eligibility, EveryEntryPinned) {
+  EXPECT_EQ(eligibility_table(), R"pin(arboricity [] grid4x4: k=5 ""; k=4 ""; k=2 "needs arboricity >= 2 (param arboricity, or k = 2a)";
+arboricity [] petersen: k=4 ""; k=3 "needs arboricity >= 2 (param arboricity, or k = 2a)"; k=2 "needs arboricity >= 2 (param arboricity, or k = 2a)";
+arboricity [] K8: k=8 ""; k=7 "certified arboricity bound 4 > promised arboricity 3"; k=2 "needs arboricity >= 2 (param arboricity, or k = 2a)";
+arboricity [] hex3x3: k=4 ""; k=3 "needs arboricity >= 2 (param arboricity, or k = 2a)"; k=2 "needs arboricity >= 2 (param arboricity, or k = 2a)";
+arboricity [] grid3x3+P4: k=5 ""; k=4 ""; k=2 "needs arboricity >= 2 (param arboricity, or k = 2a)";
+arboricity [arboricity=3] grid4x4: k=6 ""; k=5 "needs k >= 6, got 5"; k=2 "needs k >= 6, got 2";
+arboricity [arboricity=3] petersen: k=6 ""; k=5 "needs k >= 6, got 5"; k=2 "needs k >= 6, got 2";
+arboricity [arboricity=3] K8: k=8 "certified arboricity bound 4 > promised arboricity 3"; k=7 "certified arboricity bound 4 > promised arboricity 3"; k=2 "certified arboricity bound 4 > promised arboricity 3";
+arboricity [arboricity=3] hex3x3: k=6 ""; k=5 "needs k >= 6, got 5"; k=2 "needs k >= 6, got 2";
+arboricity [arboricity=3] grid3x3+P4: k=6 ""; k=5 "needs k >= 6, got 5"; k=2 "needs k >= 6, got 2";
+barenboim-elkin [] grid4x4: k=-1 "needs param arboricity=..."; k=2 "needs param arboricity=...";
+barenboim-elkin [] petersen: k=-1 "needs param arboricity=..."; k=2 "needs param arboricity=...";
+barenboim-elkin [] K8: k=-1 "needs param arboricity=..."; k=2 "needs param arboricity=...";
+barenboim-elkin [] hex3x3: k=-1 "needs param arboricity=..."; k=2 "needs param arboricity=...";
+barenboim-elkin [] grid3x3+P4: k=-1 "needs param arboricity=..."; k=2 "needs param arboricity=...";
+barenboim-elkin [arboricity=3] grid4x4: k=-1 ""; k=2 "";
+barenboim-elkin [arboricity=3] petersen: k=-1 ""; k=2 "";
+barenboim-elkin [arboricity=3] K8: k=-1 ""; k=2 "";
+barenboim-elkin [arboricity=3] hex3x3: k=-1 ""; k=2 "";
+barenboim-elkin [arboricity=3] grid3x3+P4: k=-1 ""; k=2 "";
+barenboim-elkin [arboricity=2 eps=0.5] grid4x4: k=-1 ""; k=2 "";
+barenboim-elkin [arboricity=2 eps=0.5] petersen: k=-1 ""; k=2 "";
+barenboim-elkin [arboricity=2 eps=0.5] K8: k=-1 "degeneracy 7 > H-partition threshold 5"; k=2 "degeneracy 7 > H-partition threshold 5";
+barenboim-elkin [arboricity=2 eps=0.5] hex3x3: k=-1 ""; k=2 "";
+barenboim-elkin [arboricity=2 eps=0.5] grid3x3+P4: k=-1 ""; k=2 "";
+degeneracy [] grid4x4: k=-1 ""; k=2 "";
+degeneracy [] petersen: k=-1 ""; k=2 "";
+degeneracy [] K8: k=-1 ""; k=2 "";
+degeneracy [] hex3x3: k=-1 ""; k=2 "";
+degeneracy [] grid3x3+P4: k=-1 ""; k=2 "";
+degeneracy-list [] grid4x4: k=5 ""; k=4 ""; k=2 "needs k >= 3, got 2";
+degeneracy-list [] petersen: k=4 ""; k=3 "needs k >= 4, got 3"; k=2 "needs k >= 4, got 2";
+degeneracy-list [] K8: k=8 ""; k=7 "needs k >= 8, got 7"; k=2 "needs k >= 8, got 2";
+degeneracy-list [] hex3x3: k=4 ""; k=3 ""; k=2 "needs k >= 3, got 2";
+degeneracy-list [] grid3x3+P4: k=5 ""; k=4 ""; k=2 "needs k >= 3, got 2";
+deglist-sparsified [] grid4x4: k=5 ""; k=4 ""; k=2 "needs k >= 3, got 2";
+deglist-sparsified [] petersen: k=4 ""; k=3 "needs k >= 4, got 3"; k=2 "needs k >= 4, got 2";
+deglist-sparsified [] K8: k=8 ""; k=7 "needs k >= 8, got 7"; k=2 "needs k >= 8, got 2";
+deglist-sparsified [] hex3x3: k=4 ""; k=3 ""; k=2 "needs k >= 3, got 2";
+deglist-sparsified [] grid3x3+P4: k=5 ""; k=4 ""; k=2 "needs k >= 3, got 2";
+delta-list [] grid4x4: k=5 ""; k=4 ""; k=2 "needs k >= 4, got 2";
+delta-list [] petersen: k=4 ""; k=3 ""; k=2 "needs k >= 3, got 2";
+delta-list [] K8: k=8 ""; k=7 ""; k=2 "needs k >= 7, got 2";
+delta-list [] hex3x3: k=4 ""; k=3 ""; k=2 "needs k >= 3, got 2";
+delta-list [] grid3x3+P4: k=5 ""; k=4 ""; k=2 "needs k >= 4, got 2";
+dplus1-sparsified [] grid4x4: k=5 ""; k=4 "needs k >= 5, got 4"; k=2 "needs k >= 5, got 2";
+dplus1-sparsified [] petersen: k=4 ""; k=3 "needs k >= 4, got 3"; k=2 "needs k >= 4, got 2";
+dplus1-sparsified [] K8: k=8 ""; k=7 "needs k >= 8, got 7"; k=2 "needs k >= 8, got 2";
+dplus1-sparsified [] hex3x3: k=4 ""; k=3 "needs k >= 4, got 3"; k=2 "needs k >= 4, got 2";
+dplus1-sparsified [] grid3x3+P4: k=5 ""; k=4 "needs k >= 5, got 4"; k=2 "needs k >= 5, got 2";
+dsatur [] grid4x4: k=-1 ""; k=2 "";
+dsatur [] petersen: k=-1 ""; k=2 "";
+dsatur [] K8: k=-1 ""; k=2 "";
+dsatur [] hex3x3: k=-1 ""; k=2 "";
+dsatur [] grid3x3+P4: k=-1 ""; k=2 "";
+ert [] grid4x4: k=5 ""; k=4 "needs k >= 5, got 4"; k=2 "needs k >= 5, got 2";
+ert [] petersen: k=4 ""; k=3 "needs k >= 4, got 3"; k=2 "needs k >= 4, got 2";
+ert [] K8: k=8 ""; k=7 "needs k >= 8, got 7"; k=2 "needs k >= 8, got 2";
+ert [] hex3x3: k=4 ""; k=3 "needs k >= 4, got 3"; k=2 "needs k >= 4, got 2";
+ert [] grid3x3+P4: k=5 "not connected"; k=4 "not connected"; k=2 "not connected";
+exact [] grid4x4: k=-1 "needs request.k (the palette to search)"; k=2 "";
+exact [] petersen: k=-1 "needs request.k (the palette to search)"; k=2 "";
+exact [] K8: k=-1 "needs request.k (the palette to search)"; k=2 "";
+exact [] hex3x3: k=-1 "needs request.k (the palette to search)"; k=2 "";
+exact [] grid3x3+P4: k=-1 "needs request.k (the palette to search)"; k=2 "";
+exact-list [] grid4x4: k=5 ""; k=4 ""; k=2 "";
+exact-list [] petersen: k=4 ""; k=3 ""; k=2 "";
+exact-list [] K8: k=8 ""; k=7 ""; k=2 "";
+exact-list [] hex3x3: k=4 ""; k=3 ""; k=2 "";
+exact-list [] grid3x3+P4: k=5 ""; k=4 ""; k=2 "";
+genus [] grid4x4: k=5 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=4 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=2 "needs param genus=... (>= 1); the probe cannot certify a genus promise";
+genus [] petersen: k=4 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=3 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=2 "needs param genus=... (>= 1); the probe cannot certify a genus promise";
+genus [] K8: k=8 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=7 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=2 "needs param genus=... (>= 1); the probe cannot certify a genus promise";
+genus [] hex3x3: k=4 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=3 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=2 "needs param genus=... (>= 1); the probe cannot certify a genus promise";
+genus [] grid3x3+P4: k=5 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=4 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=2 "needs param genus=... (>= 1); the probe cannot certify a genus promise";
+genus [genus=2] grid4x4: k=7 ""; k=6 "needs k >= 7, got 6"; k=2 "needs k >= 7, got 2";
+genus [genus=2] petersen: k=7 ""; k=6 "needs k >= 7, got 6"; k=2 "needs k >= 7, got 2";
+genus [genus=2] K8: k=8 ""; k=7 ""; k=2 "needs k >= 7, got 2";
+genus [genus=2] hex3x3: k=7 ""; k=6 "needs k >= 7, got 6"; k=2 "needs k >= 7, got 2";
+genus [genus=2] grid3x3+P4: k=7 ""; k=6 "needs k >= 7, got 6"; k=2 "needs k >= 7, got 2";
+genus [genus=3] grid4x4: k=7 ""; k=6 "needs k >= 7, got 6"; k=2 "needs k >= 7, got 2";
+genus [genus=3] petersen: k=7 ""; k=6 "needs k >= 7, got 6"; k=2 "needs k >= 7, got 2";
+genus [genus=3] K8: k=8 ""; k=7 ""; k=2 "needs k >= 7, got 2";
+genus [genus=3] hex3x3: k=7 ""; k=6 "needs k >= 7, got 6"; k=2 "needs k >= 7, got 2";
+genus [genus=3] grid3x3+P4: k=7 ""; k=6 "needs k >= 7, got 6"; k=2 "needs k >= 7, got 2";
+genus-sharp [] grid4x4: k=5 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=4 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=2 "needs param genus=... (>= 1); the probe cannot certify a genus promise";
+genus-sharp [] petersen: k=4 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=3 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=2 "needs param genus=... (>= 1); the probe cannot certify a genus promise";
+genus-sharp [] K8: k=8 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=7 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=2 "needs param genus=... (>= 1); the probe cannot certify a genus promise";
+genus-sharp [] hex3x3: k=4 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=3 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=2 "needs param genus=... (>= 1); the probe cannot certify a genus promise";
+genus-sharp [] grid3x3+P4: k=5 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=4 "needs param genus=... (>= 1); the probe cannot certify a genus promise"; k=2 "needs param genus=... (>= 1); the probe cannot certify a genus promise";
+genus-sharp [genus=2] grid4x4: k=6 ""; k=5 "needs k >= 6, got 5"; k=2 "needs k >= 6, got 2";
+genus-sharp [genus=2] petersen: k=6 ""; k=5 "needs k >= 6, got 5"; k=2 "needs k >= 6, got 2";
+genus-sharp [genus=2] K8: k=8 ""; k=7 ""; k=2 "needs k >= 6, got 2";
+genus-sharp [genus=2] hex3x3: k=6 ""; k=5 "needs k >= 6, got 5"; k=2 "needs k >= 6, got 2";
+genus-sharp [genus=2] grid3x3+P4: k=6 ""; k=5 "needs k >= 6, got 5"; k=2 "needs k >= 6, got 2";
+genus-sharp [genus=3] grid4x4: k=5 "genus 3 is not sharp (24*genus+1 must be a perfect square)"; k=4 "genus 3 is not sharp (24*genus+1 must be a perfect square)"; k=2 "genus 3 is not sharp (24*genus+1 must be a perfect square)";
+genus-sharp [genus=3] petersen: k=4 "genus 3 is not sharp (24*genus+1 must be a perfect square)"; k=3 "genus 3 is not sharp (24*genus+1 must be a perfect square)"; k=2 "genus 3 is not sharp (24*genus+1 must be a perfect square)";
+genus-sharp [genus=3] K8: k=8 "genus 3 is not sharp (24*genus+1 must be a perfect square)"; k=7 "genus 3 is not sharp (24*genus+1 must be a perfect square)"; k=2 "genus 3 is not sharp (24*genus+1 must be a perfect square)";
+genus-sharp [genus=3] hex3x3: k=4 "genus 3 is not sharp (24*genus+1 must be a perfect square)"; k=3 "genus 3 is not sharp (24*genus+1 must be a perfect square)"; k=2 "genus 3 is not sharp (24*genus+1 must be a perfect square)";
+genus-sharp [genus=3] grid3x3+P4: k=5 "genus 3 is not sharp (24*genus+1 must be a perfect square)"; k=4 "genus 3 is not sharp (24*genus+1 must be a perfect square)"; k=2 "genus 3 is not sharp (24*genus+1 must be a perfect square)";
+gps [] grid4x4: k=-1 ""; k=2 "degeneracy 2 > peel threshold 1";
+gps [] petersen: k=-1 ""; k=2 "degeneracy 3 > peel threshold 1";
+gps [] K8: k=-1 "degeneracy 7 > peel threshold 6"; k=2 "degeneracy 7 > peel threshold 1";
+gps [] hex3x3: k=-1 ""; k=2 "degeneracy 2 > peel threshold 1";
+gps [] grid3x3+P4: k=-1 ""; k=2 "degeneracy 2 > peel threshold 1";
+gps [threshold=4] grid4x4: k=-1 ""; k=2 "";
+gps [threshold=4] petersen: k=-1 ""; k=2 "";
+gps [threshold=4] K8: k=-1 "degeneracy 7 > peel threshold 4"; k=2 "degeneracy 7 > peel threshold 4";
+gps [threshold=4] hex3x3: k=-1 ""; k=2 "";
+gps [threshold=4] grid3x3+P4: k=-1 ""; k=2 "";
+greedy [] grid4x4: k=-1 ""; k=2 "";
+greedy [] petersen: k=-1 ""; k=2 "";
+greedy [] K8: k=-1 ""; k=2 "";
+greedy [] hex3x3: k=-1 ""; k=2 "";
+greedy [] grid3x3+P4: k=-1 ""; k=2 "";
+linial [] grid4x4: k=-1 ""; k=2 "";
+linial [] petersen: k=-1 ""; k=2 "";
+linial [] K8: k=-1 ""; k=2 "";
+linial [] hex3x3: k=-1 ""; k=2 "";
+linial [] grid3x3+P4: k=-1 ""; k=2 "";
+list-sparsified [] grid4x4: k=5 ""; k=4 ""; k=2 "";
+list-sparsified [] petersen: k=4 ""; k=3 ""; k=2 "";
+list-sparsified [] K8: k=8 ""; k=7 ""; k=2 "";
+list-sparsified [] hex3x3: k=4 ""; k=3 ""; k=2 "";
+list-sparsified [] grid3x3+P4: k=5 ""; k=4 ""; k=2 "";
+nice [] grid4x4: k=5 ""; k=4 "needs k >= 5, got 4"; k=2 "needs k >= 5, got 2";
+nice [] petersen: k=4 ""; k=3 "needs k >= 4, got 3"; k=2 "needs k >= 4, got 2";
+nice [] K8: k=8 ""; k=7 "needs k >= 8, got 7"; k=2 "needs k >= 8, got 2";
+nice [] hex3x3: k=4 ""; k=3 "needs k >= 4, got 3"; k=2 "needs k >= 4, got 2";
+nice [] grid3x3+P4: k=5 ""; k=4 "needs k >= 5, got 4"; k=2 "needs k >= 5, got 2";
+planar3-girth6 [] grid4x4: k=5 "girth 4 < 6"; k=4 "girth 4 < 6"; k=2 "girth 4 < 6";
+planar3-girth6 [] petersen: k=4 "not planar"; k=3 "not planar"; k=2 "not planar";
+planar3-girth6 [] K8: k=8 "not planar"; k=7 "not planar"; k=2 "not planar";
+planar3-girth6 [] hex3x3: k=4 ""; k=3 ""; k=2 "needs k >= 3, got 2";
+planar3-girth6 [] grid3x3+P4: k=5 "girth 4 < 6"; k=4 "girth 4 < 6"; k=2 "girth 4 < 6";
+planar4-trianglefree [] grid4x4: k=5 ""; k=4 ""; k=2 "needs k >= 4, got 2";
+planar4-trianglefree [] petersen: k=4 "not planar"; k=3 "not planar"; k=2 "not planar";
+planar4-trianglefree [] K8: k=8 "not planar"; k=7 "not planar"; k=2 "not planar";
+planar4-trianglefree [] hex3x3: k=4 ""; k=3 "needs k >= 4, got 3"; k=2 "needs k >= 4, got 2";
+planar4-trianglefree [] grid3x3+P4: k=5 ""; k=4 ""; k=2 "needs k >= 4, got 2";
+planar6 [] grid4x4: k=6 ""; k=5 "needs k >= 6, got 5"; k=2 "needs k >= 6, got 2";
+planar6 [] petersen: k=6 "not planar"; k=5 "not planar"; k=2 "not planar";
+planar6 [] K8: k=8 "not planar"; k=7 "not planar"; k=2 "not planar";
+planar6 [] hex3x3: k=6 ""; k=5 "needs k >= 6, got 5"; k=2 "needs k >= 6, got 2";
+planar6 [] grid3x3+P4: k=6 ""; k=5 "needs k >= 6, got 5"; k=2 "needs k >= 6, got 2";
+randomized [] grid4x4: k=5 ""; k=4 "needs k >= 5, got 4"; k=2 "needs k >= 5, got 2";
+randomized [] petersen: k=4 ""; k=3 "needs k >= 4, got 3"; k=2 "needs k >= 4, got 2";
+randomized [] K8: k=8 ""; k=7 "needs k >= 8, got 7"; k=2 "needs k >= 8, got 2";
+randomized [] hex3x3: k=4 ""; k=3 "needs k >= 4, got 3"; k=2 "needs k >= 4, got 2";
+randomized [] grid3x3+P4: k=5 ""; k=4 "needs k >= 5, got 4"; k=2 "needs k >= 5, got 2";
+sdr [] grid4x4: k=5 "not a complete graph"; k=4 "not a complete graph"; k=2 "not a complete graph";
+sdr [] petersen: k=4 "not a complete graph"; k=3 "not a complete graph"; k=2 "not a complete graph";
+sdr [] K8: k=8 ""; k=7 ""; k=2 "";
+sdr [] hex3x3: k=4 "not a complete graph"; k=3 "not a complete graph"; k=2 "not a complete graph";
+sdr [] grid3x3+P4: k=5 "not a complete graph"; k=4 "not a complete graph"; k=2 "not a complete graph";
+sparse [] grid4x4: k=5 ""; k=4 ""; k=2 "needs d >= 3 (param d, or k), got 2";
+sparse [] petersen: k=4 ""; k=3 ""; k=2 "needs d >= 3 (param d, or k), got 2";
+sparse [] K8: k=8 ""; k=7 ""; k=2 "needs d >= 3 (param d, or k), got 2";
+sparse [] hex3x3: k=4 ""; k=3 ""; k=2 "needs d >= 3 (param d, or k), got 2";
+sparse [] grid3x3+P4: k=5 ""; k=4 ""; k=2 "needs d >= 3 (param d, or k), got 2";
+)pin");
 }
 
 }  // namespace
