@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
   // 3. Eligibility. The same verdicts `scol-cli campaign --algo all`
   //    uses to auto-select algorithms for this instance.
   // Auto-k is per algorithm (effective_k): list algorithms get
-  // max(3, max degree + 1), raised to any fixed-palette minimum the
-  // algorithm registered (planar6 judges at 6 even when max degree is
-  // low) — exactly the campaign's per-job rule.
+  // max(3, max degree + 1), raised to the fixed list size of the
+  // algorithm's list-size rule (planar6 judges at 6 even when max degree
+  // is low) — exactly the campaign's per-job rule.
   ParamBag no_params;
   std::vector<std::string> eligible;
   std::cout << "preconditions (auto-k per algorithm):\n";

@@ -30,10 +30,8 @@ void validate_spec(const CampaignSpec& spec) {
   require_lists_mode(spec.lists_mode);
   for (const auto& s : spec.scenarios) validate_scenario_spec(s);
   for (const auto& a : spec.algorithms) AlgorithmRegistry::instance().at(a);
-  for (const auto& [name, params] : spec.algo_params) {
-    AlgorithmRegistry::instance().at(name);
-    (void)params;
-  }
+  for (const auto& entry : spec.algo_params)
+    AlgorithmRegistry::instance().at(entry.first);
 }
 
 ParamBag merged_params(const CampaignSpec& spec, const std::string& algo) {
@@ -55,7 +53,7 @@ struct JobRun {
   std::string lists;        // "uniform" | "random" | "none"
   std::int64_t bound = -1;  // registered guarantee (-1 = none)
   bool colored_ok = false;  // kColored AND revalidated by the oracle
-  bool skipped = false;     // probe filter: precondition not satisfied
+  bool skipped = false;     // probe filter: not eligible
   std::string skip_reason;  // set iff skipped
   double real_wall_ms = 0.0;
   std::vector<std::string> violations;
@@ -322,7 +320,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       if (spec.exec_shards > 1 && graph != nullptr)
         shard_plan = ShardPlan::build(*graph, spec.exec_shards);
       // Probed lazily: only when the filter is on AND some algorithm of
-      // the axis actually registered a precondition.
+      // the axis declares a precondition or a list-size rule.
       std::optional<GraphProbe> local_probe;
       const GraphProbe* probe = nullptr;
 
@@ -352,7 +350,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         // Probe filter: answer ineligible cells without solving. The
         // probe is a pure function of the graph, so the verdict — and
         // the stream — stays bit-identical across executors and shards.
-        if (spec.probe && info.precondition) {
+        if (spec.probe && (info.precondition || info.list_size)) {
           if (probe == nullptr) {
             if (file_backed) {
               // Once-memoized on the entry; file_entry stays alive for

@@ -28,8 +28,8 @@
 // Probe filtering (CampaignSpec::probe, on by default) makes arbitrary
 // inputs — in particular file-backed scenarios, docs/FORMATS.md —
 // sweepable with `--algo all`: each instance's graph is probed once
-// (io/probe.h) and cells whose algorithm's structural precondition
-// (AlgorithmInfo::precondition) fails are answered as status:"skipped"
+// (io/probe.h) and cells whose algorithm's precondition or list-size
+// rule (algorithm_skip_reason) fails are answered as status:"skipped"
 // lines carrying the probe's reason, leaving the grid shape and every
 // determinism invariant intact.
 #pragma once
@@ -68,13 +68,13 @@ struct CampaignSpec {
   std::vector<std::pair<std::string, ParamBag>> algo_params;
   std::int64_t round_budget = -1;  ///< per-job RunContext round budget
   /// Probe filtering (on by default): each instance's graph is probed
-  /// once (io/probe.h) and jobs whose algorithm's registered structural
-  /// precondition fails become status:"skipped" lines (with a
+  /// once (io/probe.h) and jobs whose algorithm's registered precondition
+  /// or list-size rule fails become status:"skipped" lines (with a
   /// "skip_reason") instead of running into a PreconditionError. This is
   /// what lets `--algo all` sweep an arbitrary file: the grid shape —
   /// and with it sharding, job indices, and stream bit-identity — is
   /// unchanged; ineligible cells are just answered without solving.
-  /// Algorithms without a registered precondition always run.
+  /// Algorithms that declare neither always run, unprobed.
   bool probe = true;
   /// Cost bounds for the per-instance probe (planarity / girth / exact
   /// mad limits). `scol-cli probe` takes the same knobs, so its

@@ -15,6 +15,11 @@ std::int64_t distinct_list_colors(const ColoringRequest& req) {
   return static_cast<std::int64_t>(req.lists->palette().size());
 }
 
+std::string why_not_k(Vertex k, Vertex needed) {
+  if (k >= needed) return "";
+  return "needs k >= " + std::to_string(needed) + ", got " + std::to_string(k);
+}
+
 }  // namespace
 
 AlgorithmRegistry& AlgorithmRegistry::instance() {
@@ -32,6 +37,8 @@ void AlgorithmRegistry::add(AlgorithmInfo info) {
                + "algorithm must have a run function");
   SCOL_REQUIRE(find(info.name) == nullptr,
                + ("duplicate algorithm name '" + info.name + "'"));
+  SCOL_REQUIRE(!(info.list_size.fixed && info.list_size.probed),
+               + "a list-size rule is fixed or probed, not both");
   if (!info.color_bound && info.caps.needs_lists)
     info.color_bound = distinct_list_colors;
   algorithms_.push_back(std::move(info));
@@ -64,17 +71,21 @@ std::vector<std::string> AlgorithmRegistry::names() const {
 
 std::string algorithm_skip_reason(const AlgorithmInfo& info,
                                   const EligibilityQuery& query) {
-  if (!info.precondition) return "";
+  const ListSizeRule& rule = info.list_size;
+  if (!info.precondition && !rule) return "";
   SCOL_REQUIRE(query.probe != nullptr && query.params != nullptr,
                + "eligibility query needs a probe and params");
-  return info.precondition(query);
+  std::string reason = info.precondition ? info.precondition(query) : "";
+  if (!reason.empty() || !rule) return reason;
+  return why_not_k(query.k, rule.fixed ? rule.fixed(*query.params)
+                                       : rule.probed(*query.probe));
 }
 
 Vertex effective_k(const AlgorithmInfo& info, Vertex k, Vertex max_degree,
                    const ParamBag& params) {
   if (k > 0 || !info.caps.needs_lists) return k;
   Vertex out = std::max<Vertex>(3, max_degree + 1);
-  if (info.min_k) out = std::max(out, info.min_k(params));
+  if (info.list_size.fixed) out = std::max(out, info.list_size.fixed(params));
   return out;
 }
 

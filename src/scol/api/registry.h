@@ -20,14 +20,24 @@
 
 namespace scol {
 
-/// What AlgorithmInfo::precondition gets to look at: the structural
-/// facts certified about a graph (io/probe.h) plus the per-job knobs
-/// that decide list sizes — `k` is the *effective* palette-ish k (the
+/// What AlgorithmInfo::precondition and ::list_size get to look at: the
+/// structural facts certified about a graph (io/probe.h) plus the per-job
+/// knobs that decide list sizes — `k` is the *effective* palette-ish k (the
 /// campaign's auto-k already applied; -1 when the algorithm takes none).
 struct EligibilityQuery {
   const GraphProbe* probe = nullptr;
   const ParamBag* params = nullptr;
   Vertex k = -1;
+};
+
+/// The uniform list size an algorithm's guarantee is stated for (k-lists
+/// qualify iff k >= it): `fixed` by the job's params (planar6: 6; -1 when
+/// the params fix none) or `probed` off the graph (Δ+1 for (deg+1)-list
+/// solvers). At most one is set; neither = no list-size requirement.
+struct ListSizeRule {
+  std::function<Vertex(const ParamBag&)> fixed = nullptr;
+  std::function<Vertex(const GraphProbe&)> probed = nullptr;
+  explicit operator bool() const { return fixed || probed; }
 };
 
 /// Capability flags: what an algorithm needs from the request and what
@@ -46,9 +56,9 @@ struct AlgorithmCaps {
 };
 
 /// One registry entry: identity, capabilities, the run function, and the
-/// two registered judgments about it — the color-count guarantee the
-/// oracle enforces and the structural precondition the probe filter
-/// evaluates.
+/// registered judgments about it — the color-count guarantee the oracle
+/// enforces, and the structural precondition and list-size rule the
+/// probe filter evaluates.
 struct AlgorithmInfo {
   std::string name;
   std::string summary;  ///< one line, includes the params it reads
@@ -70,13 +80,10 @@ struct AlgorithmInfo {
   /// still fail loudly; the campaign probe filter and `scol-cli probe`
   /// use it to auto-select eligible algorithms for arbitrary inputs.
   std::function<std::string(const EligibilityQuery&)> precondition = nullptr;
-  /// Smallest uniform list size this algorithm's guarantee is stated
-  /// for, given the job's params (-1 = no fixed minimum; degree-shaped
-  /// minima like "deg+1 lists" are already covered by the max-degree
-  /// auto-k). effective_k() raises an auto-k job's k to this, so a
-  /// campaign over an arbitrary input exercises fixed-palette
-  /// algorithms (planar6 needs 6-lists) without per-file curation.
-  std::function<Vertex(const ParamBag&)> min_k = nullptr;
+  /// The list size the guarantee is stated for, checked after the
+  /// precondition. effective_k() raises an auto-k job's k to a fixed
+  /// size, so `--algo all` over any input runs planar6 on 6-lists.
+  ListSizeRule list_size = {};
 };
 
 class AlgorithmRegistry {
@@ -108,15 +115,15 @@ class AlgorithmRegistry {
 /// in solve.cpp next to the wrappers it registers).
 void register_builtin_algorithms(AlgorithmRegistry& registry);
 
-/// Evaluates an algorithm's structural precondition: "" when eligible
-/// (or when the algorithm declares none), else the reason it cannot run.
+/// Evaluates an algorithm's precondition, then its list-size rule ("needs
+/// k >= 6, got 5"): "" when eligible, else the reason it cannot run.
 std::string algorithm_skip_reason(const AlgorithmInfo& info,
                                   const EligibilityQuery& query);
 
 /// The per-job effective k shared by the campaign runner, `scol-cli`
 /// (single-run and probe modes), and examples: an explicit k > 0 wins;
 /// otherwise list-needing algorithms get max(3, max_degree + 1,
-/// info.min_k(params)) and the rest keep -1 (their own defaults).
+/// info.list_size.fixed(params)) and the rest keep -1 (their own defaults).
 Vertex effective_k(const AlgorithmInfo& info, Vertex k, Vertex max_degree,
                    const ParamBag& params);
 

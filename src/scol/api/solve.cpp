@@ -63,11 +63,58 @@ ColoringReport from_exact(std::optional<Coloring> c) {
   return out;
 }
 
-Vertex required_int(const ColoringRequest& req, const char* key) {
-  const std::int64_t v = req.params.get_int(key, -1);
+// A param the run cannot do without, `v` as its entry's helper decoded it.
+Vertex required_param(const ColoringRequest& req, const char* key,
+                      std::int64_t v) {
   SCOL_REQUIRE(v > 0, + (std::string("algorithm '") + req.algorithm +
                          "' needs param '" + key + "'"));
   return static_cast<Vertex>(v);
+}
+
+// --- Guarantee params, each decoded by one helper for its entry. ---
+
+// Corollary 1.4's promised arboricity: param arboricity, else k = 2a.
+std::int64_t promised_arboricity(const ParamBag& p, Vertex k) {
+  return p.get_int("arboricity", k > 0 ? k / 2 : -1);
+}
+
+// Corollary 2.11's promised genus (param genus; -1 when absent).
+std::int64_t promised_genus(const ParamBag& p) {
+  return p.get_int("genus", -1);
+}
+
+// The genus premise: a promised genus, and for the sharp form (the
+// H(gamma) - 1 lists) one with 24*genus+1 a perfect square.
+std::string why_not_genus(const ParamBag& p, bool sharp) {
+  const std::int64_t genus = promised_genus(p);
+  if (genus < 1)
+    return "needs param genus=... (>= 1); the probe cannot certify a genus "
+           "promise";
+  if (sharp && !heawood_bound_is_tight(static_cast<Vertex>(genus)))
+    return "genus " + std::to_string(genus) +
+           " is not sharp (24*genus+1 must be a perfect square)";
+  return "";
+}
+
+// Its list size: H(gamma), H(gamma) - 1 when sharp; -1 without the premise.
+Vertex heawood_lists(const ParamBag& p, bool sharp) {
+  if (!why_not_genus(p, sharp).empty()) return -1;
+  return heawood_list_bound(static_cast<Vertex>(promised_genus(p))) -
+         (sharp ? 1 : 0);
+}
+
+// GPS peels at degree <= threshold: param threshold, else k - 1, else 6.
+std::int64_t peel_threshold(const ParamBag& p, Vertex k) {
+  return p.get_int("threshold", k > 0 ? k - 1 : 6);
+}
+
+// Barenboim-Elkin's promised arboricity (-1 when absent) and eps.
+struct HPartitionParams {
+  std::int64_t arboricity;
+  double eps;
+};
+HPartitionParams h_partition_params(const ParamBag& p) {
+  return {p.get_int("arboricity", -1), p.get_real("eps", 1.0)};
 }
 
 AlgorithmCaps caps(bool needs_lists, bool uses_k, bool randomized,
@@ -84,8 +131,9 @@ AlgorithmCaps caps(bool needs_lists, bool uses_k, bool randomized,
 }
 
 // Exhaustive search proves infeasibility without a witness object.
-AlgorithmCaps exact_caps(bool needs_lists, bool uses_k) {
-  AlgorithmCaps c = caps(needs_lists, uses_k, false, false);
+AlgorithmCaps exact_caps(bool needs_lists, bool uses_k,
+                         bool randomized = false) {
+  AlgorithmCaps c = caps(needs_lists, uses_k, randomized, false);
   c.proves_infeasibility = true;
   return c;
 }
@@ -100,10 +148,9 @@ std::int64_t max_degree_plus_one(const ColoringRequest& req) {
 // --- Structural preconditions (AlgorithmInfo::precondition). ---
 //
 // Each returns "" when the probed graph (plus the effective k and the
-// job's params) satisfies the algorithm's documented requirements, else
-// the reason it cannot run. These are what lets a campaign over an
-// arbitrary file auto-select eligible algorithms; solve() itself never
-// consults them, so explicit runs still fail loudly.
+// job's params) satisfies the algorithm's structural premise, else the
+// reason it cannot run; AlgorithmInfo::list_size states the list size.
+// solve() itself never consults them, so explicit runs still fail loudly.
 
 std::string why_not_planar(const GraphProbe& probe) {
   switch (probe.planar) {
@@ -113,13 +160,6 @@ std::string why_not_planar(const GraphProbe& probe) {
       return "planarity unknown (n exceeds the probe's planarity limit)";
   }
   return "";
-}
-
-std::string why_not_k(const EligibilityQuery& q, Vertex needed,
-                      const char* what) {
-  if (q.k >= needed) return "";
-  return std::string("needs ") + what + " >= " + std::to_string(needed) +
-         ", got " + std::to_string(q.k);
 }
 
 // Degeneracy <= d certifies that peeling at threshold d cannot stall
@@ -141,24 +181,6 @@ std::string why_not_degenerate(const GraphProbe& probe, Vertex d,
 // context's seed through per-(vertex, attempt) / per-(vertex, round)
 // streams — reports are bit-identical across executors.
 
-struct SparsifySetup {
-  double c = 4.0;             // param sparsify_c
-  std::int64_t attempts = 3;  // param sparsify_attempts
-  Vertex target = 0;          // sparsify_target(n, c)
-  std::uint64_t root = 0;     // all sparsify randomness derives from this
-};
-
-SparsifySetup sparsify_setup(const ColoringRequest& req, RunContext& ctx) {
-  SparsifySetup s;
-  s.c = req.params.get_real("sparsify_c", s.c);
-  s.attempts = std::max<std::int64_t>(
-      1, req.params.get_int("sparsify_attempts", s.attempts));
-  s.target = sparsify_target(req.graph->num_vertices(), s.c);
-  Rng rng = ctx.make_rng();
-  s.root = rng.next();
-  return s;
-}
-
 // The shared retry loop: run `attempt` on up to `attempts` sampled
 // sub-assignments, else `fallback` on the full lists. The metrics bag
 // records the attempt count, whether the fallback ran, and the sampled
@@ -171,32 +193,32 @@ ColoringReport run_sparsified(
         const ListAssignment& sampled, std::uint64_t attempt_seed,
         Rounds& rounds)>& attempt,
     const std::function<ColoringReport()>& fallback) {
-  const SparsifySetup s = sparsify_setup(req, ctx);
+  const Vertex target = sparsify_target(
+      req.graph->num_vertices(), req.params.get_real("sparsify_c", 4.0));
+  const std::int64_t attempts = std::max<std::int64_t>(
+      1, req.params.get_int("sparsify_attempts", 3));
+  const std::uint64_t root = ctx.make_rng().next();  // all sparsify seeds
   RoundLedger attempt_ledger;
   Rounds attempt_rounds(attempt_ledger, ctx.executor);
   std::int64_t attempts_run = 0;
   std::size_t sampled_colors = 0;
   std::optional<Coloring> found;
-  for (std::int64_t a = 0; a < s.attempts && !found.has_value(); ++a) {
+  for (std::int64_t a = 0; a < attempts && !found.has_value(); ++a) {
     const ListAssignment sampled = sparsify_palette(
-        *req.lists, s.target, s.root, static_cast<std::uint64_t>(a));
+        *req.lists, target, root, static_cast<std::uint64_t>(a));
     sampled_colors = sampled.flat().size();
     // Decorrelated from the sampling streams (different base seed).
     const std::uint64_t attempt_seed =
-        Rng::stream(~s.root, static_cast<std::uint64_t>(a)).next();
+        Rng::stream(~root, static_cast<std::uint64_t>(a)).next();
     found = attempt(sampled, attempt_seed, attempt_rounds);
     ++attempts_run;
   }
-  ColoringReport out;
   const bool fell_back = !found.has_value();
-  if (found.has_value()) {
-    out = ColoringReport::colored(std::move(*found));
-  } else {
-    out = fallback();
-  }
+  ColoringReport out =
+      fell_back ? fallback() : ColoringReport::colored(std::move(*found));
   if (attempt_ledger.total() > 0)
     out.ledger.charge("sparsified-attempts", attempt_ledger.total());
-  out.metrics.set_int("sparsify_target", s.target);
+  out.metrics.set_int("sparsify_target", target);
   out.metrics.set_int("sparsify_attempts", attempts_run);
   out.metrics.set_int("sparsify_fallback", fell_back ? 1 : 0);
   out.metrics.set_int("sparsify_sampled_colors",
@@ -207,20 +229,15 @@ ColoringReport run_sparsified(
   return out;
 }
 
-// Iteration cap shared by the sparsified attempts: generous for the
+// Iteration cap of a propose/resolve run: half the round budget, else
+// `otherwise`. The sparsified attempts pass 1000: generous for the
 // O(log n) w.h.p. regime, small enough that a pathological sample costs
 // bounded work before the next sample (or the fallback) takes over.
-int sparsify_attempt_cap(const RunContext& ctx) {
+int iteration_cap(const RunContext& ctx, int otherwise) {
   if (ctx.round_budget > 0)
     return static_cast<int>(
         std::max<std::int64_t>(1, ctx.round_budget / 2));
-  return 1000;
-}
-
-AlgorithmCaps sparsified_exact_caps() {
-  AlgorithmCaps c = exact_caps(true, false);
-  c.randomized = true;  // the seed drives the palette sampling
-  return c;
+  return otherwise;
 }
 
 }  // namespace
@@ -255,10 +272,9 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                                      sparse_options(req, ctx));
          },
          {},
-         [](const EligibilityQuery& q) {
-           // Uniform (max degree + 1)-lists are nice on every graph.
-           return why_not_k(q, q.probe->max_degree + 1, "k");
-         }});
+         {},
+         // Uniform (max degree + 1)-lists are nice on every graph.
+         {.probed = [](const GraphProbe& p) { return p.max_degree + 1; }}});
   r.add({"planar6",
          "Corollary 2.3(1): 6-list-coloring of planar graphs",
          caps(true, false, false, true),
@@ -267,11 +283,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                                            sparse_options(req, ctx));
          },
          {},
-         [](const EligibilityQuery& q) {
-           const std::string planar = why_not_planar(*q.probe);
-           return planar.empty() ? why_not_k(q, 6, "k") : planar;
-         },
-         [](const ParamBag&) { return Vertex{6}; }});
+         [](const EligibilityQuery& q) { return why_not_planar(*q.probe); },
+         {.fixed = [](const ParamBag&) { return Vertex{6}; }}});
   r.add({"planar4-trianglefree",
          "Corollary 2.3(2): 4-list-coloring of triangle-free planar graphs",
          caps(true, false, false, true),
@@ -284,9 +297,9 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            const std::string planar = why_not_planar(*q.probe);
            if (!planar.empty()) return planar;
            if (!q.probe->triangle_free) return std::string("has a triangle");
-           return why_not_k(q, 4, "k");
+           return std::string();
          },
-         [](const ParamBag&) { return Vertex{4}; }});
+         {.fixed = [](const ParamBag&) { return Vertex{4}; }}});
   r.add({"planar3-girth6",
          "Corollary 2.3(3): 3-list-coloring of girth >= 6 planar graphs",
          caps(true, false, false, true),
@@ -301,22 +314,22 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            if (q.probe->girth_floor < 6)
              return "girth " + std::to_string(q.probe->girth_floor) +
                     " < 6";
-           return why_not_k(q, 3, "k");
+           return std::string();
          },
-         [](const ParamBag&) { return Vertex{3}; }});
+         {.fixed = [](const ParamBag&) { return Vertex{3}; }}});
   r.add({"arboricity",
          "Corollary 1.4: 2a-list-coloring; params: arboricity (or k = 2a)",
          caps(true, true, false, true),
          [](const ColoringRequest& req, RunContext& ctx) {
-           const Vertex a = static_cast<Vertex>(req.params.get_int(
-               "arboricity", req.k > 0 ? req.k / 2 : -1));
+           const auto a =
+               static_cast<Vertex>(promised_arboricity(req.params, req.k));
            return arboricity_list_coloring(*req.graph, a, *req.lists,
                                            sparse_options(req, ctx));
          },
          {},
          [](const EligibilityQuery& q) {
-           const Vertex a = static_cast<Vertex>(q.params->get_int(
-               "arboricity", q.k > 0 ? q.k / 2 : -1));
+           const auto a =
+               static_cast<Vertex>(promised_arboricity(*q.params, q.k));
            if (a < 2)
              return std::string(
                  "needs arboricity >= 2 (param arboricity, or k = 2a)");
@@ -324,65 +337,42 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
              return "certified arboricity bound " +
                     std::to_string(q.probe->arboricity_upper) +
                     " > promised arboricity " + std::to_string(a);
-           return why_not_k(q, 2 * a, "k");
+           return std::string();
          },
-         [](const ParamBag& p) {
-           const std::int64_t a = p.get_int("arboricity", -1);
+         // 2a for a promised a; k = 2a promises a = k / 2, so k passes.
+         {.fixed = [](const ParamBag& p) {
+           const std::int64_t a = promised_arboricity(p, -1);
            return a > 0 ? static_cast<Vertex>(2 * a) : Vertex{-1};
-         }});
+         }}});
   r.add({"genus",
          "Corollary 2.11: H(gamma)-list-coloring; params: genus",
          caps(true, false, false, true),
          [](const ColoringRequest& req, RunContext& ctx) {
-           return genus_list_coloring(*req.graph,
-                                      required_int(req, "genus"), *req.lists,
-                                      sparse_options(req, ctx));
+           return genus_list_coloring(
+               *req.graph,
+               required_param(req, "genus", promised_genus(req.params)),
+               *req.lists, sparse_options(req, ctx));
          },
          {},
          [](const EligibilityQuery& q) {
-           const std::int64_t genus = q.params->get_int("genus", -1);
-           if (genus < 1)
-             return std::string("needs param genus=... (>= 1); the probe "
-                                "cannot certify a genus promise");
-           return why_not_k(
-               q, heawood_list_bound(static_cast<Vertex>(genus)), "k");
+           return why_not_genus(*q.params, false);
          },
-         [](const ParamBag& p) {
-           const std::int64_t genus = p.get_int("genus", -1);
-           return genus >= 1
-                      ? heawood_list_bound(static_cast<Vertex>(genus))
-                      : Vertex{-1};
-         }});
+         {.fixed = [](const ParamBag& p) { return heawood_lists(p, false); }}});
   r.add({"genus-sharp",
          "Corollary 2.11 (sharp): (H(gamma)-1)-list-coloring or a K_H "
          "certificate; params: genus (with 24*genus+1 a perfect square)",
          caps(true, false, false, true, {"clique"}),
          [](const ColoringRequest& req, RunContext& ctx) {
-           return genus_list_coloring_sharp(*req.graph,
-                                            required_int(req, "genus"),
-                                            *req.lists,
-                                            sparse_options(req, ctx));
+           return genus_list_coloring_sharp(
+               *req.graph,
+               required_param(req, "genus", promised_genus(req.params)),
+               *req.lists, sparse_options(req, ctx));
          },
          {},
          [](const EligibilityQuery& q) {
-           const std::int64_t genus = q.params->get_int("genus", -1);
-           if (genus < 1)
-             return std::string("needs param genus=... (>= 1); the probe "
-                                "cannot certify a genus promise");
-           if (!heawood_bound_is_tight(static_cast<Vertex>(genus)))
-             return "genus " + std::to_string(genus) +
-                    " is not sharp (24*genus+1 must be a perfect square)";
-           return why_not_k(
-               q, heawood_list_bound(static_cast<Vertex>(genus)) - 1, "k");
+           return why_not_genus(*q.params, true);
          },
-         [](const ParamBag& p) {
-           const std::int64_t genus = p.get_int("genus", -1);
-           if (genus < 1 ||
-               !heawood_bound_is_tight(static_cast<Vertex>(genus)))
-             return Vertex{-1};
-           return static_cast<Vertex>(
-               heawood_list_bound(static_cast<Vertex>(genus)) - 1);
-         }});
+         {.fixed = [](const ParamBag& p) { return heawood_lists(p, true); }}});
   r.add({"delta-list",
          "Corollary 2.1: Delta-list-coloring or a no-SDR K_{Delta+1} "
          "certificate (max degree >= 3)",
@@ -396,24 +386,24 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            if (q.probe->max_degree < 3)
              return "max degree " + std::to_string(q.probe->max_degree) +
                     " < 3";
-           return why_not_k(q, q.probe->max_degree, "k");
-         }});
+           return std::string();
+         },
+         {.probed = [](const GraphProbe& p) { return p.max_degree; }}});
   r.add({"ert",
          "Constructive Theorem 1.1 (Borodin; ERT): degree-choosable "
          "coloring of a connected non-Gallai (or surplus) graph",
          caps(true, false, false, false),
          [](const ColoringRequest& req, RunContext&) {
-           AvailableLists avail = to_lists(*req.lists);
            return ColoringReport::colored(
-               degree_choosable_coloring(*req.graph, avail));
+               degree_choosable_coloring(*req.graph, *req.lists));
          },
          {},
          [](const EligibilityQuery& q) {
-           if (!q.probe->connected) return std::string("not connected");
-           // k >= max degree + 1 gives every vertex surplus, which is
-           // case 1 of the construction regardless of Gallai structure.
-           return why_not_k(q, q.probe->max_degree + 1, "k");
-         }});
+           return q.probe->connected ? std::string() : "not connected";
+         },
+         // k >= max degree + 1 gives every vertex surplus, which is case 1
+         // of the construction regardless of Gallai structure.
+         {.probed = [](const GraphProbe& p) { return p.max_degree + 1; }}});
 
   // --- Baselines. ---
   r.add({"randomized",
@@ -422,19 +412,14 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          caps(true, false, true, true),
          [](const ColoringRequest& req, RunContext& ctx) {
            Rng rng = ctx.make_rng();
-           const int max_rounds =
-               ctx.round_budget > 0
-                   ? static_cast<int>(std::max<std::int64_t>(
-                         1, ctx.round_budget / 2))
-                   : 40'000;
            return randomized_list_coloring(*req.graph, *req.lists, rng,
-                                           ctx.executor, max_rounds);
+                                           ctx.executor,
+                                           iteration_cap(ctx, 40'000));
          },
          {},
-         [](const EligibilityQuery& q) {
-           // (deg + 1)-lists: uniform k-lists qualify iff k > max degree.
-           return why_not_k(q, q.probe->max_degree + 1, "k");
-         }});
+         {},
+         // (deg + 1)-lists: uniform k-lists qualify iff k > max degree.
+         {.probed = [](const GraphProbe& p) { return p.max_degree + 1; }}});
   r.add({"linial",
          "Linial color reduction to a (dmax+1)-coloring (k = palette, "
          "default max degree + 1)",
@@ -460,47 +445,46 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          "(default k-1, else 6 = planar)",
          caps(false, true, false, true),
          [](const ColoringRequest& req, RunContext& ctx) {
-           const Vertex threshold = static_cast<Vertex>(req.params.get_int(
-               "threshold", req.k > 0 ? req.k - 1 : 6));
-           return peel_threshold_coloring(*req.graph, threshold,
-                                          ctx.executor);
+           return peel_threshold_coloring(
+               *req.graph,
+               static_cast<Vertex>(peel_threshold(req.params, req.k)),
+               ctx.executor);
          },
          [](const ColoringRequest& req) {
-           return req.params.get_int("threshold",
-                                     req.k > 0 ? req.k - 1 : 6) +
-                  1;
+           return peel_threshold(req.params, req.k) + 1;
          },
          [](const EligibilityQuery& q) {
-           const Vertex threshold = static_cast<Vertex>(q.params->get_int(
-               "threshold", q.k > 0 ? q.k - 1 : 6));
-           return why_not_degenerate(*q.probe, threshold, "peel threshold");
+           return why_not_degenerate(
+               *q.probe, static_cast<Vertex>(peel_threshold(*q.params, q.k)),
+               "peel threshold");
          }});
   r.add({"barenboim-elkin",
          "Barenboim-Elkin H-partition coloring: floor((2+eps)a)+1 colors; "
          "params: arboricity, eps (default 1.0)",
          caps(false, false, false, true),
          [](const ColoringRequest& req, RunContext& ctx) {
-           const Vertex a = required_int(req, "arboricity");
-           const double eps = req.params.get_real("eps", 1.0);
+           const HPartitionParams hp = h_partition_params(req.params);
+           const Vertex a = required_param(req, "arboricity", hp.arboricity);
            ColoringReport out =
-               barenboim_elkin_coloring(*req.graph, a, eps, ctx.executor);
-           out.metrics.set_int("palette", barenboim_elkin_palette(a, eps));
+               barenboim_elkin_coloring(*req.graph, a, hp.eps, ctx.executor);
+           out.metrics.set_int("palette",
+                               barenboim_elkin_palette(a, hp.eps));
            return out;
          },
          [](const ColoringRequest& req) {
-           const std::int64_t a = req.params.get_int("arboricity", -1);
-           if (a <= 0) return std::int64_t{-1};
+           const HPartitionParams hp = h_partition_params(req.params);
+           if (hp.arboricity <= 0) return std::int64_t{-1};
            return static_cast<std::int64_t>(barenboim_elkin_palette(
-               static_cast<Vertex>(a), req.params.get_real("eps", 1.0)));
+               static_cast<Vertex>(hp.arboricity), hp.eps));
          },
          [](const EligibilityQuery& q) {
-           const std::int64_t a = q.params->get_int("arboricity", -1);
-           if (a <= 0) return std::string("needs param arboricity=...");
+           const HPartitionParams hp = h_partition_params(*q.params);
+           if (hp.arboricity <= 0)
+             return std::string("needs param arboricity=...");
            // The H-partition peels at degree (2 + eps) * a; degeneracy
            // at or below that threshold certifies termination.
-           const Vertex threshold = static_cast<Vertex>(
-               (2.0 + q.params->get_real("eps", 1.0)) *
-               static_cast<double>(a));
+           const auto threshold = static_cast<Vertex>(
+               (2.0 + hp.eps) * static_cast<double>(hp.arboricity));
            return why_not_degenerate(*q.probe, threshold,
                                      "H-partition threshold");
          }});
@@ -542,9 +526,9 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                "degeneracy greedy found a vertex with no free list color");
          },
          {},
-         [](const EligibilityQuery& q) {
-           return why_not_k(q, q.probe->degeneracy + 1, "k");
-         }});
+         {},
+         // Lists longer than the degeneracy: the greedy cannot get stuck.
+         {.probed = [](const GraphProbe& p) { return p.degeneracy + 1; }}});
 
   // --- Palette-sparsified family (arXiv:2301.06457, arXiv:2408.08256):
   // the base solvers on sampled c·log n sub-palettes, full-palette
@@ -556,7 +540,7 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          "sparsify_c (default 4.0), sparsify_attempts (default 3)",
          caps(true, false, true, true),
          [](const ColoringRequest& req, RunContext& ctx) {
-           const int cap = sparsify_attempt_cap(ctx);
+           const int cap = iteration_cap(ctx, 1000);
            return run_sparsified(
                req, ctx,
                [&](const ListAssignment& sampled, std::uint64_t seed,
@@ -573,10 +557,9 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                });
          },
          {},
-         [](const EligibilityQuery& q) {
-           // The fallback needs (deg+1)-lists, same as `randomized`.
-           return why_not_k(q, q.probe->max_degree + 1, "k");
-         }});
+         {},
+         // The fallback needs (deg+1)-lists, same as `randomized`.
+         {.probed = [](const GraphProbe& p) { return p.max_degree + 1; }}});
   r.add({"deglist-sparsified",
          "Degeneracy-order greedy list-coloring on sampled c*log n "
          "sub-palettes, full-list degeneracy greedy fallback; params: "
@@ -596,17 +579,16 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                });
          },
          {},
-         [](const EligibilityQuery& q) {
-           // The fallback succeeds when every list beats the degeneracy,
-           // same as `degeneracy-list`.
-           return why_not_k(q, q.probe->degeneracy + 1, "k");
-         }});
+         {},
+         // The fallback succeeds when every list beats the degeneracy,
+         // same as `degeneracy-list`.
+         {.probed = [](const GraphProbe& p) { return p.degeneracy + 1; }}});
   r.add({"list-sparsified",
          "Exact MRV list-coloring on sampled c*log n sub-palettes, exact "
          "full-list fallback (which proves infeasibility); params: "
          "sparsify_c (default 4.0), sparsify_attempts (default 3), "
          "sparsify_node_budget (default 2e6), node_budget",
-         sparsified_exact_caps(),
+         exact_caps(true, false, true),  // seeded palette sampling
          [](const ColoringRequest& req, RunContext& ctx) {
            return run_sparsified(
                req, ctx,
@@ -666,9 +648,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          "be one clique; colors by bipartite matching or certifies no SDR",
          caps(true, false, false, false, {"no-sdr-clique"}),
          [](const ColoringRequest& req, RunContext&) {
-           const Vertex n = req.graph->num_vertices();
-           std::vector<Vertex> all(static_cast<std::size_t>(n));
-           for (Vertex v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
+           const std::vector<Vertex> all =
+               identity_order(req.graph->num_vertices());
            SCOL_REQUIRE(is_clique(*req.graph, all),
                         + "algorithm 'sdr' needs a complete graph");
            auto c = color_clique_by_sdr(*req.graph, all, *req.lists);

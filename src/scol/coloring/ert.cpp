@@ -470,4 +470,25 @@ Coloring degree_choosable_coloring(const Graph& g,
   return Coloring(c.begin(), c.end());
 }
 
+Coloring degree_choosable_coloring(const Graph& g,
+                                   const ListAssignment& lists) {
+  const Vertex n = g.num_vertices();
+  SCOL_REQUIRE(lists.size() == n, + "one list per vertex");
+  SCOL_REQUIRE(n >= 1);
+  std::vector<Vertex> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
+  BallColorer kernel(g);
+  kernel.begin(all);
+  for (Vertex v = 0; v < n; ++v) {
+    const std::span<const Color> list = lists.of(v);
+    const std::size_t keep = std::min(
+        list.size(), static_cast<std::size_t>(kernel.degree(
+                         static_cast<std::size_t>(v))) + 1);
+    for (std::size_t j = 0; j < keep; ++j) kernel.push_color(list[j]);
+    kernel.end_list();
+  }
+  const std::span<const Color> c = kernel.color();
+  return Coloring(c.begin(), c.end());
+}
+
 }  // namespace scol

@@ -49,6 +49,14 @@ using AvailableLists = std::vector<std::vector<Color>>;
 Coloring degree_choosable_coloring(const Graph& g,
                                    const AvailableLists& avail);
 
+/// The same on a ListAssignment, read in place: v keeps only the first
+/// min(|L(v)|, deg(v) + 1) colors of L(v). That prefix has surplus iff
+/// L(v) has, and Case 1's greedy pick (the first color no neighbor holds)
+/// lies in it, so the coloring equals the one from the full lists — at
+/// O(n + m) list memory instead of Σ|L(v)|.
+Coloring degree_choosable_coloring(const Graph& g,
+                                   const ListAssignment& lists);
+
 /// Theorem 1.1 on pieces of one host graph, one piece at a time. Scratch
 /// (one relabel array over the host, the rest sized by the largest piece)
 /// is allocated once and reset over each piece's members, so a piece

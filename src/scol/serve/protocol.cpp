@@ -42,11 +42,17 @@ ParamBag params_from_json(const Json& v) {
 
 }  // namespace
 
-ServeRequest parse_request(const std::string& line) {
+void parse_request(const std::string& line, ServeRequest& req) {
+  req = ServeRequest{};
   const Json doc = Json::parse(line);
   SCOL_REQUIRE(doc.is_object(), + "request wants a JSON object");
+  for (const auto& [key, value] : doc.members()) {
+    if (key != "id") continue;
+    SCOL_REQUIRE(value.is_int() || value.is_str(),
+                 + "field 'id' wants an integer or string");
+    req.id = value;
+  }
 
-  ServeRequest req;
   // The server never times reports (envelope telemetry carries latency),
   // and always validates: a cached verdict must be a checked verdict.
   req.spec.include_timing = false;
@@ -68,9 +74,7 @@ ServeRequest parse_request(const std::string& line) {
         SCOL_REQUIRE(false, + ("unknown op '" + op + "'"));
       }
     } else if (key == "id") {
-      SCOL_REQUIRE(value.is_int() || value.is_str(),
-                   + "field 'id' wants an integer or string");
-      req.id = value;
+      // Read above, before any field that can throw.
     } else if (key == "gen") {
       req.spec.scenario = want_str(value, "gen");
       have_gen = true;
@@ -109,7 +113,6 @@ ServeRequest parse_request(const std::string& line) {
   if (req.op == ServeOp::kSolve || req.op == ServeOp::kProbe)
     SCOL_REQUIRE(!(have_gen && req.digest.has_value()),
                  + "request wants 'gen' or 'hash', not both");
-  return req;
 }
 
 namespace {

@@ -55,9 +55,11 @@ struct ServeRequest {
   ProbeOptions probe_options;
 };
 
-/// Parses one request line. Throws PreconditionError on malformed JSON,
-/// non-object documents, unknown/mistyped fields, or a missing "algo".
-ServeRequest parse_request(const std::string& line);
+/// Parses one request line into `req`. Throws PreconditionError on
+/// malformed JSON, non-object documents, unknown/mistyped fields, or a
+/// missing "algo". "id" is read before every other field, so when a later
+/// one throws, req.id still names the request for its error envelope.
+void parse_request(const std::string& line, ServeRequest& req);
 
 /// Envelope builders. `report_json` is spliced verbatim (it is already
 /// serialized — possibly straight out of the report cache).

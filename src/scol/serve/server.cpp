@@ -115,7 +115,7 @@ bool Server::serve_stream(std::istream& in, std::ostream& out) {
     Pending p;
     p.arrival = Clock::now();
     try {
-      p.req = parse_request(line);
+      parse_request(line, p.req);
     } catch (const std::exception& e) {
       p.error = e.what();
     }

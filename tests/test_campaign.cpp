@@ -239,9 +239,10 @@ TEST(Campaign, ProbeFilterSkipsIneligibleCellsInsteadOfFailing) {
 TEST(Campaign, AutoKRespectsAlgorithmMinimumListSize) {
   // planar6's guarantee is stated for 6-lists; on a planar grid of max
   // degree 4 the generic auto-k (max degree + 1 = 5) must rise to the
-  // algorithm's registered minimum (AlgorithmInfo::min_k), so the
-  // flagship planar corollary actually runs in `--algo all` grids
-  // instead of skipping itself on every low-degree planar instance.
+  // fixed size of the algorithm's list-size rule
+  // (AlgorithmInfo::list_size), so the flagship planar corollary actually
+  // runs in `--algo all` grids instead of skipping itself on every
+  // low-degree planar instance.
   CampaignSpec spec;
   spec.scenarios = {"grid:rows=6,cols=6"};
   spec.algorithms = {"planar6"};

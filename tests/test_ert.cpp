@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "scol/coloring/ert.h"
 #include "scol/coloring/exact.h"
@@ -306,6 +308,58 @@ TEST(BallColorer, RejectsBadPiecesAndLists) {
   kernel.push_color(0);
   kernel.end_list();
   EXPECT_THROW(kernel.color(), PreconditionError);
+}
+
+// The ListAssignment overload reads only each list's first deg(v) + 1
+// colors; on every shape (surplus, tight, too short, long, disconnected,
+// Gallai) it must answer exactly as the full lists do, errors included.
+TEST(Ert, ListPrefixMatchesTheFullLists) {
+  Rng rng(907);
+  const Graph graphs[] = {random_non_gallai(40, rng), grid(6, 6),
+                          random_regular(60, 4, rng), cycle(6), cycle(5),
+                          complete(5), disjoint_union(grid(3, 3), path(4))};
+  int colored = 0, refused = 0;
+  for (const Graph& g : graphs) {
+    const Vertex n = g.num_vertices();
+    const Color dmax = static_cast<Color>(g.max_degree());
+    std::vector<ListAssignment> shapes;
+    shapes.push_back(uniform_lists(n, dmax + 1));
+    shapes.push_back(uniform_lists(n, dmax + 6));
+    shapes.push_back(random_lists(n, dmax + 1, 2 * dmax + 4, rng));
+    shapes.push_back(random_lists(n, dmax + 3, 3 * dmax + 6, rng));
+    for (const Vertex slack : {0, 1, -1}) {  // tight, one surplus, short
+      std::vector<std::vector<Color>> lists;
+      for (Vertex v = 0; v < n; ++v) {
+        const Vertex len =
+            std::max<Vertex>(1, g.degree(v) + (v == n / 2 ? slack : 0));
+        lists.push_back(random_list(len, dmax + 3, rng));
+      }
+      shapes.push_back(ListAssignment::from_lists(lists));
+    }
+    for (const ListAssignment& lists : shapes) {
+      std::optional<Coloring> expected;
+      std::string expected_error;
+      try {
+        expected = degree_choosable_coloring(g, to_lists(lists));
+      } catch (const PreconditionError& e) {
+        expected_error = e.what();
+      }
+      if (!expected) {
+        try {
+          degree_choosable_coloring(g, lists);
+          ADD_FAILURE() << "expected: " << expected_error;
+        } catch (const PreconditionError& e) {
+          EXPECT_EQ(std::string(e.what()), expected_error);
+        }
+        ++refused;
+        continue;
+      }
+      EXPECT_EQ(degree_choosable_coloring(g, lists), *expected);
+      ++colored;
+    }
+  }
+  EXPECT_GT(colored, 30);
+  EXPECT_GT(refused, 10);
 }
 
 }  // namespace

@@ -205,8 +205,14 @@ TEST(Zipf, DistributionShape) {
 
 // --- Protocol ----------------------------------------------------------
 
+ServeRequest parse(const std::string& line) {
+  ServeRequest req;
+  parse_request(line, req);
+  return req;
+}
+
 TEST(Protocol, ParsesDefaultsAndRejectsUnknowns) {
-  const ServeRequest req = parse_request(
+  const ServeRequest req = parse(
       R"({"id":7,"algo":"greedy","gen":"petersen","seed":3,"k":5,)"
       R"("lists":"random","palette":12,"params":{"d":4,"eps":0.5,)"
       R"("flag":true,"s":"x"},"round_budget":9,"with_coloring":true})");
@@ -225,25 +231,25 @@ TEST(Protocol, ParsesDefaultsAndRejectsUnknowns) {
   EXPECT_EQ(req.spec.params.get_int("d", -1), 4);
   EXPECT_EQ(req.spec.params.get_str("s", ""), "x");
 
-  const ServeRequest defaults = parse_request(R"({"algo":"greedy"})");
+  const ServeRequest defaults = parse(R"({"algo":"greedy"})");
   EXPECT_TRUE(defaults.id.is_null());
   EXPECT_EQ(defaults.spec.scenario, "grid");
   EXPECT_EQ(defaults.spec.seed, 1u);
 
-  EXPECT_THROW(parse_request("not json"), PreconditionError);
-  EXPECT_THROW(parse_request("[1,2]"), PreconditionError);
-  EXPECT_THROW(parse_request(R"({"alog":"greedy"})"), PreconditionError);
-  EXPECT_THROW(parse_request(R"({"op":"dance"})"), PreconditionError);
-  EXPECT_THROW(parse_request(R"({"gen":"grid"})"), PreconditionError);
-  EXPECT_THROW(parse_request(R"({"algo":"greedy","seed":"x"})"),
+  EXPECT_THROW(parse("not json"), PreconditionError);
+  EXPECT_THROW(parse("[1,2]"), PreconditionError);
+  EXPECT_THROW(parse(R"({"alog":"greedy"})"), PreconditionError);
+  EXPECT_THROW(parse(R"({"op":"dance"})"), PreconditionError);
+  EXPECT_THROW(parse(R"({"gen":"grid"})"), PreconditionError);
+  EXPECT_THROW(parse(R"({"algo":"greedy","seed":"x"})"),
                PreconditionError);
-  EXPECT_THROW(parse_request(R"({"algo":"greedy","params":{"a":[1]}})"),
+  EXPECT_THROW(parse(R"({"algo":"greedy","params":{"a":[1]}})"),
                PreconditionError);
   EXPECT_THROW(
-      parse_request(R"({"algo":"greedy","gen":"grid","hash":")" +
+      parse(R"({"algo":"greedy","gen":"grid","hash":")" +
                     std::string(32, '0') + R"("})"),
       PreconditionError);
-  EXPECT_NO_THROW(parse_request(R"({"op":"stats"})"));  // no algo needed
+  EXPECT_NO_THROW(parse(R"({"op":"stats"})"));  // no algo needed
 }
 
 // --- Server end-to-end -------------------------------------------------
@@ -304,6 +310,34 @@ TEST(Server, BadListsModeGetsAnErrorEnvelope) {
   EXPECT_EQ(good.get("id")->as_int(), 2);
   ASSERT_TRUE(good.get("ok")->as_bool()) << lines[1];
   EXPECT_EQ(good.get("report")->get("status")->as_str(), "colored");
+}
+
+TEST(Server, ErrorEnvelopeKeepsTheRequestId) {
+  // "id" is read before the field that fails, wherever it sits in the
+  // line, so a pipelining client can match the error to its request.
+  const auto lines = serve({
+      R"({"id":7,"algo":"randomized","gen":"petersen","lists":"fancy"})",
+      R"({"bogus":1,"id":8})",
+      R"({"id":[9],"algo":"greedy"})",
+  });
+  ASSERT_EQ(lines.size(), 3u);
+  const Json bad_field = Json::parse(lines[0]);
+  const Json unknown = Json::parse(lines[1]);
+  const Json bad_id = Json::parse(lines[2]);
+  EXPECT_FALSE(bad_field.get("ok")->as_bool());
+  EXPECT_EQ(bad_field.get("id")->dump(), "7") << lines[0];
+  EXPECT_FALSE(unknown.get("ok")->as_bool());
+  EXPECT_EQ(unknown.get("id")->dump(), "8") << lines[1];
+  EXPECT_NE(unknown.get("error")->as_str().find(
+                "unknown request field 'bogus'"),
+            std::string::npos)
+      << lines[1];
+  // An id that is itself malformed cannot name the request.
+  EXPECT_TRUE(bad_id.get("id")->is_null()) << lines[2];
+  EXPECT_NE(bad_id.get("error")->as_str().find(
+                "field 'id' wants an integer or string"),
+            std::string::npos)
+      << lines[2];
 }
 
 TEST(Server, DeepExactSearchBetweenTwoGoodLines) {
