@@ -453,42 +453,43 @@ std::span<const Color> BallColorer::color() {
   return colors_;
 }
 
-Coloring degree_choosable_coloring(const Graph& g,
-                                   const AvailableLists& avail) {
-  const Vertex n = g.num_vertices();
-  SCOL_REQUIRE(static_cast<Vertex>(avail.size()) == n);
-  SCOL_REQUIRE(n >= 1);
-  std::vector<Vertex> all(static_cast<std::size_t>(n));
-  std::iota(all.begin(), all.end(), 0);
-  BallColorer kernel(g);
-  kernel.begin(all);
-  for (const auto& list : avail) {
-    for (Color c : list) kernel.push_color(c);
-    kernel.end_list();
-  }
-  const std::span<const Color> c = kernel.color();
-  return Coloring(c.begin(), c.end());
-}
+namespace {
 
-Coloring degree_choosable_coloring(const Graph& g,
-                                   const ListAssignment& lists) {
+// The whole graph as the kernel's one piece; list_of(v) is v's list.
+template <typename ListOf>
+Coloring color_whole_graph(const Graph& g, const ListOf& list_of) {
   const Vertex n = g.num_vertices();
-  SCOL_REQUIRE(lists.size() == n, + "one list per vertex");
   SCOL_REQUIRE(n >= 1);
   std::vector<Vertex> all(static_cast<std::size_t>(n));
   std::iota(all.begin(), all.end(), 0);
   BallColorer kernel(g);
   kernel.begin(all);
   for (Vertex v = 0; v < n; ++v) {
-    const std::span<const Color> list = lists.of(v);
-    const std::size_t keep = std::min(
-        list.size(), static_cast<std::size_t>(kernel.degree(
-                         static_cast<std::size_t>(v))) + 1);
-    for (std::size_t j = 0; j < keep; ++j) kernel.push_color(list[j]);
+    for (Color c : list_of(v)) kernel.push_color(c);
     kernel.end_list();
   }
   const std::span<const Color> c = kernel.color();
   return Coloring(c.begin(), c.end());
+}
+
+}  // namespace
+
+Coloring degree_choosable_coloring(const Graph& g,
+                                   const AvailableLists& avail) {
+  SCOL_REQUIRE(static_cast<Vertex>(avail.size()) == g.num_vertices());
+  return color_whole_graph(g, [&](Vertex v) -> const std::vector<Color>& {
+    return avail[static_cast<std::size_t>(v)];
+  });
+}
+
+Coloring degree_choosable_coloring(const Graph& g,
+                                   const ListAssignment& lists) {
+  SCOL_REQUIRE(lists.size() == g.num_vertices(), + "one list per vertex");
+  return color_whole_graph(g, [&](Vertex v) {
+    const std::span<const Color> list = lists.of(v);
+    return list.first(std::min<std::size_t>(
+        list.size(), static_cast<std::size_t>(g.degree(v)) + 1));
+  });
 }
 
 }  // namespace scol

@@ -166,6 +166,15 @@ TEST(Registry, Completeness) {
                PreconditionError);
   EXPECT_THROW(AlgorithmRegistry::instance().at("no-such-algorithm"),
                PreconditionError);
+  // A list-size rule is fixed by the params or probed, not both.
+  AlgorithmInfo both{"two-rules", "both", {},
+                     [](const ColoringRequest&, RunContext&) {
+                       return ColoringReport{};
+                     }};
+  both.list_size = {.fixed = [](const ParamBag&) { return Vertex{6}; },
+                    .probed = [](const GraphProbe& p) { return p.max_degree; }};
+  EXPECT_THROW(AlgorithmRegistry::instance().add(std::move(both)),
+               PreconditionError);
 }
 
 TEST(Solve, RoundTripEveryAlgorithm) {
