@@ -172,6 +172,33 @@ void list_scenarios() {
   std::cout << arr.dump(2) << "\n";
 }
 
+// The probe cost flags `scol-cli probe` and `scol-cli campaign` share,
+// with the same ranges: when argv[i] is one, reads its value into
+// `options`, moves i onto that value and returns true.
+template <typename Fail>
+bool parse_probe_flag(int argc, char** argv, int& i, ProbeOptions& options,
+                      Fail&& fail) {
+  const std::string arg = argv[i];
+  const auto value = [&](std::int64_t max_value) {
+    if (i + 1 >= argc) fail(arg + " needs a value");
+    return scol_cli_parse::checked_int(argv[++i], arg.c_str(), 0, max_value,
+                                       fail);
+  };
+  constexpr std::int64_t kMaxVertex = std::numeric_limits<Vertex>::max();
+  if (arg == "--planarity-limit") {
+    options.planarity_limit = static_cast<Vertex>(value(kMaxVertex));
+  } else if (arg == "--girth-limit") {
+    options.girth_limit = static_cast<Vertex>(value(kMaxVertex));
+  } else if (arg == "--mad-limit") {
+    options.exact_mad_limit = static_cast<Vertex>(value(kMaxVertex));
+  } else if (arg == "--probe-budget") {
+    options.budget = value(std::numeric_limits<std::int64_t>::max());
+  } else {
+    return false;
+  }
+  return true;
+}
+
 [[noreturn]] void probe_usage_error(const std::string& message) {
   std::cerr << "scol-cli probe: " << message << "\n"
             << "usage: scol-cli probe [--gen SPEC] [--k K] [--seed S] "
@@ -262,6 +289,8 @@ int probe_main(int argc, char** argv) {
     return argv[i + 1];
   };
   for (int i = 2; i < argc; ++i) {
+    if (parse_probe_flag(argc, argv, i, probe_options, probe_usage_error))
+      continue;
     const std::string arg = argv[i];
     if (arg == "--gen") {
       gen = need_value(i, "--gen");
@@ -278,32 +307,6 @@ int probe_main(int argc, char** argv) {
     } else if (arg == "--param") {
       parse_param(params, need_value(i, "--param"));
       ++i;
-    } else if (arg == "--planarity-limit") {
-      probe_options.planarity_limit = static_cast<Vertex>(
-          scol_cli_parse::checked_int(need_value(i, "--planarity-limit"),
-                                      "--planarity-limit", 0,
-                                      std::numeric_limits<Vertex>::max(),
-                                      probe_usage_error));
-      ++i;
-    } else if (arg == "--girth-limit") {
-      probe_options.girth_limit = static_cast<Vertex>(
-          scol_cli_parse::checked_int(need_value(i, "--girth-limit"),
-                                      "--girth-limit", 0,
-                                      std::numeric_limits<Vertex>::max(),
-                                      probe_usage_error));
-      ++i;
-    } else if (arg == "--mad-limit") {
-      probe_options.exact_mad_limit = static_cast<Vertex>(
-          scol_cli_parse::checked_int(need_value(i, "--mad-limit"),
-                                      "--mad-limit", 0,
-                                      std::numeric_limits<Vertex>::max(),
-                                      probe_usage_error));
-      ++i;
-    } else if (arg == "--probe-budget") {
-      probe_options.budget = scol_cli_parse::checked_int(
-          need_value(i, "--probe-budget"), "--probe-budget", 0,
-          std::numeric_limits<std::int64_t>::max(), probe_usage_error);
-      ++i;
     } else if (arg == "--pretty") {
       pretty = true;
     } else {
@@ -317,51 +320,24 @@ int probe_main(int argc, char** argv) {
     const GraphProbe probe = probe_graph(g, probe_options);
 
     Json out = Json::object();
-    Json scenario = Json::object();
-    scenario.set("spec", Json::str(gen));
-    scenario.set("n", Json::integer(g.num_vertices()));
-    scenario.set("m", Json::integer(g.num_edges()));
-    scenario.set("max_degree", Json::integer(g.max_degree()));
-    out.set("scenario", std::move(scenario));
-
-    Json pj = Json::object();
-    pj.set("n", Json::integer(probe.n));
-    pj.set("m", Json::integer(probe.m));
-    pj.set("max_degree", Json::integer(probe.max_degree));
-    pj.set("degeneracy", Json::integer(probe.degeneracy));
-    pj.set("degeneracy_exact", Json::boolean(probe.degeneracy_exact));
-    pj.set("degeneracy_lower", Json::integer(probe.degeneracy_lower));
-    pj.set("sampled", Json::boolean(probe.sampled));
-    pj.set("mad_upper", Json::real(probe.mad_upper));
-    pj.set("mad_exact", Json::boolean(probe.mad_exact));
-    pj.set("arboricity_upper", Json::integer(probe.arboricity_upper));
-    pj.set("arboricity_exact", Json::boolean(probe.arboricity_exact));
-    pj.set("components", Json::integer(probe.components));
-    pj.set("connected", Json::boolean(probe.connected));
-    pj.set("forest", Json::boolean(probe.forest));
-    pj.set("complete", Json::boolean(probe.complete));
-    pj.set("girth", Json::integer(probe.girth));
-    pj.set("girth_floor", Json::integer(probe.girth_floor));
-    pj.set("triangle_free", Json::boolean(probe.triangle_free));
-    pj.set("planar", Json::str(to_string(probe.planar)));
-    out.set("probe", std::move(pj));
+    out.set("scenario", scenario_json(gen, g));
+    out.set("probe", to_json(probe));
     out.set("k", Json::integer(k));
     out.set("seed", Json::integer(static_cast<std::int64_t>(seed)));
 
-    // Mirror the campaign's per-job auto-k (effective_k) so the
-    // verdicts here predict exactly what `campaign --algo all` would
-    // skip, given the same --k/--param/probe-limit values.
+    // The campaign's per-job admission (admit()), so the verdicts here
+    // predict exactly what `campaign --algo all` would skip, given the
+    // same --k/--param/probe-limit values.
     Json algorithms = Json::array();
     for (const auto& name : AlgorithmRegistry::instance().names()) {
-      const AlgorithmInfo& info = AlgorithmRegistry::instance().at(name);
-      const Vertex k_eff = effective_k(info, k, g.max_degree(), params);
-      const std::string reason = algorithm_skip_reason(
-          info, EligibilityQuery{&probe, &params, k_eff});
+      const Admission admission = admit(AlgorithmRegistry::instance().at(name),
+                                        g, k, "uniform", -1, params, &probe);
+      const std::string& reason = admission.skip_reason;
       Json entry = Json::object();
       entry.set("name", Json::str(name));
       entry.set("eligible", Json::boolean(reason.empty()));
       if (!reason.empty()) entry.set("reason", Json::str(reason));
-      entry.set("k", Json::integer(k_eff));
+      entry.set("k", Json::integer(admission.k));
       algorithms.push(std::move(entry));
     }
     out.set("algorithms", std::move(algorithms));
@@ -406,6 +382,9 @@ int campaign_main(int argc, char** argv) {
     return argv[i + 1];
   };
   for (int i = 2; i < argc; ++i) {
+    if (parse_probe_flag(argc, argv, i, spec.probe_options,
+                         campaign_usage_error))
+      continue;
     const std::string arg = argv[i];
     if (arg == "--gen") {
       spec.scenarios.push_back(need_value(i, "--gen"));
@@ -488,32 +467,6 @@ int campaign_main(int argc, char** argv) {
       summary_only = true;
     } else if (arg == "--no-probe") {
       spec.probe = false;
-    } else if (arg == "--planarity-limit") {
-      spec.probe_options.planarity_limit = static_cast<Vertex>(
-          scol_cli_parse::checked_int(need_value(i, "--planarity-limit"),
-                                      "--planarity-limit", 0,
-                                      std::numeric_limits<Vertex>::max(),
-                                      campaign_usage_error));
-      ++i;
-    } else if (arg == "--girth-limit") {
-      spec.probe_options.girth_limit = static_cast<Vertex>(
-          scol_cli_parse::checked_int(need_value(i, "--girth-limit"),
-                                      "--girth-limit", 0,
-                                      std::numeric_limits<Vertex>::max(),
-                                      campaign_usage_error));
-      ++i;
-    } else if (arg == "--mad-limit") {
-      spec.probe_options.exact_mad_limit = static_cast<Vertex>(
-          scol_cli_parse::checked_int(need_value(i, "--mad-limit"),
-                                      "--mad-limit", 0,
-                                      std::numeric_limits<Vertex>::max(),
-                                      campaign_usage_error));
-      ++i;
-    } else if (arg == "--probe-budget") {
-      spec.probe_options.budget = scol_cli_parse::checked_int(
-          need_value(i, "--probe-budget"), "--probe-budget", 0,
-          std::numeric_limits<std::int64_t>::max(), campaign_usage_error);
-      ++i;
     } else if (arg == "--pretty") {
       pretty = true;
     } else {
@@ -607,8 +560,6 @@ int main(int argc, char** argv) {
       ++i;
     } else if (arg == "--lists") {
       spec.lists_mode = need_value(i, "--lists");
-      if (spec.lists_mode != "uniform" && spec.lists_mode != "random")
-        usage_error("--lists must be uniform or random");
       ++i;
     } else if (arg == "--k") {
       spec.k = static_cast<Vertex>(scol_cli_parse::checked_int(

@@ -38,25 +38,21 @@ int main(int argc, char** argv) {
   std::cout << "probe: " << describe(probe) << "\n\n";
 
   // 3. Eligibility. The same verdicts `scol-cli campaign --algo all`
-  //    uses to auto-select algorithms for this instance.
-  // Auto-k is per algorithm (effective_k): list algorithms get
-  // max(3, max degree + 1), raised to the fixed list size of the
-  // algorithm's list-size rule (planar6 judges at 6 even when max degree
-  // is low) — exactly the campaign's per-job rule.
-  ParamBag no_params;
+  //    uses to auto-select algorithms for this instance: admit() gives
+  //    each algorithm its auto-k — max(3, max degree + 1) for list
+  //    algorithms, raised to the fixed list size of the algorithm's
+  //    list-size rule (planar6 judges at 6 even when max degree is low) —
+  //    and checks its premise and list size against the probe.
   std::vector<std::string> eligible;
   std::cout << "preconditions (auto-k per algorithm):\n";
   for (const auto& name : AlgorithmRegistry::instance().names()) {
-    const AlgorithmInfo& info = AlgorithmRegistry::instance().at(name);
-    const Vertex k_eff =
-        effective_k(info, -1, g.max_degree(), no_params);
-    const std::string reason = algorithm_skip_reason(
-        info, EligibilityQuery{&probe, &no_params, k_eff});
-    if (reason.empty())
+    const Admission admission = admit(AlgorithmRegistry::instance().at(name),
+                                      g, -1, "uniform", -1, {}, &probe);
+    if (admission.skip_reason.empty())
       eligible.push_back(name);
     else
-      std::cout << "  skip " << name << " (k=" << k_eff << "): " << reason
-                << "\n";
+      std::cout << "  skip " << name << " (k=" << admission.k
+                << "): " << admission.skip_reason << "\n";
   }
   std::cout << "  eligible:";
   for (const auto& name : eligible) std::cout << " " << name;

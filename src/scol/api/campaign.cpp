@@ -48,15 +48,12 @@ ParamBag merged_params(const CampaignSpec& spec, const std::string& algo) {
 struct JobRun {
   CampaignJob job;
   ColoringReport report;
-  Vertex k_eff = -1;        // k used to build lists / passed as request.k
-  Color palette_eff = -1;   // random-lists palette (-1 = no lists/uniform)
-  std::string lists;        // "uniform" | "random" | "none"
+  Admission admission;      // k, list shape and probe verdict
   std::int64_t bound = -1;  // registered guarantee (-1 = none)
   bool colored_ok = false;  // kColored AND revalidated by the oracle
-  bool skipped = false;     // probe filter: not eligible
-  std::string skip_reason;  // set iff skipped
   double real_wall_ms = 0.0;
   std::vector<std::string> violations;
+  bool skipped() const { return !admission.skip_reason.empty(); }
 };
 
 // The oracle's per-job half: revalidate the coloring against graph and
@@ -96,22 +93,22 @@ void oracle_cross_check(std::vector<JobRun>& runs) {
   for (std::size_t p = 0; p < runs.size(); ++p) {
     const JobRun& prover = runs[p];
     if (prover.report.status != SolveStatus::kInfeasible) continue;
-    const bool k_problem = prover.lists != "random";
-    if (k_problem && prover.k_eff <= 0) continue;
+    const Admission& pa = prover.admission;
+    const bool k_problem = pa.lists != "random";
+    if (k_problem && pa.k <= 0) continue;
     for (std::size_t c = 0; c < runs.size(); ++c) {
       const JobRun& witness = runs[c];
       if (!witness.colored_ok) continue;
+      const Admission& wa = witness.admission;
       const bool conflict =
-          k_problem
-              ? witness.report.colors_used <= prover.k_eff
-              : (witness.lists == "random" &&
-                 witness.k_eff == prover.k_eff &&
-                 witness.palette_eff == prover.palette_eff);
+          k_problem ? witness.report.colors_used <= pa.k
+                    : (wa.lists == "random" && wa.k == pa.k &&
+                       wa.palette == pa.palette);
       if (!conflict) continue;
       runs[std::max(p, c)].violations.push_back(
           "oracle: '" + prover.job.algorithm +
-          "' proved infeasibility (k=" + std::to_string(prover.k_eff) +
-          ", lists=" + prover.lists + ") but '" + witness.job.algorithm +
+          "' proved infeasibility (k=" + std::to_string(pa.k) +
+          ", lists=" + pa.lists + ") but '" + witness.job.algorithm +
           "' produced a validated coloring with " +
           std::to_string(witness.report.colors_used) + " colors");
     }
@@ -120,24 +117,20 @@ void oracle_cross_check(std::vector<JobRun>& runs) {
 
 Json job_line(const JobRun& run, const std::string& scenario_spec,
               const Graph& g, bool include_timing, int shards_field) {
+  const Admission& admission = run.admission;
   Json line = to_json(run.report, /*include_coloring=*/false);
-  if (run.skipped) {
+  if (run.skipped()) {
     // Probe-filtered cell: the report shell is empty (no solve ran);
     // the line carries the verdict and the probe's reason instead.
     line.set("status", Json::str("skipped"));
-    line.set("skip_reason", Json::str(run.skip_reason));
+    line.set("skip_reason", Json::str(admission.skip_reason));
   }
   // The JSONL stream is bit-identical across job executors and shard
   // recombination; raw wall time would break that, so it is zeroed
   // unless explicitly requested (summary quantiles always use it).
   if (!include_timing) line.set("wall_ms", Json::real(0.0));
-  Json scenario = Json::object();
-  scenario.set("spec", Json::str(scenario_spec));
-  scenario.set("n", Json::integer(g.num_vertices()));
-  scenario.set("m", Json::integer(g.num_edges()));
-  scenario.set("max_degree", Json::integer(g.max_degree()));
-  line.set("scenario", std::move(scenario));
-  line.set("k", Json::integer(run.k_eff));
+  line.set("scenario", scenario_json(scenario_spec, g));
+  line.set("k", Json::integer(admission.k));
   line.set("seed", Json::integer(static_cast<std::int64_t>(run.job.seed)));
   line.set("threads", Json::integer(0));  // jobs never use a nested pool
   // Present only for exchange-priced campaigns, so every unpriced stream
@@ -146,8 +139,8 @@ Json job_line(const JobRun& run, const std::string& scenario_spec,
   line.set("job", Json::integer(static_cast<std::int64_t>(run.job.index)));
   line.set("instance",
            Json::integer(static_cast<std::int64_t>(run.job.instance)));
-  line.set("lists", Json::str(run.lists));
-  line.set("palette", Json::integer(run.palette_eff));
+  line.set("lists", Json::str(admission.lists));
+  line.set("palette", Json::integer(admission.palette));
   Json oracle = Json::object();
   oracle.set("ok", Json::boolean(run.violations.empty()));
   oracle.set("colors_bound", Json::integer(run.bound));
@@ -329,7 +322,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
             AlgorithmRegistry::instance().at(spec.algorithms[a]);
         JobRun run;
         run.job = grid[instance * num_algorithms + a];
-        run.lists = "none";
 
         if (graph == nullptr) {
           run.report = ColoringReport::failed("scenario build failed: " +
@@ -343,47 +335,41 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         req.graph = graph;
         req.algorithm = info.name;
         req.params = merged_params(spec, info.name);
-        run.k_eff = effective_k(info, spec.k, graph->max_degree(),
-                                req.params);
-        req.k = run.k_eff;
 
         // Probe filter: answer ineligible cells without solving. The
         // probe is a pure function of the graph, so the verdict — and
         // the stream — stays bit-identical across executors and shards.
-        if (spec.probe && (info.precondition || info.list_size)) {
-          if (probe == nullptr) {
-            if (file_backed) {
-              // Once-memoized on the entry; file_entry stays alive for
-              // this whole instance, so the reference is stable.
-              probe = &file_entry->probe(spec.probe_options);
-            } else {
-              local_probe = probe_graph(*graph, spec.probe_options);
-              probe = &*local_probe;
-            }
+        if (spec.probe && probe == nullptr &&
+            (info.precondition || info.list_size)) {
+          if (file_backed) {
+            // Once-memoized on the entry; file_entry stays alive for this
+            // whole instance, so the reference is stable.
+            probe = &file_entry->probe(spec.probe_options);
+          } else {
+            local_probe = probe_graph(*graph, spec.probe_options);
+            probe = &*local_probe;
           }
-          run.skip_reason = algorithm_skip_reason(
-              info, EligibilityQuery{probe, &req.params, run.k_eff});
-          if (!run.skip_reason.empty()) {
-            run.skipped = true;
-            run.report.algorithm = info.name;
-            runs.push_back(std::move(run));
-            continue;
-          }
+        }
+        run.admission = admit(info, *graph, spec.k, spec.lists_mode,
+                              spec.palette, req.params, probe);
+        const Admission& admission = run.admission;
+        req.k = admission.k;
+        if (run.skipped()) {
+          run.report.algorithm = info.name;
+          runs.push_back(std::move(run));
+          continue;
         }
 
         const ListAssignment* lists = nullptr;
-        if (info.caps.needs_lists) {
-          run.lists = spec.lists_mode;
-          const ListShape shape =
-              list_shape(spec.lists_mode, spec.palette, run.k_eff);
-          run.palette_eff = shape.palette;
+        if (admission.lists != "none") {
           // Every job that asks for this shape sees the same assignment,
           // under any job executor and shard split.
-          const auto key = std::make_pair(run.k_eff, run.palette_eff);
+          const auto key = std::make_pair(admission.k, admission.palette);
           auto it = lists_cache.find(key);
           if (it == lists_cache.end())
             it = lists_cache
-                     .emplace(key, shape.build(graph->num_vertices(), seed))
+                     .emplace(key, admission.build_lists(
+                                       graph->num_vertices(), seed))
                      .first;
           lists = &it->second;
           req.lists = lists;
@@ -423,7 +409,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
                   .dump());
         SlimStat stat;
         stat.status = run.report.status;
-        stat.skipped = run.skipped;
+        stat.skipped = run.skipped();
         stat.colors_used = run.report.colors_used;
         stat.rounds = run.report.rounds;
         stat.wall_ms = run.real_wall_ms;

@@ -29,7 +29,7 @@
 // inputs — in particular file-backed scenarios, docs/FORMATS.md —
 // sweepable with `--algo all`: each instance's graph is probed once
 // (io/probe.h) and cells whose algorithm's precondition or list-size
-// rule (algorithm_skip_reason) fails are answered as status:"skipped"
+// rule fails (admit(), api/registry.h) are answered as status:"skipped"
 // lines carrying the probe's reason, leaving the grid shape and every
 // determinism invariant intact.
 #pragma once

@@ -548,4 +548,37 @@ Json to_json(const ColoringReport& report, bool include_coloring) {
   return obj;
 }
 
+Json to_json(const GraphProbe& probe) {
+  Json out = Json::object();
+  out.set("n", Json::integer(probe.n));
+  out.set("m", Json::integer(probe.m));
+  out.set("max_degree", Json::integer(probe.max_degree));
+  out.set("degeneracy", Json::integer(probe.degeneracy));
+  out.set("degeneracy_exact", Json::boolean(probe.degeneracy_exact));
+  out.set("degeneracy_lower", Json::integer(probe.degeneracy_lower));
+  out.set("sampled", Json::boolean(probe.sampled));
+  out.set("mad_upper", Json::real(probe.mad_upper));
+  out.set("mad_exact", Json::boolean(probe.mad_exact));
+  out.set("arboricity_upper", Json::integer(probe.arboricity_upper));
+  out.set("arboricity_exact", Json::boolean(probe.arboricity_exact));
+  out.set("components", Json::integer(probe.components));
+  out.set("connected", Json::boolean(probe.connected));
+  out.set("forest", Json::boolean(probe.forest));
+  out.set("complete", Json::boolean(probe.complete));
+  out.set("girth", Json::integer(probe.girth));
+  out.set("girth_floor", Json::integer(probe.girth_floor));
+  out.set("triangle_free", Json::boolean(probe.triangle_free));
+  out.set("planar", Json::str(to_string(probe.planar)));
+  return out;
+}
+
+Json scenario_json(const std::string& spec, const Graph& g) {
+  Json out = Json::object();
+  out.set("spec", Json::str(spec));
+  out.set("n", Json::integer(g.num_vertices()));
+  out.set("m", Json::integer(g.num_edges()));
+  out.set("max_degree", Json::integer(g.max_degree()));
+  return out;
+}
+
 }  // namespace scol

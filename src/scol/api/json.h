@@ -20,6 +20,7 @@
 
 #include "scol/api/params.h"
 #include "scol/api/report.h"
+#include "scol/io/probe.h"
 
 namespace scol {
 
@@ -99,5 +100,13 @@ Json to_json(const ParamBag& bag);
 /// ledger breakdown, metrics, certificate/failure when present, and the
 /// coloring itself when include_coloring is set.
 Json to_json(const ColoringReport& report, bool include_coloring = false);
+
+/// The probe object of `scol-cli probe` and scol-serve's probe payload:
+/// every GraphProbe field, in declaration order.
+Json to_json(const GraphProbe& probe);
+
+/// The scenario echo of one-shot reports, campaign lines and `scol-cli
+/// probe`: {spec, n, m, max_degree} of the graph built from `spec`.
+Json scenario_json(const std::string& spec, const Graph& g);
 
 }  // namespace scol

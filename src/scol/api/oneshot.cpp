@@ -24,21 +24,18 @@ int one_shot_exit_code(const Json& report) {
 Json one_shot_report_on(const Graph& g, const OneShotSpec& spec,
                         const Executor* executor,
                         std::shared_ptr<Arena> arena) {
-  const AlgorithmInfo& info =
-      AlgorithmRegistry::instance().at(spec.algorithm);
-  require_lists_mode(spec.lists_mode);
-
-  const Vertex k = effective_k(info, spec.k, g.max_degree(), spec.params);
+  const Admission admission =
+      admit(AlgorithmRegistry::instance().at(spec.algorithm), g, spec.k,
+            spec.lists_mode, spec.palette, spec.params);
 
   ListAssignment lists;
   ColoringRequest req;
   req.graph = &g;
   req.algorithm = spec.algorithm;
-  req.k = k;
+  req.k = admission.k;
   req.params = spec.params;
-  if (info.caps.needs_lists) {
-    lists = list_shape(spec.lists_mode, spec.palette, k)
-                .build(g.num_vertices(), spec.seed);
+  if (admission.lists != "none") {
+    lists = admission.build_lists(g.num_vertices(), spec.seed);
     req.lists = &lists;
   }
 
@@ -59,19 +56,18 @@ Json one_shot_report_on(const Graph& g, const OneShotSpec& spec,
   if (!spec.include_timing) report.wall_ms = 0.0;
 
   Json out = to_json(report, spec.with_coloring);
-  Json scenario = Json::object();
-  scenario.set("spec", Json::str(spec.scenario));
-  scenario.set("n", Json::integer(g.num_vertices()));
-  scenario.set("m", Json::integer(g.num_edges()));
-  scenario.set("max_degree", Json::integer(g.max_degree()));
-  out.set("scenario", std::move(scenario));
-  out.set("k", Json::integer(k));
+  out.set("scenario", scenario_json(spec.scenario, g));
+  out.set("k", Json::integer(admission.k));
   out.set("seed", Json::integer(static_cast<std::int64_t>(spec.seed)));
   out.set("threads", Json::integer(spec.threads));
   return out;
 }
 
 Json one_shot_report(const OneShotSpec& spec) {
+  // A bad algorithm name or lists mode is rejected before the build,
+  // which can be the expensive part.
+  AlgorithmRegistry::instance().at(spec.algorithm);
+  require_lists_mode(spec.lists_mode);
   Rng scenario_rng(spec.seed);
   const Graph g = build_scenario(spec.scenario, scenario_rng);
 

@@ -11,10 +11,11 @@
 //
 // Determinism notes baked into this path:
 //
-//  - random list assignments are a pure function of (seed, k, palette)
-//    via list_shape() (registry.h) — never of leftover generator state —
-//    the policy the campaign runner and the server's cache key share, so
-//    a cached graph and a freshly built one yield the same lists;
+//  - k and the lists come from admit() (registry.h), which the campaign
+//    runner and the server's cache key call too; random list assignments
+//    are a pure function of (seed, k, palette) — never of leftover
+//    generator state — so a cached graph and a freshly built one yield
+//    the same lists;
 //  - `include_timing=false` zeroes wall_ms (the only nondeterministic
 //    report field); scol-serve always runs in this mode and reports real
 //    latencies in its envelope telemetry instead;

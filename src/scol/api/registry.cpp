@@ -89,7 +89,7 @@ Vertex effective_k(const AlgorithmInfo& info, Vertex k, Vertex max_degree,
   return out;
 }
 
-ListAssignment ListShape::build(Vertex n, std::uint64_t seed) const {
+ListAssignment Admission::build_lists(Vertex n, std::uint64_t seed) const {
   if (palette <= 0) return uniform_lists(n, static_cast<Color>(k));
   Rng list_rng = Rng::stream(seed, (static_cast<std::uint64_t>(k) << 32) ^
                                        static_cast<std::uint64_t>(palette));
@@ -102,9 +102,22 @@ void require_lists_mode(const std::string& lists_mode) {
                   lists_mode + "'"));
 }
 
-ListShape list_shape(const std::string& lists_mode, Color palette, Vertex k) {
-  if (lists_mode != "random") return ListShape{k, -1};
-  return ListShape{k, palette > 0 ? palette : static_cast<Color>(4 * k)};
+Admission admit(const AlgorithmInfo& info, const Graph& g, Vertex k,
+                const std::string& lists_mode, Color palette,
+                const ParamBag& params, const GraphProbe* probe) {
+  require_lists_mode(lists_mode);
+  Admission out;
+  out.k = effective_k(info, k, g.max_degree(), params);
+  if (probe != nullptr) {
+    out.skip_reason = algorithm_skip_reason(
+        info, EligibilityQuery{probe, &params, out.k});
+    if (!out.skip_reason.empty()) return out;
+  }
+  if (!info.caps.needs_lists) return out;
+  out.lists = lists_mode;
+  if (lists_mode == "random")
+    out.palette = palette > 0 ? palette : static_cast<Color>(4 * out.k);
+  return out;
 }
 
 }  // namespace scol

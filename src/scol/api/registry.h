@@ -120,28 +120,39 @@ void register_builtin_algorithms(AlgorithmRegistry& registry);
 std::string algorithm_skip_reason(const AlgorithmInfo& info,
                                   const EligibilityQuery& query);
 
-/// The per-job effective k shared by the campaign runner, `scol-cli`
-/// (single-run and probe modes), and examples: an explicit k > 0 wins;
-/// otherwise list-needing algorithms get max(3, max_degree + 1,
-/// info.list_size.fixed(params)) and the rest keep -1 (their own defaults).
+/// The per-job effective k: an explicit k > 0 wins; otherwise
+/// list-needing algorithms get max(3, max_degree + 1,
+/// info.list_size.fixed(params)) and the rest keep -1 (their own
+/// defaults). Front ends reach it through admit().
 Vertex effective_k(const AlgorithmInfo& info, Vertex k, Vertex max_degree,
                    const ParamBag& params);
-
-/// A run's resolved list shape, shared by one-shot runs, campaign jobs
-/// and the server's cache key: uniform k-lists (palette -1) or random
-/// k-subsets of `palette`, a pure function of (seed, k, palette).
-struct ListShape {
-  Vertex k = -1;
-  Color palette = -1;
-  ListAssignment build(Vertex n, std::uint64_t seed) const;
-};
 
 /// The one check on a lists mode, shared by one-shot runs, campaign specs
 /// and the serve protocol: throws PreconditionError unless it is
 /// "uniform" or "random".
 void require_lists_mode(const std::string& lists_mode);
 
-/// Lists mode "random" gets `palette`, or 4k when it is <= 0.
-ListShape list_shape(const std::string& lists_mode, Color palette, Vertex k);
+/// What admit() resolved for one job: its effective k, its list shape
+/// (uniform k-lists, random k-subsets of `palette`, or none) and, when a
+/// probe was given, its eligibility verdict.
+struct Admission {
+  Vertex k = -1;
+  std::string lists = "none";  ///< "uniform" | "random" | "none"
+  Color palette = -1;          ///< random-lists palette, else -1
+  std::string skip_reason;     ///< "" = eligible (or not probed)
+  /// The job's lists, a pure function of (seed, k, palette); only for
+  /// lists != "none".
+  ListAssignment build_lists(Vertex n, std::uint64_t seed) const;
+};
+
+/// Resolves one requested job — the single step behind one-shot runs,
+/// campaign jobs, the server's cache key, `scol-cli probe` and the
+/// examples. Throws on a bad lists mode. k is effective_k(); list
+/// algorithms get `lists_mode`, with random lists on `palette` (4k when
+/// it is <= 0). With a probe, the skip reason is algorithm_skip_reason()
+/// at that k, and a skipped job gets no lists.
+Admission admit(const AlgorithmInfo& info, const Graph& g, Vertex k,
+                const std::string& lists_mode, Color palette,
+                const ParamBag& params, const GraphProbe* probe = nullptr);
 
 }  // namespace scol

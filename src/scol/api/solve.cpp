@@ -439,6 +439,13 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          },
          [](const ColoringRequest& req) {
            return req.k > 0 ? req.k : max_degree_plus_one(req);
+         },
+         // The palette k must exceed the max degree; auto-k (k <= 0) does.
+         [](const EligibilityQuery& q) {
+           const Vertex dmax = q.probe->max_degree;
+           if (q.k <= 0 || q.k > dmax) return std::string();
+           return "needs k > max degree " + std::to_string(dmax) + ", got " +
+                  std::to_string(q.k);
          }});
   r.add({"gps",
          "Goldberg-Plotkin-Shannon peel-and-recolor; params: threshold "

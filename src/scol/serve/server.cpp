@@ -35,32 +35,22 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-// Same shape as the "probe" object in `scol-cli probe` output, plus the
-// serving envelope's graph identity (digest + cache verdict).
-Json probe_json(const GraphProbe& p, const Digest& digest, bool graph_hit) {
-  Json out = Json::object();
-  out.set("hash", Json::str(digest.hex()));
-  out.set("graph_cache", Json::str(graph_hit ? "hit" : "miss"));
-  out.set("n", Json::integer(p.n));
-  out.set("m", Json::integer(p.m));
-  out.set("max_degree", Json::integer(p.max_degree));
-  out.set("degeneracy", Json::integer(p.degeneracy));
-  out.set("degeneracy_exact", Json::boolean(p.degeneracy_exact));
-  out.set("degeneracy_lower", Json::integer(p.degeneracy_lower));
-  out.set("sampled", Json::boolean(p.sampled));
-  out.set("mad_upper", Json::real(p.mad_upper));
-  out.set("mad_exact", Json::boolean(p.mad_exact));
-  out.set("arboricity_upper", Json::integer(p.arboricity_upper));
-  out.set("arboricity_exact", Json::boolean(p.arboricity_exact));
-  out.set("components", Json::integer(p.components));
-  out.set("connected", Json::boolean(p.connected));
-  out.set("forest", Json::boolean(p.forest));
-  out.set("complete", Json::boolean(p.complete));
-  out.set("girth", Json::integer(p.girth));
-  out.set("girth_floor", Json::integer(p.girth_floor));
-  out.set("triangle_free", Json::boolean(p.triangle_free));
-  out.set("planar", Json::str(to_string(p.planar)));
-  return out;
+// The request's graph entry, by content hash or by (gen, seed); throws
+// when the hash is not resident or the build failed.
+std::shared_ptr<GraphEntry> lookup_graph(GraphStore& store,
+                                         const ServeRequest& req,
+                                         bool* graph_hit) {
+  std::shared_ptr<GraphEntry> entry;
+  if (req.digest.has_value()) {
+    entry = store.find_digest(*req.digest);
+    SCOL_REQUIRE(entry != nullptr, + ("no resident graph with hash '" +
+                                      req.digest->hex() + "'"));
+    *graph_hit = true;
+  } else {
+    entry = store.get_scenario(req.spec.scenario, req.spec.seed, graph_hit);
+  }
+  SCOL_REQUIRE(entry->graph() != nullptr, + entry->error());
+  return entry;
 }
 
 Json cache_stats_json(const CacheStats& s) {
@@ -132,24 +122,17 @@ bool Server::serve_stream(std::istream& in, std::ostream& out) {
         // Answered inline off the graph cache; the per-entry probe is
         // memoized (cache.h), so re-probing a resident graph is free.
         try {
-          std::shared_ptr<GraphEntry> entry;
           bool graph_hit = false;
-          if (p.req.digest.has_value()) {
-            entry = store_.find_digest(*p.req.digest);
-            SCOL_REQUIRE(entry != nullptr,
-                         + ("no resident graph with hash '" +
-                            p.req.digest->hex() + "'"));
-            graph_hit = true;
-          } else {
-            entry = store_.get_scenario(p.req.spec.scenario,
-                                        p.req.spec.seed, &graph_hit);
-          }
-          SCOL_REQUIRE(entry->graph() != nullptr, + entry->error());
-          const GraphProbe& probe = entry->probe(p.req.probe_options);
-          out << payload_envelope(
-                     p.req.id, "probe",
-                     probe_json(probe, entry->digest(), graph_hit))
-              << "\n";
+          const auto entry = lookup_graph(store_, p.req, &graph_hit);
+          // The probe object of `scol-cli probe`, after the serving
+          // envelope's graph identity (digest + cache verdict).
+          Json payload = Json::object();
+          payload.set("hash", Json::str(entry->digest().hex()));
+          payload.set("graph_cache", Json::str(graph_hit ? "hit" : "miss"));
+          const Json probe = to_json(entry->probe(p.req.probe_options));
+          for (const auto& [key, value] : probe.members())
+            payload.set(key, value);
+          out << payload_envelope(p.req.id, "probe", payload) << "\n";
         } catch (const std::exception& e) {
           out << error_envelope(p.req.id, e.what()) << "\n";
         }
@@ -191,40 +174,24 @@ void Server::flush(std::vector<Pending>& batch, std::ostream& out) {
     if (!p.error.empty()) continue;
     OneShotSpec& spec = p.req.spec;
     try {
-      if (p.req.digest.has_value()) {
-        p.entry = store_.find_digest(*p.req.digest);
-        SCOL_REQUIRE(p.entry != nullptr,
-                     + ("no resident graph with hash '" +
-                        p.req.digest->hex() + "'"));
-        p.graph_hit = true;
-        // The report echoes a scenario spec; for content-addressed
-        // requests that echo is the digest itself.
+      p.entry = lookup_graph(store_, p.req, &p.graph_hit);
+      // The report echoes a scenario spec; for content-addressed
+      // requests that echo is the digest itself.
+      if (p.req.digest.has_value())
         spec.scenario = "hash:" + p.req.digest->hex();
-      } else {
-        p.entry = store_.get_scenario(spec.scenario, spec.seed,
-                                      &p.graph_hit);
-      }
-      SCOL_REQUIRE(p.entry->graph() != nullptr, + p.entry->error());
 
-      const AlgorithmInfo& info =
-          AlgorithmRegistry::instance().at(spec.algorithm);
-      const Graph& g = *p.entry->graph();
-      // Key on RESOLVED values (k_eff, palette_eff, normalized lists
-      // mode): an explicit `k` equal to the auto-k, or a don't-care
+      // Key on RESOLVED values (admit(): k, normalized lists mode,
+      // palette): an explicit `k` equal to the auto-k, or a don't-care
       // lists mode on a no-lists algorithm, lands on the same entry —
       // the report echoes resolved values, so sharing is byte-safe.
-      const Vertex k_eff =
-          effective_k(info, spec.k, g.max_degree(), spec.params);
-      std::string lists = "-";
-      Color palette_eff = -1;
-      if (info.caps.needs_lists) {
-        lists = spec.lists_mode;
-        palette_eff = list_shape(spec.lists_mode, spec.palette, k_eff).palette;
-      }
+      const Admission admission =
+          admit(AlgorithmRegistry::instance().at(spec.algorithm),
+                *p.entry->graph(), spec.k, spec.lists_mode, spec.palette,
+                spec.params);
       p.key = p.entry->digest().hex() + '|' + spec.scenario + '|' +
               spec.algorithm + '|' + std::to_string(spec.seed) + '|' +
-              std::to_string(k_eff) + '|' + lists + '|' +
-              std::to_string(palette_eff) + '|' +
+              std::to_string(admission.k) + '|' + admission.lists + '|' +
+              std::to_string(admission.palette) + '|' +
               std::to_string(spec.round_budget) + '|' +
               (spec.with_coloring ? "c" : "-") + '|' +
               canonical_params(spec.params);

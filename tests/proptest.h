@@ -16,9 +16,9 @@
 //                validity, or break the color bound — and for the exact
 //                solver, cannot change k-colorability at all.
 //
-// Eligibility reuses the campaign's own probe filter (AlgorithmInfo::
-// precondition + effective_k), so the harness runs exactly the cells a
-// campaign over the same instance would run.
+// Eligibility reuses the campaign's own admission (admit(): auto-k plus
+// the probe's verdict), so the harness runs exactly the cells a campaign
+// over the same instance would run.
 #pragma once
 
 #include <string>
@@ -128,15 +128,14 @@ inline std::vector<EligibleCell> eligible_cells(const Graph& g,
                                                 const GraphProbe& probe) {
   std::vector<EligibleCell> cells;
   for (const AlgorithmInfo& info : AlgorithmRegistry::instance().all()) {
+    const Admission admission =
+        admit(info, g, -1, "uniform", -1, params, &probe);
+    if (!admission.skip_reason.empty()) continue;
     EligibleCell cell;
     cell.info = &info;
-    cell.k_eff = effective_k(info, -1, g.max_degree(), params);
-    const std::string reason = algorithm_skip_reason(
-        info, EligibilityQuery{&probe, &params, cell.k_eff});
-    if (!reason.empty()) continue;
-    if (info.caps.needs_lists)
-      cell.lists = uniform_lists(g.num_vertices(),
-                                 static_cast<Color>(cell.k_eff));
+    cell.k_eff = admission.k;
+    if (admission.lists != "none")
+      cell.lists = admission.build_lists(g.num_vertices(), /*seed=*/0);
     cells.push_back(std::move(cell));
   }
   return cells;

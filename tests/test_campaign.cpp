@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "scol/api/oneshot.h"
 #include "scol/scol.h"
 
 namespace scol {
@@ -234,6 +235,25 @@ TEST(Campaign, ProbeFilterSkipsIneligibleCellsInsteadOfFailing) {
   EXPECT_EQ(raw.failed, 1u);
   EXPECT_NE(raw_lines[1].find("\"status\":\"failed\""), std::string::npos)
       << raw_lines[1];
+
+  // A palette premise: linial's k must exceed the max degree, and the
+  // Grötzsch graph has max degree 5, so `--k 5` skips it instead of
+  // failing its run.
+  CampaignSpec grotzsch;
+  grotzsch.scenarios = {"file:path=" + std::string(SCOL_REPO_DIR) +
+                        "/examples/graphs/grotzsch.col"};
+  grotzsch.algorithms = {"greedy", "linial"};
+  grotzsch.k = 5;
+  CampaignResult palette;
+  const auto palette_lines = run_lines(grotzsch, CampaignOptions{}, &palette);
+  ASSERT_EQ(palette_lines.size(), 2u);
+  EXPECT_EQ(palette.colored, 1u);
+  EXPECT_EQ(palette.skipped, 1u);
+  EXPECT_EQ(palette.failed, 0u);
+  EXPECT_NE(palette_lines[1].find(
+                "\"skip_reason\":\"needs k > max degree 5, got 5\""),
+            std::string::npos)
+      << palette_lines[1];
 }
 
 TEST(Campaign, AutoKRespectsAlgorithmMinimumListSize) {
@@ -294,6 +314,64 @@ TEST(Campaign, FileScenarioFlowsThroughTheGrid) {
   // The graph really is the file's: n=11, m=20 on every line.
   EXPECT_NE(lines[0].find("\"n\":11"), std::string::npos) << lines[0];
   EXPECT_NE(lines[0].find("\"m\":20"), std::string::npos) << lines[0];
+}
+
+// A campaign line is the one-shot report of the same job plus the grid's
+// own fields: both front ends admit a job through admit(), so with
+// timing off the remaining bytes must agree for every cell that ran.
+TEST(Campaign, LineIsTheOneShotReport) {
+  const std::vector<std::string> grid_fields = {"job",     "instance",
+                                                "lists",   "palette",
+                                                "oracle",  "shards"};
+  struct Shape {
+    Vertex k;
+    std::string lists_mode;
+    Color palette;
+  };
+  const std::vector<Shape> shapes = {
+      {-1, "uniform", -1}, {5, "uniform", -1}, {-1, "random", -1},
+      {6, "random", 9}};
+  std::size_t compared = 0;
+  for (const std::string& scenario :
+       {"file:path=" + std::string(SCOL_REPO_DIR) +
+            "/examples/graphs/petersen.mtx",
+        std::string("planar:n=300"), std::string("regular:n=200,d=4")}) {
+    for (const Shape& shape : shapes) {
+      CampaignSpec spec;
+      spec.scenarios = {scenario};
+      for (const auto& name : AlgorithmRegistry::instance().names())
+        if (name.rfind("test-", 0) != 0) spec.algorithms.push_back(name);
+      spec.seeds = 2;
+      spec.k = shape.k;
+      spec.lists_mode = shape.lists_mode;
+      spec.palette = shape.palette;
+      for (const std::string& line : run_lines(spec, CampaignOptions{})) {
+        const Json parsed = Json::parse(line);
+        if (parsed.get("status")->as_str() == "skipped") continue;
+        Json rest = Json::object();
+        for (const auto& [key, value] : parsed.members())
+          if (std::find(grid_fields.begin(), grid_fields.end(), key) ==
+              grid_fields.end())
+            rest.set(key, value);
+
+        OneShotSpec one;
+        one.scenario = scenario;
+        one.algorithm = parsed.get("algorithm")->as_str();
+        one.k = shape.k;
+        one.lists_mode = shape.lists_mode;
+        one.palette = shape.palette;
+        one.seed = static_cast<std::uint64_t>(parsed.get("seed")->as_int());
+        one.include_timing = false;
+        Rng rng(one.seed);
+        const Graph g = build_scenario(scenario, rng);
+        EXPECT_EQ(rest.dump(), one_shot_report_on(g, one).dump()) << line;
+        ++compared;
+      }
+    }
+  }
+  // 576 cells; the probe filter skips the rest (genus without its param,
+  // planar6 off planar graphs, linial at k <= max degree, ...).
+  EXPECT_GE(compared, 370u);
 }
 
 // Property-style sweep: every registered algorithm gets a small campaign

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <string>
 
+#include "scol/api/json.h"
 #include "scol/version.h"
 
 namespace scol {
@@ -187,6 +188,53 @@ TEST(Cli, OneShotAnswersAndFailuresMapToExitCodes) {
   EXPECT_EQ(run(bin + " --algo greedy --gen file:path=no/such/file.col")
                 .exit_code,
             2);
+}
+
+TEST(Cli, BadListsModeExitsTwoInEveryMode) {
+  const std::string bin = binary("scol-cli");
+  SKIP_WITHOUT(bin);
+  for (const std::string mode : {"", "campaign "}) {
+    const RunResult r =
+        run(bin + " " + mode + "--algo greedy --gen petersen --lists fancy");
+    EXPECT_EQ(r.exit_code, 2) << mode << r.output;
+    EXPECT_NE(r.output.find("lists mode must be uniform or random"),
+              std::string::npos)
+        << mode << r.output;
+  }
+}
+
+// scol-serve's probe payload is the probe object of `scol-cli probe`,
+// field for field and in order, after the serving envelope's graph
+// identity (hash, graph_cache).
+TEST(Cli, ServeProbePayloadIsTheCliProbeObject) {
+  const std::string cli = binary("scol-cli");
+  const std::string serve = binary("scol-serve");
+  SKIP_WITHOUT(cli);
+  SKIP_WITHOUT(serve);
+  for (const std::string& gen :
+       {"file:path=" + std::string(SCOL_REPO_DIR) +
+            "/examples/graphs/petersen.mtx",
+        std::string("planar:n=300")}) {
+    const RunResult probed = run(cli + " probe --gen " + gen);
+    ASSERT_EQ(probed.exit_code, 0) << probed.output;
+    const RunResult served =
+        run("printf '%s\\n' '{\"id\":1,\"op\":\"probe\",\"gen\":\"" + gen +
+            "\"}' | " + serve);
+    ASSERT_EQ(served.exit_code, 0) << served.output;
+
+    const Json reply = Json::parse(served.output);
+    const Json* payload = reply.get("probe");
+    ASSERT_NE(payload, nullptr) << served.output;
+    const auto& members = payload->members();
+    ASSERT_GE(members.size(), 2u);
+    EXPECT_EQ(members[0].first, "hash");
+    EXPECT_EQ(members[1].first, "graph_cache");
+    Json rest = Json::object();
+    for (std::size_t i = 2; i < members.size(); ++i)
+      rest.set(members[i].first, members[i].second);
+    EXPECT_EQ(rest.dump(),
+              Json::parse(probed.output).get("probe")->dump());
+  }
 }
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)

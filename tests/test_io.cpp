@@ -1191,11 +1191,11 @@ greedy [] petersen: k=-1 ""; k=2 "";
 greedy [] K8: k=-1 ""; k=2 "";
 greedy [] hex3x3: k=-1 ""; k=2 "";
 greedy [] grid3x3+P4: k=-1 ""; k=2 "";
-linial [] grid4x4: k=-1 ""; k=2 "";
-linial [] petersen: k=-1 ""; k=2 "";
-linial [] K8: k=-1 ""; k=2 "";
-linial [] hex3x3: k=-1 ""; k=2 "";
-linial [] grid3x3+P4: k=-1 ""; k=2 "";
+linial [] grid4x4: k=-1 ""; k=2 "needs k > max degree 4, got 2";
+linial [] petersen: k=-1 ""; k=2 "needs k > max degree 3, got 2";
+linial [] K8: k=-1 ""; k=2 "needs k > max degree 7, got 2";
+linial [] hex3x3: k=-1 ""; k=2 "needs k > max degree 3, got 2";
+linial [] grid3x3+P4: k=-1 ""; k=2 "needs k > max degree 4, got 2";
 list-sparsified [] grid4x4: k=5 ""; k=4 ""; k=2 "";
 list-sparsified [] petersen: k=4 ""; k=3 ""; k=2 "";
 list-sparsified [] K8: k=8 ""; k=7 ""; k=2 "";
