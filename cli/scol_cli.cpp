@@ -252,10 +252,12 @@ int gen_main(int argc, char** argv) {
   if (out_path.empty()) gen_usage_error("--out is required");
 
   try {
-    Rng rng(seed);
-    const Graph g = build_scenario(gen, rng);
+    // Resolve the format first: a bad --format or --out extension must
+    // not wait for a large graph to be built.
     GraphFormat format = parse_format(format_arg);
     if (format == GraphFormat::kAuto) format = sniff_format(out_path, "");
+    Rng rng(seed);
+    const Graph g = build_scenario(gen, rng);
     write_graph_file(out_path, g, format);
 
     Json out = Json::object();

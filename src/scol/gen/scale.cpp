@@ -22,8 +22,15 @@ Graph rmat(Vertex scale, std::int64_t edgefactor, double a, double b,
   const std::int64_t attempts = edgefactor * static_cast<std::int64_t>(n);
   GraphBuilder builder(n);
   builder.reserve(static_cast<std::size_t>(attempts));
-  const double ab = a + b;
-  const double abc = a + b + c;
+  // real() is next() >> 11 scaled by 2^-53, exactly, so r >= t holds iff
+  // next() >> 11 >= ceil(t * 2^53): the integer compare below makes the
+  // same draws pick the same quadrants with no int-to-double conversion.
+  const auto threshold = [](double t) {
+    return static_cast<std::uint64_t>(std::ceil(t * 0x1.0p53));
+  };
+  const std::uint64_t ta = threshold(a);
+  const std::uint64_t tab = threshold(a + b);
+  const std::uint64_t tabc = threshold(a + b + c);
   for (std::int64_t i = 0; i < attempts; ++i) {
     // Recursive quadrant descent: each level halves the adjacency
     // matrix; (a, b, c, d) pick the quadrant. Every rng draw happens
@@ -32,18 +39,18 @@ Graph rmat(Vertex scale, std::int64_t edgefactor, double a, double b,
     Vertex u = 0;
     Vertex v = 0;
     // The quadrant bits are computed without branches: on a uniform
-    // double every comparison is a coin flip a branch predictor loses.
+    // draw every comparison is a coin flip a branch predictor loses.
     for (Vertex level = 0; level < scale; ++level) {
-      const double r = rng.real();
-      const bool u_high = r >= ab;                             // c or d
-      const bool v_high = ((r >= a) & (r < ab)) | (r >= abc);  // b or d
+      const std::uint64_t r = rng.next() >> 11;
+      const bool u_high = r >= tab;                              // c or d
+      const bool v_high = ((r >= ta) & (r < tab)) | (r >= tabc);  // b or d
       u = static_cast<Vertex>(2 * u + u_high);
       v = static_cast<Vertex>(2 * v + v_high);
     }
     if (u == v) continue;  // self-attempt; dropped like io self-loops
     builder.add_edge(u, v);
   }
-  return builder.build();  // duplicate attempts merge in the counting sort
+  return builder.build();  // duplicate attempts merge in the CSR build
 }
 
 Graph powerlaw(Vertex n, std::int64_t m, double alpha, Rng& rng) {

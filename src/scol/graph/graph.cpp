@@ -6,12 +6,24 @@
 namespace scol {
 namespace {
 
-// Counting-sort CSR construction shared by from_edges and
-// GraphBuilder::build: one pass counts endpoint degrees (validating range
-// and self-loops), a prefix sum lays out the offsets, a scatter pass fills
-// both directions, and each adjacency list is sorted locally. No global
-// O(m log m) edge sort. When `dedup` is false a duplicate edge throws;
-// when true duplicates are merged and the arrays recompacted in place.
+// Sort-free O(n + m) CSR construction shared by from_edges and
+// GraphBuilder::build. One pass counts endpoint degrees (validating range
+// and self-loops) and a prefix sum lays out the offsets. Each row is then
+// its lower neighbours (< v) followed by its upper ones, filled by three
+// linear passes with one cursor per vertex as the only scratch:
+//   1. every edge writes its lower endpoint into its higher endpoint's
+//      lower part, in input order;
+//   2. v ascending: v's lower part ends at cursor[v] (no higher vertex has
+//      appended to v yet), and v is appended to each lower neighbour's
+//      upper part, so every upper part comes out ascending;
+//   3. cursors reset to the offsets; u ascending: u's upper part starts at
+//      cursor[u] (its lower part is fully rewritten), and u is written into
+//      each upper neighbour's lower part, rewriting every lower part
+//      ascending.
+// Pass 3 reads only upper parts and writes only lower parts, so nothing it
+// still needs is overwritten. Duplicate edges land side by side. When
+// `dedup` is false a duplicate edge throws; when true duplicates are
+// merged and the arrays recompacted in place.
 void build_csr(Vertex n, const std::vector<Edge>& edges, bool dedup,
                std::vector<std::int64_t>& offsets, std::vector<Vertex>& adj) {
   offsets.assign(static_cast<std::size_t>(n) + 1, 0);
@@ -25,12 +37,22 @@ void build_csr(Vertex n, const std::vector<Edge>& edges, bool dedup,
 
   adj.resize(edges.size() * 2);
   std::vector<std::int64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& [u, v] : edges) {
-    adj[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = v;
-    adj[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = u;
+  const auto put = [&](Vertex row, Vertex value) {
+    adj[static_cast<std::size_t>(cursor[static_cast<std::size_t>(row)]++)] =
+        value;
+  };
+  for (const auto& [u, v] : edges) put(std::max(u, v), std::min(u, v));
+  for (Vertex v = 0; v < n; ++v) {
+    const std::int64_t lower_end = cursor[static_cast<std::size_t>(v)];
+    for (std::int64_t i = offsets[v]; i < lower_end; ++i)
+      put(adj[static_cast<std::size_t>(i)], v);
   }
-  for (Vertex v = 0; v < n; ++v)
-    std::sort(adj.begin() + offsets[v], adj.begin() + offsets[v + 1]);
+  std::copy(offsets.begin(), offsets.end() - 1, cursor.begin());
+  for (Vertex u = 0; u < n; ++u) {
+    const std::int64_t upper_begin = cursor[static_cast<std::size_t>(u)];
+    for (std::int64_t i = upper_begin; i < offsets[u + 1]; ++i)
+      put(adj[static_cast<std::size_t>(i)], u);
+  }
 
   if (!dedup) {
     for (Vertex v = 0; v < n; ++v)

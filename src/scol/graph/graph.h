@@ -30,8 +30,8 @@ class Graph {
 
   /// Builds a graph on n vertices from an edge list. Throws
   /// PreconditionError on self-loops, duplicate edges, or out-of-range
-  /// endpoints. O(n + m + sum deg log deg): counting-sort layout, no
-  /// global edge sort.
+  /// endpoints. O(n + m), no sort: a counting pass lays out the offsets
+  /// and three linear passes fill every row in ascending order.
   static Graph from_edges(Vertex n, const std::vector<Edge>& edges);
 
   /// Adopts a prebuilt CSR pair (offsets of size n+1, adj of size 2|E|,
@@ -107,8 +107,8 @@ class GraphBuilder {
   /// Reserves capacity for `m` add_edge calls.
   void reserve(std::size_t m) { edges_.reserve(m); }
 
-  /// Builds the graph in CSR form directly (counting sort + per-list
-  /// dedup), merging duplicate edges.
+  /// Builds the graph in CSR form directly (the from_edges passes + one
+  /// compaction pass), merging duplicate edges. O(n + m).
   Graph build() const;
 
  private:

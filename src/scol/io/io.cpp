@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <concepts>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -306,32 +309,98 @@ ReadResult read_edge_list(LineReader& r) {
 
 // --- Writers --------------------------------------------------------------
 
-void write_dimacs(std::ostream& out, const Graph& g) {
-  out << "p edge " << g.num_vertices() << " " << g.num_edges() << "\n";
-  for (const auto& [u, v] : g.edges())
-    out << "e " << (u + 1) << " " << (v + 1) << "\n";
-}
+// Formats into one 64 KiB block and hands each full block to the stream
+// in a single write; integers go through std::to_chars. A stream whose
+// streambuf refuses a block is left failed by ostream::write, which is
+// what write_graph_file checks.
+class BlockWriter {
+ public:
+  explicit BlockWriter(std::ostream& out) : out_(out) {}
 
-void write_metis(std::ostream& out, const Graph& g) {
-  out << g.num_vertices() << " " << g.num_edges() << "\n";
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    bool first = true;
-    for (const Vertex w : g.neighbors(v)) {
-      if (!first) out << " ";
-      out << (w + 1);
-      first = false;
-    }
-    out << "\n";
+  BlockWriter& operator<<(char c) {
+    room(1);
+    buf_[len_++] = c;
+    return *this;
+  }
+  BlockWriter& operator<<(std::string_view s) {  // short literals only
+    SCOL_DCHECK(s.size() <= kBlock);
+    room(s.size());
+    std::copy(s.begin(), s.end(), buf_.data() + len_);
+    len_ += s.size();
+    return *this;
+  }
+  template <std::integral T>
+  BlockWriter& operator<<(T x) {
+    room(kMaxDigits);
+    len_ = static_cast<std::size_t>(
+        std::to_chars(buf_.data() + len_, buf_.data() + kBlock, x).ptr -
+        buf_.data());
+    return *this;
+  }
+  void flush() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(len_));
+    len_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kBlock = std::size_t{64} << 10;
+  static constexpr std::size_t kMaxDigits = 20;  // "-9223372036854775808"
+
+  void room(std::size_t bytes) {
+    if (kBlock - len_ < bytes) flush();
+  }
+
+  std::ostream& out_;
+  std::vector<char> buf_ = std::vector<char>(kBlock);
+  std::size_t len_ = 0;
+};
+
+// Calls f(u, v) for every edge u < v in (u, v) order — the order of
+// g.edges() — straight off the sorted CSR rows.
+template <class F>
+void for_each_edge(const Graph& g, F&& f) {
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    const auto nb = g.neighbors(u);
+    for (auto it = std::upper_bound(nb.begin(), nb.end(), u); it != nb.end();
+         ++it)
+      f(u, *it);
   }
 }
 
+void write_dimacs(std::ostream& out, const Graph& g) {
+  BlockWriter w(out);
+  w << "p edge " << g.num_vertices() << ' ' << g.num_edges() << '\n';
+  for_each_edge(g, [&](Vertex u, Vertex v) {
+    w << "e " << u + 1 << ' ' << v + 1 << '\n';
+  });
+  w.flush();
+}
+
+void write_metis(std::ostream& out, const Graph& g) {
+  BlockWriter w(out);
+  w << g.num_vertices() << ' ' << g.num_edges() << '\n';
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    bool first = true;
+    for (const Vertex u : g.neighbors(v)) {
+      if (!first) w << ' ';
+      w << u + 1;
+      first = false;
+    }
+    w << '\n';
+  }
+  w.flush();
+}
+
 void write_matrix_market(std::ostream& out, const Graph& g) {
-  out << "%%MatrixMarket matrix coordinate pattern symmetric\n";
-  out << g.num_vertices() << " " << g.num_vertices() << " " << g.num_edges()
-      << "\n";
+  BlockWriter w(out);
+  w << "%%MatrixMarket matrix coordinate pattern symmetric\n"
+    << g.num_vertices() << ' ' << g.num_vertices() << ' ' << g.num_edges()
+    << '\n';
   // Symmetric storage keeps entries on or below the diagonal: row >= col.
-  for (const auto& [u, v] : g.edges())
-    out << (v + 1) << " " << (u + 1) << "\n";
+  for_each_edge(g, [&](Vertex u, Vertex v) {
+    w << v + 1 << ' ' << u + 1 << '\n';
+  });
+  w.flush();
 }
 
 void write_edge_list(std::ostream& out, const Graph& g) {
@@ -339,7 +408,11 @@ void write_edge_list(std::ostream& out, const Graph& g) {
     SCOL_REQUIRE(g.degree(v) > 0,
                  + ("edge-list format cannot represent isolated vertex " +
                     std::to_string(v)));
-  for (const auto& [u, v] : g.edges()) out << u << " " << v << "\n";
+  BlockWriter w(out);
+  for_each_edge(g, [&](Vertex u, Vertex v) {
+    w << u << ' ' << v << '\n';
+  });
+  w.flush();
 }
 
 std::string extension_of(const std::string& path) {

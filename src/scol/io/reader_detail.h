@@ -207,7 +207,7 @@ struct EdgeAccumulator {
     stats.zero_indexed = zero_based;
     const Vertex shift = zero_based ? 0 : 1;
     // Shift straight into the builder (add_edge normalizes orientation);
-    // it merges duplicates during its counting-sort CSR fill, so the
+    // it merges duplicates during its sort-free CSR fill, so the
     // merged count is the duplicate tally — no intermediate edge vector,
     // no global sort.
     GraphBuilder b(static_cast<Vertex>(n));
@@ -465,7 +465,7 @@ inline Graph finish_edge_list(
   GraphBuilder b(static_cast<Vertex>(ids.size()));
   b.reserve(raw.size());
   for (const auto& [u, v] : raw) b.add_edge(dense(u), dense(v));
-  Graph g = b.build();  // merges duplicates in the counting-sort fill
+  Graph g = b.build();  // merges duplicates in the CSR fill
   stats.duplicate_edges =
       static_cast<std::int64_t>(raw.size()) - g.num_edges();
   stats.self_loops = self_loops;

@@ -203,6 +203,32 @@ TEST(Cli, BadListsModeExitsTwoInEveryMode) {
   }
 }
 
+// `gen` resolves its output format before it builds the graph: a bad
+// extension or --format is the error reported, not the generator's (the
+// powerlaw spec below cannot be built), and no file is created.
+TEST(Cli, GenRejectsABadFormatBeforeBuilding) {
+  const std::string bin = binary("scol-cli");
+  SKIP_WITHOUT(bin);
+  const std::string path = ::testing::TempDir() + "/scol_cli_gen_format.bin";
+  std::remove(path.c_str());
+  const std::string gen = bin + " gen --gen powerlaw:n=10,m=1000 ";
+  const struct {
+    std::string flags;
+    std::string error;
+  } cases[] = {{"--out " + path, "cannot sniff the graph format"},
+               {"--out " + path + " --format fancy",
+                "unknown graph format 'fancy'"}};
+  for (const auto& c : cases) {
+    const RunResult r = run(gen + c.flags);
+    EXPECT_EQ(r.exit_code, 2) << c.flags << "\n" << r.output;
+    EXPECT_NE(r.output.find(c.error), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("exceeds the simple-graph maximum"),
+              std::string::npos)
+        << r.output;
+    EXPECT_FALSE(exists(path)) << c.flags;
+  }
+}
+
 // scol-serve's probe payload is the probe object of `scol-cli probe`,
 // field for field and in order, after the serving envelope's graph
 // identity (hash, graph_cache).

@@ -1,9 +1,9 @@
 // CSR-vs-reference differential tests for the graph core.
 //
-// The CSR layout is now built by three production paths — from_edges
-// (counting sort, duplicates rejected), GraphBuilder::build (counting
-// sort, duplicates merged), and the zero-sort direct fill inside
-// induce() — none of which go through a global edge sort anymore. Each is
+// The CSR layout is built by three production paths — from_edges
+// (three linear passes, duplicates rejected), GraphBuilder::build (the
+// same passes, duplicates merged), and the direct fill inside induce() —
+// none of which sorts. Each is
 // checked here against an independently computed reference (naive sorted
 // adjacency sets), on random inputs: identical degree sequences, identical
 // neighbor sets, and bit-identical end-to-end solve() reports no matter
@@ -108,6 +108,92 @@ TEST(CsrDifferential, BuilderMergesDuplicatesToSameGraph) {
     expect_matches_reference(via_builder, reference_adjacency(n, edges));
     EXPECT_EQ(via_builder.edges(), via_edges.edges());
   }
+}
+
+// from_edges and the builder, with every edge repeated 1-3 times in
+// random orientations, must both match the reference on `edges`.
+void expect_both_builders_match(Vertex n, const std::vector<Edge>& edges,
+                                Rng& rng, const std::string& label) {
+  SCOPED_TRACE(label);
+  const auto ref = reference_adjacency(n, edges);
+  expect_matches_reference(Graph::from_edges(n, edges), ref);
+  std::vector<Edge> repeated;
+  for (const auto& [u, v] : edges) {
+    const std::uint64_t copies = 1 + rng.below(3);
+    for (std::uint64_t r = 0; r < copies; ++r)
+      repeated.push_back(rng.chance(0.5) ? Edge{u, v} : Edge{v, u});
+  }
+  rng.shuffle(repeated);
+  GraphBuilder b(n);
+  for (const auto& [u, v] : repeated) b.add_edge(u, v);
+  expect_matches_reference(b.build(), ref);
+}
+
+// The three passes of the CSR build split each row into lower and upper
+// neighbours: inputs that load one side only, leave rows empty, or put
+// every edge on the first or last vertex.
+TEST(CsrDifferential, LowerUpperSplitShapesMatchReference) {
+  Rng rng(31011);
+  for (int t = 0; t < 20; ++t) {
+    const Vertex n = 2 + static_cast<Vertex>(rng.below(60));
+    std::vector<Edge> edges =
+        random_edge_set(n, rng.below(3 * static_cast<std::uint64_t>(n)), rng);
+    // Every pair given as (hi, lo).
+    for (auto& [u, v] : edges) std::swap(u, v);
+    expect_both_builders_match(n, edges, rng, "hi-lo n=" + std::to_string(n));
+  }
+  for (const Vertex n : {0, 1})
+    expect_both_builders_match(n, {}, rng, "n=" + std::to_string(n));
+  for (const Vertex n : {2, 3, 17, 64}) {
+    // A hub on the first, a middle and the last vertex, joined to about
+    // half the others: the rest stay isolated.
+    for (const Vertex hub : {Vertex{0}, n / 2, n - 1}) {
+      std::vector<Edge> star;
+      for (Vertex v = 0; v < n; ++v)
+        if (v != hub && (rng.chance(0.5) || star.empty()))
+          star.push_back(rng.chance(0.5) ? Edge{hub, v} : Edge{v, hub});
+      expect_both_builders_match(
+          n, star, rng,
+          "star n=" + std::to_string(n) + " hub=" + std::to_string(hub));
+    }
+    // Every edge at vertex 0, then every edge at vertex n - 1.
+    std::vector<Edge> first, last;
+    for (Vertex v = 1; v < n; ++v) {
+      first.emplace_back(v, 0);
+      last.emplace_back(n - 1 - v, n - 1);
+    }
+    rng.shuffle(first);
+    rng.shuffle(last);
+    expect_both_builders_match(n, first, rng,
+                               "all at 0, n=" + std::to_string(n));
+    expect_both_builders_match(n, last, rng,
+                               "all at n-1, n=" + std::to_string(n));
+  }
+}
+
+void expect_from_edges_error(Vertex n, const std::vector<Edge>& edges,
+                             const std::string& text) {
+  try {
+    Graph::from_edges(n, edges);
+    ADD_FAILURE() << "expected '" << text << "'";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    const std::string suffix = " — " + text;
+    EXPECT_TRUE(what.size() >= suffix.size() &&
+                what.compare(what.size() - suffix.size(), suffix.size(),
+                             suffix) == 0)
+        << what;
+  }
+}
+
+TEST(CsrDifferential, FromEdgesErrorTextsArePinned) {
+  expect_from_edges_error(4, {{0, 1}, {2, 3}, {0, 1}}, "duplicate edge");
+  expect_from_edges_error(4, {{0, 1}, {2, 3}, {1, 0}}, "duplicate edge");
+  expect_from_edges_error(4, {{3, 2}, {2, 3}}, "duplicate edge");
+  expect_from_edges_error(4, {{0, 1}, {2, 2}}, "self-loop");
+  expect_from_edges_error(4, {{0, 4}}, "endpoint range");
+  expect_from_edges_error(4, {{-1, 2}}, "endpoint range");
+  expect_from_edges_error(0, {{0, 1}}, "endpoint range");
 }
 
 TEST(CsrDifferential, InduceMatchesFilteredReference) {

@@ -241,6 +241,46 @@ TEST(GenScale, RmatSeedDeterminism) {
   EXPECT_NE(ga.edges(), rmat(9, 6, 0.57, 0.19, 0.19, c).edges());
 }
 
+// rmat's descent as it was before the integer thresholds: each level
+// compares rng.real() against the doubles a, a + b and a + b + c. Kept as
+// the oracle that the integer compare picks the same quadrants.
+Graph rmat_double_compare(Vertex scale, std::int64_t edgefactor, double a,
+                          double b, double c, Rng& rng) {
+  const Vertex n = Vertex{1} << scale;
+  const double ab = a + b;
+  const double abc = a + b + c;
+  GraphBuilder builder(n);
+  for (std::int64_t i = 0; i < edgefactor * n; ++i) {
+    Vertex u = 0;
+    Vertex v = 0;
+    for (Vertex level = 0; level < scale; ++level) {
+      const double r = rng.real();
+      u = 2 * u + (r >= ab);
+      v = 2 * v + (((r >= a) && (r < ab)) || (r >= abc));
+    }
+    if (u != v) builder.add_edge(u, v);
+  }
+  return builder.build();
+}
+
+TEST(GenScale, RmatMatchesDoubleCompareOracle) {
+  // The default quadrants, degenerate ones, and thresholds that are not
+  // integral multiples of 2^-53.
+  const std::array<std::array<double, 3>, 4> params = {{{0.57, 0.19, 0.19},
+                                                        {0.5, 0.5, 0.0},
+                                                        {1.0, 0.0, 0.0},
+                                                        {0.1, 0.2, 0.3}}};
+  for (const auto& [a, b, c] : params) {
+    Rng rng(51013);
+    Rng oracle_rng(51013);
+    const Graph g = rmat(10, 8, a, b, c, rng);
+    const Graph want = rmat_double_compare(10, 8, a, b, c, oracle_rng);
+    EXPECT_EQ(g.num_vertices(), want.num_vertices());
+    EXPECT_EQ(g.edges(), want.edges()) << a << " " << b << " " << c;
+    EXPECT_EQ(rng.next(), oracle_rng.next()) << "same number of draws";
+  }
+}
+
 TEST(GenScale, PowerlawExactEdgeCountAndDeterminism) {
   Rng a(301);
   Rng b(301);

@@ -609,6 +609,129 @@ TEST(IoRoundTrip, IsolatedVerticesSurviveExceptInEdgeLists) {
   EXPECT_CONTAINS(msg, "isolated vertex 3");
 }
 
+// --- Writers vs the operator<< oracle ------------------------------------
+
+// The writers as they were before the block writer: operator<< straight
+// into the stream, edges from g.edges(). Kept as the oracle that the
+// block writers produce the same bytes.
+void oracle_write(std::ostream& out, const Graph& g, GraphFormat format) {
+  switch (format) {
+    case GraphFormat::kDimacs:
+      out << "p edge " << g.num_vertices() << " " << g.num_edges() << "\n";
+      for (const auto& [u, v] : g.edges())
+        out << "e " << (u + 1) << " " << (v + 1) << "\n";
+      return;
+    case GraphFormat::kMetis:
+      out << g.num_vertices() << " " << g.num_edges() << "\n";
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        bool first = true;
+        for (const Vertex w : g.neighbors(v)) {
+          if (!first) out << " ";
+          out << (w + 1);
+          first = false;
+        }
+        out << "\n";
+      }
+      return;
+    case GraphFormat::kMatrixMarket:
+      out << "%%MatrixMarket matrix coordinate pattern symmetric\n";
+      out << g.num_vertices() << " " << g.num_vertices() << " "
+          << g.num_edges() << "\n";
+      for (const auto& [u, v] : g.edges())
+        out << (v + 1) << " " << (u + 1) << "\n";
+      return;
+    case GraphFormat::kEdgeList:
+      for (const auto& [u, v] : g.edges()) out << u << " " << v << "\n";
+      return;
+    case GraphFormat::kAuto: break;
+  }
+  FAIL() << "oracle_write needs an explicit format";
+}
+
+// A random graph on n vertices with about `extra` random edges; `cover`
+// first pairs up all vertices so none is isolated (edge lists need that).
+Graph random_writer_graph(Vertex n, std::int64_t extra, bool cover,
+                          Rng& rng) {
+  GraphBuilder b(n);
+  if (cover) {
+    for (Vertex v = 0; v + 1 < n; v += 2) b.add_edge(v, v + 1);
+    if (n % 2 == 1 && n > 1) b.add_edge(n - 1, 0);
+  }
+  for (std::int64_t i = 0; i < extra && n > 1; ++i) {
+    const auto u = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+    const auto v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+    if (u != v) b.add_edge(u, v);
+  }
+  return b.build();
+}
+
+const GraphFormat kAllFormats[] = {GraphFormat::kDimacs, GraphFormat::kMetis,
+                                   GraphFormat::kMatrixMarket,
+                                   GraphFormat::kEdgeList};
+
+TEST(IoWriters, BytesMatchTheOperatorOracle) {
+  Rng rng(7301);
+  std::vector<Graph> graphs;
+  graphs.push_back(Graph::from_edges(0, {}));
+  graphs.push_back(Graph::from_edges(1, {}));
+  graphs.push_back(petersen());
+  graphs.push_back(random_writer_graph(40, 30, false, rng));  // isolated
+  // Several 64 KiB blocks, with and without isolated vertices.
+  graphs.push_back(random_writer_graph(5000, 20000, false, rng));
+  graphs.push_back(random_writer_graph(5001, 30000, true, rng));
+  // 7-digit ids: over a million vertices, sparse (mostly isolated) and
+  // covered.
+  graphs.push_back(random_writer_graph(1000003, 40000, false, rng));
+  graphs.push_back(random_writer_graph(1000001, 20000, true, rng));
+  for (const Graph& g : graphs) {
+    bool isolated = false;
+    for (Vertex v = 0; v < g.num_vertices(); ++v)
+      isolated = isolated || g.degree(v) == 0;
+    for (const GraphFormat format : kAllFormats) {
+      const std::string label = format_name(format) + " n=" +
+                                std::to_string(g.num_vertices()) +
+                                " m=" + std::to_string(g.num_edges());
+      std::ostringstream got;
+      if (format == GraphFormat::kEdgeList && isolated) {
+        EXPECT_CONTAINS(error_of([&] { write_graph(got, g, format); }),
+                        "cannot represent isolated vertex");
+        continue;
+      }
+      write_graph(got, g, format);
+      std::ostringstream want;
+      oracle_write(want, g, format);
+      ASSERT_EQ(got.str().size(), want.str().size()) << label;
+      EXPECT_TRUE(got.str() == want.str()) << label;
+    }
+  }
+}
+
+// A streambuf that accepts nothing, like a full disk.
+struct RefusingBuf : std::streambuf {
+  int_type overflow(int_type) override { return traits_type::eof(); }
+  std::streamsize xsputn(const char*, std::streamsize) override { return 0; }
+};
+
+TEST(IoWriters, RefusedWritesLeaveTheStreamFailed) {
+  Rng rng(7303);
+  // One graph inside a single block, one over several.
+  const Graph small = petersen();
+  const Graph big = random_writer_graph(4001, 20000, true, rng);
+  for (const Graph* g : {&small, &big})
+    for (const GraphFormat format : kAllFormats) {
+      RefusingBuf buf;
+      std::ostream out(&buf);
+      write_graph(out, *g, format);
+      EXPECT_TRUE(out.fail()) << format_name(format);
+    }
+  // write_graph_file turns that state into its "write failed" error.
+  const std::string full = "/dev/full";
+  if (!std::ofstream(full)) GTEST_SKIP() << full << " is not available";
+  EXPECT_CONTAINS(
+      error_of([&] { write_graph_file(full, big, GraphFormat::kMetis); }),
+      full + ": write failed");
+}
+
 // --- Format names, sniffing, files ---------------------------------------
 
 TEST(IoFormat, ParseAndNameRoundTrip) {
