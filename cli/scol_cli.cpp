@@ -92,7 +92,9 @@
 // runtime failure (std::bad_alloc, an internal error, a failed write),
 // 2 for usage errors: bad flags, specs or input files (PreconditionError).
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -256,8 +258,21 @@ int gen_main(int argc, char** argv) {
     // not wait for a large graph to be built.
     GraphFormat format = parse_format(format_arg);
     if (format == GraphFormat::kAuto) format = sniff_format(out_path, "");
+    // Likewise an unwritable --out. Opening in append mode truncates
+    // nothing, so a failed build leaves an existing file as it was; a
+    // file this probe created is removed again.
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(out_path, ec);
+    if (!std::ofstream(out_path, std::ios::binary | std::ios::app))
+      throw PreconditionError(out_path + ": cannot open file for writing");
     Rng rng(seed);
-    const Graph g = build_scenario(gen, rng);
+    Graph g;
+    try {
+      g = build_scenario(gen, rng);
+    } catch (...) {
+      if (!existed) std::remove(out_path.c_str());
+      throw;
+    }
     write_graph_file(out_path, g, format);
 
     Json out = Json::object();

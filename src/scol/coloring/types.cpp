@@ -1,7 +1,9 @@
 #include "scol/coloring/types.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 namespace scol {
@@ -134,9 +136,32 @@ bool respects_lists(const Coloring& c, const ListAssignment& lists) {
   return true;
 }
 
-// Sorts a copy of the colored values and counts the distinct ones: one
-// allocation, any color range (negative or far above n).
+// Counts the distinct colored values, any color range (negative or far
+// above n). When the span [min, max] (in int64: it can exceed int32) is at
+// most c.size(), a mark array over it counts in O(n); otherwise a sorted
+// copy does. Either way it is one allocation of at most c.size() entries.
 Vertex count_colors(const Coloring& c) {
+  Color lo = std::numeric_limits<Color>::max();
+  Color hi = std::numeric_limits<Color>::min();
+  for (Color x : c) {
+    if (x == kUncolored) continue;
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+  }
+  if (lo > hi) return 0;  // nothing colored
+  const std::int64_t span = static_cast<std::int64_t>(hi) - lo + 1;
+  if (span <= static_cast<std::int64_t>(c.size())) {
+    std::vector<std::uint8_t> seen(static_cast<std::size_t>(span), 0);
+    Vertex count = 0;
+    for (Color x : c) {
+      if (x == kUncolored) continue;
+      std::uint8_t& s = seen[static_cast<std::size_t>(
+          static_cast<std::int64_t>(x) - lo)];
+      count += s ^ 1;
+      s = 1;
+    }
+    return count;
+  }
   std::vector<Color> used;
   used.reserve(c.size());
   for (Color x : c)

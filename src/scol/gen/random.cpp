@@ -83,45 +83,69 @@ Graph random_regular(Vertex n, Vertex d, Rng& rng) {
              + "circulant base must be d-regular");
   // Fixed-width adjacency rows: swaps preserve every degree, so row v
   // always holds exactly d neighbors and an edge test is a d-slot scan.
+  // Edge k = (u, v), u < v, sits at row(u)[slot[2k]] and row(v)[slot[2k+1]],
+  // so a swap rewrites its four known cells instead of searching the rows.
   const auto dd = static_cast<std::size_t>(d);
   std::vector<Vertex> nbr(static_cast<std::size_t>(n) * dd);
-  std::vector<std::size_t> fill(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint32_t> fill(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint32_t> slot(2 * e.size());
   const auto row = [&](Vertex v) {
     return nbr.data() + static_cast<std::size_t>(v) * dd;
   };
-  for (const auto& [u, v] : e) {
-    std::size_t& fu = fill[static_cast<std::size_t>(u)];
-    std::size_t& fv = fill[static_cast<std::size_t>(v)];
+  for (std::size_t k = 0; k < e.size(); ++k) {
+    const auto [u, v] = e[k];
+    std::uint32_t& fu = fill[static_cast<std::size_t>(u)];
+    std::uint32_t& fv = fill[static_cast<std::size_t>(v)];
     SCOL_CHECK(fu < dd && fv < dd, + "circulant base must be d-regular");
+    slot[2 * k] = fu;
+    slot[2 * k + 1] = fv;
     row(u)[fu++] = v;
     row(v)[fv++] = u;
   }
+  // Full-row scan without an early exit: d is small, and the loop has no
+  // branch to mispredict.
   const auto adjacent = [&](Vertex u, Vertex v) {
-    return std::find(row(u), row(u) + dd, v) != row(u) + dd;
-  };
-  const auto relink = [&](Vertex u, Vertex from, Vertex to) {
-    *std::find(row(u), row(u) + dd, from) = to;
+    const Vertex* r = row(u);
+    bool hit = false;
+    for (std::size_t s = 0; s < dd; ++s) hit |= r[s] == v;
+    return hit;
   };
   // Double-edge swaps: (a,b),(c,x) -> (a,c),(b,x) when the result stays
-  // simple and loop-free.
+  // simple and loop-free. The draws (i, j, then the flip when i != j) and
+  // the accept rule fix the output; only the bookkeeping is indexed.
   const std::size_t swaps = 20 * e.size();
   for (std::size_t t = 0; t < swaps; ++t) {
     const std::size_t i = rng.below(e.size());
     const std::size_t j = rng.below(e.size());
     if (i == j) continue;
-    auto [a, b] = e[i];
-    auto [c, x] = e[j];
-    if (rng.chance(0.5)) std::swap(c, x);
-    if (a == c || a == x || b == c || b == x) continue;
-    if (adjacent(a, c) || adjacent(b, x)) continue;
-    relink(a, b, c);
-    relink(b, a, x);
-    relink(c, x, a);
-    relink(x, c, b);
-    e[i] = {std::min(a, c), std::max(a, c)};
-    e[j] = {std::min(b, x), std::max(b, x)};
+    // flip picks which endpoint of edge j plays c, with its slot.
+    const std::size_t flip = rng.chance(0.5) ? 1 : 0;
+    const Vertex a = e[i].first;
+    const Vertex b = e[i].second;
+    const Vertex ends[2] = {e[j].first, e[j].second};
+    const Vertex c = ends[flip];
+    const Vertex x = ends[1 - flip];
+    const bool reject = (a == c) | (a == x) | (b == c) | (b == x) |
+                        adjacent(a, c) | adjacent(b, x);
+    if (reject) continue;
+    const std::uint32_t sa = slot[2 * i];
+    const std::uint32_t sb = slot[2 * i + 1];
+    const std::uint32_t sc = slot[2 * j + flip];
+    const std::uint32_t sx = slot[2 * j + 1 - flip];
+    row(a)[sa] = c;
+    row(b)[sb] = x;
+    row(c)[sc] = a;
+    row(x)[sx] = b;
+    const bool ac = a < c;
+    const bool bx = b < x;
+    e[i] = ac ? Edge{a, c} : Edge{c, a};
+    slot[2 * i] = ac ? sa : sc;
+    slot[2 * i + 1] = ac ? sc : sa;
+    e[j] = bx ? Edge{b, x} : Edge{x, b};
+    slot[2 * j] = bx ? sb : sx;
+    slot[2 * j + 1] = bx ? sx : sb;
   }
-  std::sort(e.begin(), e.end());
+  // from_edges gives the same CSR for any edge order, so e stays unsorted.
   return Graph::from_edges(n, e);
 }
 

@@ -19,8 +19,9 @@ Graph random_tree(Vertex n, Rng& rng);
 /// arboricity <= a, typically exactly a.
 Graph random_forest_union(Vertex n, Vertex a, Rng& rng);
 
-/// Random d-regular simple graph via the configuration model with
-/// resampling (n*d must be even; expected O(1) restarts for small d).
+/// Random d-regular simple graph (n > d >= 1, n*d even): a d-regular
+/// circulant base randomized by 20 double-edge swaps per edge, each kept
+/// only if the graph stays simple. Never rejects or restarts, for any d.
 Graph random_regular(Vertex n, Vertex d, Rng& rng);
 
 /// Random Gallai tree built from `blocks` random blocks (odd cycles of

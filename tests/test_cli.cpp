@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "scol/api/json.h"
@@ -227,6 +229,53 @@ TEST(Cli, GenRejectsABadFormatBeforeBuilding) {
         << r.output;
     EXPECT_FALSE(exists(path)) << c.flags;
   }
+}
+
+// `gen` opens --out before it builds: a path in a missing directory fails
+// at once with the writer's message, not after the graph (a rmat:scale=20
+// build takes seconds) has been generated.
+TEST(Cli, GenRejectsAnUnwritableOutBeforeBuilding) {
+  const std::string bin = binary("scol-cli");
+  SKIP_WITHOUT(bin);
+  const std::string path =
+      ::testing::TempDir() + "/scol_cli_no_such_dir/x.graph";
+  const auto start = std::chrono::steady_clock::now();
+  const RunResult r = run(bin + " gen --gen rmat:scale=20 --out " + path);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find(path + ": cannot open file for writing"),
+            std::string::npos)
+      << r.output;
+  EXPECT_LT(seconds, 1.0);
+}
+
+// When the build fails after --out was opened, a file the run created is
+// removed again and a file that was already there keeps its bytes.
+TEST(Cli, GenBuildFailureLeavesOutAsItWas) {
+  const std::string bin = binary("scol-cli");
+  SKIP_WITHOUT(bin);
+  const std::string gen = bin + " gen --gen powerlaw:n=10,m=1000 --out ";
+  const std::string fresh = ::testing::TempDir() + "/scol_cli_gen_fresh.graph";
+  std::remove(fresh.c_str());
+  RunResult r = run(gen + fresh);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("exceeds the simple-graph maximum"),
+            std::string::npos)
+      << r.output;
+  EXPECT_FALSE(exists(fresh));
+
+  const std::string kept = ::testing::TempDir() + "/scol_cli_gen_kept.graph";
+  const std::string bytes = "3 1\n2\n1\n\n";
+  std::ofstream(kept, std::ios::binary) << bytes;
+  r = run(gen + kept);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  std::ifstream in(kept, std::ios::binary);
+  const std::string after((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(after, bytes);
+  std::remove(kept.c_str());
 }
 
 // scol-serve's probe payload is the probe object of `scol-cli probe`,

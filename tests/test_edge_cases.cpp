@@ -3,6 +3,9 @@
 // and the sharp Corollary 2.11 variant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "scol/api/scenario.h"
 #include "scol/coloring/derived.h"
 #include "scol/coloring/exact.h"
@@ -98,6 +101,61 @@ TEST(EdgeCases, CountColorsAcrossColorRanges) {
   EXPECT_EQ(count_colors({2'000'000'000, 7, 2'000'000'000, kUncolored}), 2);
   EXPECT_EQ(count_colors({-5, 0, -5, kUncolored, 3}), 3);
   EXPECT_EQ(count_colors({-5, kUncolored, -3, -5}), 2);
+}
+
+// count_colors takes a mark array when the color span fits in c.size() and
+// sorts otherwise; both must agree with a plain sort-and-unique count on
+// every range, including both sides of the span = n switch.
+TEST(EdgeCases, CountColorsMatchesSortOracle) {
+  const auto oracle = [](const Coloring& c) {
+    std::vector<Color> used;
+    for (Color x : c)
+      if (x != kUncolored) used.push_back(x);
+    std::sort(used.begin(), used.end());
+    return static_cast<Vertex>(std::unique(used.begin(), used.end()) -
+                               used.begin());
+  };
+  constexpr Color kMax = std::numeric_limits<Color>::max();
+  constexpr Color kMin = std::numeric_limits<Color>::min();
+  Rng rng(907);
+  // A color in [lo, lo + width), or kUncolored with probability `blank`.
+  const auto draw = [&rng](std::int64_t lo, std::int64_t width, double blank) {
+    if (rng.chance(blank)) return kUncolored;
+    return static_cast<Color>(
+        lo + static_cast<std::int64_t>(
+                 rng.below(static_cast<std::uint64_t>(width))));
+  };
+  // Base values: small palettes, negative ones, and near +-2*10^9 and the
+  // int32 limits, where max - min + 1 overflows int32.
+  const std::vector<std::pair<std::int64_t, std::int64_t>> ranges = {
+      {0, 4},          {0, 300},           {-8, 8},
+      {-300, 298},     {2'000'000'000, 50}, {-2'000'000'000, 50},
+      {kMax - 40, 40}, {kMin, 40},         {-2'000'000'000, 4'000'000'000}};
+  for (const auto& [base, width] : ranges) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const auto n = static_cast<std::size_t>(rng.below(200));
+      Coloring c(n);
+      for (Color& x : c) x = draw(base, width, 0.2);
+      EXPECT_EQ(count_colors(c), oracle(c))
+          << "base=" << base << " width=" << width << " n=" << n;
+    }
+  }
+  // Spans of exactly n (mark array) and n + 1 (sort), colored at both
+  // ends with the middle drawn from the span or left uncolored.
+  for (const std::int64_t lo : {std::int64_t{0}, std::int64_t{-7},
+                                std::int64_t{2'000'000'000},
+                                std::int64_t{kMin}}) {
+    for (const std::size_t n : {2, 3, 17, 256}) {
+      for (const std::int64_t span : {std::int64_t(n), std::int64_t(n) + 1}) {
+        Coloring c(n);
+        for (Color& x : c) x = draw(lo, span, 0.3);
+        c.front() = static_cast<Color>(lo);
+        c.back() = static_cast<Color>(lo + span - 1);
+        EXPECT_EQ(count_colors(c), oracle(c))
+            << "lo=" << lo << " n=" << n << " span=" << span;
+      }
+    }
+  }
 }
 
 TEST(EdgeCases, HeterogeneousListSizes) {

@@ -162,6 +162,96 @@ TEST(Gen, RandomRegularPinned) {
   }
 }
 
+// The swap loop as it was before the slot-indexed rows: every accepted swap
+// finds its four relinks with std::find, and the edge list is sorted
+// before the CSR is built. random_regular must match it draw for draw.
+Graph find_swap_regular(Vertex n, Vertex d, Rng& rng) {
+  std::vector<Edge> e;
+  for (Vertex s = 1; s <= d / 2; ++s)
+    for (Vertex i = 0; i < n; ++i) {
+      const Vertex j = (i + s) % n;
+      e.emplace_back(std::min(i, j), std::max(i, j));
+    }
+  if (d % 2 == 1)
+    for (Vertex i = 0; i < n / 2; ++i)
+      e.emplace_back(i, static_cast<Vertex>(i + n / 2));
+  std::sort(e.begin(), e.end());
+  e.erase(std::unique(e.begin(), e.end()), e.end());
+  const auto dd = static_cast<std::size_t>(d);
+  std::vector<Vertex> nbr(static_cast<std::size_t>(n) * dd);
+  std::vector<std::size_t> fill(static_cast<std::size_t>(n), 0);
+  const auto row = [&](Vertex v) {
+    return nbr.data() + static_cast<std::size_t>(v) * dd;
+  };
+  for (const auto& [u, v] : e) {
+    row(u)[fill[static_cast<std::size_t>(u)]++] = v;
+    row(v)[fill[static_cast<std::size_t>(v)]++] = u;
+  }
+  const auto adjacent = [&](Vertex u, Vertex v) {
+    return std::find(row(u), row(u) + dd, v) != row(u) + dd;
+  };
+  const auto relink = [&](Vertex u, Vertex from, Vertex to) {
+    *std::find(row(u), row(u) + dd, from) = to;
+  };
+  const std::size_t swaps = 20 * e.size();
+  for (std::size_t t = 0; t < swaps; ++t) {
+    const std::size_t i = rng.below(e.size());
+    const std::size_t j = rng.below(e.size());
+    if (i == j) continue;
+    auto [a, b] = e[i];
+    auto [c, x] = e[j];
+    if (rng.chance(0.5)) std::swap(c, x);
+    if (a == c || a == x || b == c || b == x) continue;
+    if (adjacent(a, c) || adjacent(b, x)) continue;
+    relink(a, b, c);
+    relink(b, a, x);
+    relink(c, x, a);
+    relink(x, c, b);
+    e[i] = {std::min(a, c), std::max(a, c)};
+    e[j] = {std::min(b, x), std::max(b, x)};
+  }
+  std::sort(e.begin(), e.end());
+  return Graph::from_edges(n, e);
+}
+
+TEST(Gen, RandomRegularMatchesFindSwapOracle) {
+  for (const Vertex d : {1, 2, 3, 4, 5, 7, 16, 31}) {
+    // From the complete graph (n = d + 1) up to 4096; an odd d needs an
+    // even n, so odd sizes round up.
+    for (Vertex n : {d + 1, d + 2, d + 3, 2 * d + 1, 64, 257, 1000, 4096}) {
+      if (d % 2 == 1 && n % 2 == 1) ++n;
+      if (n <= d) continue;
+      for (const std::uint64_t seed : {1, 2, 3}) {
+        Rng got_rng(seed);
+        Rng want_rng(seed);
+        const Graph got = random_regular(n, d, got_rng);
+        const Graph want = find_swap_regular(n, d, want_rng);
+        EXPECT_EQ(hash_graph(got).hex(), hash_graph(want).hex())
+            << "n=" << n << " d=" << d << " seed=" << seed;
+        EXPECT_EQ(got_rng.next(), want_rng.next())
+            << "n=" << n << " d=" << d << " seed=" << seed;
+      }
+    }
+  }
+  // The two preconditions keep their texts.
+  const auto what = [](Vertex n, Vertex d) {
+    Rng rng(1);
+    try {
+      (void)random_regular(n, d, rng);
+    } catch (const PreconditionError& e) {
+      const std::string w = e.what();
+      return w.substr(0, w.find(" at ")) +
+             (w.find(" — ") == std::string::npos ? ""
+                                                 : w.substr(w.find(" — ")));
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(what(5, 3), "REQUIRE failed: (static_cast<std::int64_t>(n) * d) "
+                        "% 2 == 0 — n*d must be even");
+  EXPECT_EQ(what(4, 4), "REQUIRE failed: n > d && d >= 1");
+  EXPECT_EQ(what(4, 0), "REQUIRE failed: n > d && d >= 1");
+}
+
 TEST(Gen, RandomTreeIsTree) {
   Rng rng(103);
   for (int t = 0; t < 10; ++t) {
