@@ -12,50 +12,36 @@
 // text and the exit code stays 2.
 #pragma once
 
-#include <cerrno>
-#include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
+#include <system_error>
+
+#include "scol/util/parse_num.h"
 
 namespace scol_cli_parse {
 
-// Core parses: the WHOLE text must be one number. Returns "" on success,
-// else a message that already names the flag.
+// Core parses over the shared lexer (scol/util/parse_num.h): the WHOLE
+// text must be one number. Returns "" on success, else a message that
+// already names the flag.
 
 template <typename Int>
 std::string parse_integer(const std::string& text, const char* flag,
                           Int* out) {
-  if (text.empty())
-    return std::string(flag) + ": expected an integer, got ''";
-  const char* first = text.data();
-  const char* last = text.data() + text.size();
-  const std::from_chars_result r = std::from_chars(first, last, *out);
-  if (r.ec == std::errc::result_out_of_range)
+  const std::errc ec = scol::parse_integer(text, out);
+  if (ec == std::errc::result_out_of_range)
     return std::string(flag) + ": number out of range: '" + text + "'";
-  if (r.ec != std::errc())
+  if (ec != std::errc())
     return std::string(flag) + ": expected an integer, got '" + text + "'";
-  if (r.ptr != last)
-    return std::string(flag) + ": trailing junk after the number in '" +
-           text + "'";
   return "";
 }
 
 inline std::string parse_real(const std::string& text, const char* flag,
                               double* out) {
-  if (text.empty())
-    return std::string(flag) + ": expected a number, got ''";
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str())
-    return std::string(flag) + ": expected a number, got '" + text + "'";
-  if (*end != '\0')
-    return std::string(flag) + ": trailing junk after the number in '" +
-           text + "'";
-  if (errno == ERANGE)
+  const std::errc ec = scol::parse_real(text, out);
+  if (ec == std::errc::result_out_of_range)
     return std::string(flag) + ": number out of range: '" + text + "'";
-  *out = v;
+  if (ec != std::errc())
+    return std::string(flag) + ": expected a number, got '" + text + "'";
   return "";
 }
 

@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "parse_num.h"
+#include "scol/util/thread_pool.h"
 #include "scol/api/oneshot.h"
 #include "scol/serve/fdstream.h"
 #include "scol/serve/zipf.h"
@@ -265,7 +266,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--jobs") {
       jobs = static_cast<int>(scol_cli_parse::checked_int(
           need_value(i, "--jobs"), "--jobs", 1,
-          std::numeric_limits<int>::max(), usage_error));
+          scol::kMaxThreads, usage_error));
       ++i;
     } else if (arg == "--max-batch") {
       max_batch = static_cast<int>(scol_cli_parse::checked_int(

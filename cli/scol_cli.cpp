@@ -107,6 +107,7 @@
 #include "scol/api/oneshot.h"
 #include "scol/io/io.h"
 #include "scol/util/executor.h"
+#include "scol/util/thread_pool.h"
 #include "scol/version.h"
 
 namespace {
@@ -147,6 +148,9 @@ void list_algorithms() {
     Json obj = Json::object();
     obj.set("name", Json::str(info.name));
     obj.set("summary", Json::str(info.summary));
+    Json params = Json::array();
+    for (const auto& key : info.keys) params.push(Json::str(key));
+    obj.set("params", std::move(params));
     obj.set("needs_lists", Json::boolean(info.caps.needs_lists));
     obj.set("uses_k", Json::boolean(info.caps.uses_k));
     obj.set("randomized", Json::boolean(info.caps.randomized));
@@ -199,6 +203,18 @@ bool parse_probe_flag(int argc, char** argv, int& i, ProbeOptions& options,
     return false;
   }
   return true;
+}
+
+// `--param key=val` (or an --algo-param's key=val) into `bag`; a value
+// that does not lex is a usage error naming the flag and the key.
+template <typename Fail>
+void add_param(ParamBag& bag, const std::string& text, const char* flag,
+               Fail&& fail) {
+  try {
+    parse_param(bag, text);
+  } catch (const ParamError& e) {
+    fail(std::string(flag) + ": " + e.what());
+  }
 }
 
 [[noreturn]] void probe_usage_error(const std::string& message) {
@@ -322,7 +338,8 @@ int probe_main(int argc, char** argv) {
                                           probe_usage_error);
       ++i;
     } else if (arg == "--param") {
-      parse_param(params, need_value(i, "--param"));
+      add_param(params, need_value(i, "--param"), "--param",
+                probe_usage_error);
       ++i;
     } else if (arg == "--pretty") {
       pretty = true;
@@ -332,6 +349,7 @@ int probe_main(int argc, char** argv) {
   }
 
   try {
+    require_declared_params(AlgorithmRegistry::instance().names(), params);
     Rng rng(seed);
     const Graph g = build_scenario(gen, rng);
     const GraphProbe probe = probe_graph(g, probe_options);
@@ -439,7 +457,8 @@ int campaign_main(int argc, char** argv) {
           std::numeric_limits<Vertex>::max(), campaign_usage_error));
       ++i;
     } else if (arg == "--param") {
-      parse_param(spec.params, need_value(i, "--param"));
+      add_param(spec.params, need_value(i, "--param"), "--param",
+                campaign_usage_error);
       ++i;
     } else if (arg == "--algo-param") {
       const std::string v = need_value(i, "--algo-param");
@@ -448,7 +467,8 @@ int campaign_main(int argc, char** argv) {
         campaign_usage_error("--algo-param wants NAME:key=val, got '" + v +
                              "'");
       ParamBag bag;
-      parse_param(bag, v.substr(colon + 1));
+      add_param(bag, v.substr(colon + 1), "--algo-param",
+                campaign_usage_error);
       spec.algo_params.emplace_back(v.substr(0, colon), std::move(bag));
       ++i;
     } else if (arg == "--round-budget") {
@@ -459,7 +479,7 @@ int campaign_main(int argc, char** argv) {
     } else if (arg == "--jobs") {
       jobs = static_cast<int>(scol_cli_parse::checked_int(
           need_value(i, "--jobs"), "--jobs", 1,
-          std::numeric_limits<int>::max(), campaign_usage_error));
+          scol::kMaxThreads, campaign_usage_error));
       ++i;
     } else if (arg == "--shards") {
       spec.exec_shards = static_cast<int>(scol_cli_parse::checked_int(
@@ -589,7 +609,8 @@ int main(int argc, char** argv) {
           std::numeric_limits<Vertex>::max(), usage_error));
       ++i;
     } else if (arg == "--param") {
-      parse_param(spec.params, need_value(i, "--param"));
+      add_param(spec.params, need_value(i, "--param"), "--param",
+                usage_error);
       ++i;
     } else if (arg == "--seed") {
       spec.seed = scol_cli_parse::checked_seed(need_value(i, "--seed"),
@@ -598,7 +619,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       spec.threads = static_cast<int>(scol_cli_parse::checked_int(
           need_value(i, "--threads"), "--threads", 0,
-          std::numeric_limits<int>::max(), usage_error));
+          scol::kMaxThreads, usage_error));
       ++i;
     } else if (arg == "--shards") {
       spec.shards = static_cast<int>(scol_cli_parse::checked_int(

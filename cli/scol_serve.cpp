@@ -37,6 +37,7 @@
 
 #include "parse_num.h"
 #include "scol/serve/server.h"
+#include "scol/util/thread_pool.h"
 #include "scol/version.h"
 
 namespace {
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--jobs") {
       options.jobs = static_cast<int>(scol_cli_parse::checked_int(
           need_value(i, "--jobs"), "--jobs", 1,
-          std::numeric_limits<int>::max(), usage_error));
+          scol::kMaxThreads, usage_error));
       ++i;
     } else if (arg == "--max-batch") {
       options.max_batch = static_cast<std::size_t>(

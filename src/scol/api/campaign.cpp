@@ -29,15 +29,20 @@ void validate_spec(const CampaignSpec& spec) {
   SCOL_REQUIRE(spec.exec_shards >= 1, + "campaign needs shards >= 1");
   require_lists_mode(spec.lists_mode);
   for (const auto& s : spec.scenarios) validate_scenario_spec(s);
-  for (const auto& a : spec.algorithms) AlgorithmRegistry::instance().at(a);
-  for (const auto& entry : spec.algo_params)
-    AlgorithmRegistry::instance().at(entry.first);
+  require_declared_params(spec.algorithms, spec.params);
+  for (const auto& [name, params] : spec.algo_params)
+    require_declared_params({name}, params);
 }
 
-ParamBag merged_params(const CampaignSpec& spec, const std::string& algo) {
-  ParamBag out = spec.params;
+// A job's params: the shared ones its algorithm declares, overridden by
+// its own algo_params.
+ParamBag merged_params(const CampaignSpec& spec, const AlgorithmInfo& info) {
+  ParamBag out;
+  for (const auto& [key, value] : spec.params.items())
+    if (std::find(info.keys.begin(), info.keys.end(), key) != info.keys.end())
+      out.set(key, value);
   for (const auto& [name, overrides] : spec.algo_params) {
-    if (name != algo) continue;
+    if (name != info.name) continue;
     for (const auto& [key, value] : overrides.items()) out.set(key, value);
   }
   return out;
@@ -334,7 +339,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         ColoringRequest req;
         req.graph = graph;
         req.algorithm = info.name;
-        req.params = merged_params(spec, info.name);
+        req.params = merged_params(spec, info);
 
         // Probe filter: answer ineligible cells without solving. The
         // probe is a pure function of the graph, so the verdict — and

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "scol/util/parse_num.h"
+
 namespace scol {
 
 Json Json::boolean(bool v) {
@@ -483,16 +485,14 @@ class Parser {
     if (tok.size() > first + 1 && tok[first] == '0' &&
         tok[first + 1] >= '0' && tok[first + 1] <= '9')
       fail("leading zero in number");
-    if (integral) {
-      std::int64_t v = 0;
-      const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-      if (res.ec == std::errc() && res.ptr == tok.data() + tok.size())
-        return Json::integer(v);
-      // Integral lexeme that overflows int64: fall through to double.
-    }
-    char* end = nullptr;
-    const double d = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) fail("invalid number");
+    std::int64_t v = 0;
+    if (integral && parse_integer(tok, &v) == std::errc())
+      return Json::integer(v);
+    // An integral lexeme that overflows int64 falls through to double,
+    // which (like one past double's range) keeps strtod's value.
+    double d = 0.0;
+    if (parse_real(tok, &d) == std::errc::invalid_argument)
+      fail("invalid number");
     return Json::real(d);
   }
 

@@ -64,9 +64,9 @@ Json one_shot_report_on(const Graph& g, const OneShotSpec& spec,
 }
 
 Json one_shot_report(const OneShotSpec& spec) {
-  // A bad algorithm name or lists mode is rejected before the build,
-  // which can be the expensive part.
-  AlgorithmRegistry::instance().at(spec.algorithm);
+  // A bad algorithm name, param key or lists mode is rejected before the
+  // build, which can be the expensive part.
+  require_declared_params({spec.algorithm}, spec.params);
   require_lists_mode(spec.lists_mode);
   Rng scenario_rng(spec.seed);
   const Graph g = build_scenario(spec.scenario, scenario_rng);

@@ -96,6 +96,21 @@ ListAssignment Admission::build_lists(Vertex n, std::uint64_t seed) const {
   return random_lists(n, static_cast<Color>(k), palette, list_rng);
 }
 
+void require_declared_params(const std::vector<std::string>& algorithms,
+                             const ParamBag& params) {
+  std::vector<std::string> keys;
+  for (const auto& name : algorithms)
+    for (const auto& key : AlgorithmRegistry::instance().at(name).keys)
+      if (std::find(keys.begin(), keys.end(), key) == keys.end())
+        keys.push_back(key);
+  require_known_keys(params, keys,
+                     algorithms.size() == 1
+                         ? "algorithm '" + algorithms.front() + "'"
+                         : "params shared by " +
+                               std::to_string(algorithms.size()) +
+                               " algorithms");
+}
+
 void require_lists_mode(const std::string& lists_mode) {
   SCOL_REQUIRE(lists_mode == "uniform" || lists_mode == "random",
                + ("lists mode must be uniform or random, got '" +
@@ -107,16 +122,21 @@ Admission admit(const AlgorithmInfo& info, const Graph& g, Vertex k,
                 const ParamBag& params, const GraphProbe* probe) {
   require_lists_mode(lists_mode);
   Admission out;
-  out.k = effective_k(info, k, g.max_degree(), params);
-  if (probe != nullptr) {
-    out.skip_reason = algorithm_skip_reason(
-        info, EligibilityQuery{probe, &params, out.k});
-    if (!out.skip_reason.empty()) return out;
+  try {
+    out.k = effective_k(info, k, g.max_degree(), params);
+    if (probe != nullptr)
+      out.skip_reason = algorithm_skip_reason(
+          info, EligibilityQuery{probe, &params, out.k});
+  } catch (const ParamError& e) {
+    throw PreconditionError("algorithm '" + info.name + "': " + e.what());
   }
+  if (!out.skip_reason.empty()) return out;
   if (!info.caps.needs_lists) return out;
   out.lists = lists_mode;
   if (lists_mode == "random")
-    out.palette = palette > 0 ? palette : static_cast<Color>(4 * out.k);
+    out.palette = palette > 0 ? palette
+                              : int_in_range<Color>("default palette 4k",
+                                                    4 * std::int64_t{out.k});
   return out;
 }
 

@@ -84,6 +84,10 @@ struct AlgorithmInfo {
   /// precondition. effective_k() raises an auto-k job's k to a fixed
   /// size, so `--algo all` over any input runs planar6 on 6-lists.
   ListSizeRule list_size = {};
+  /// Every param key this algorithm reads. Front ends reject any other
+  /// key before the build (require_declared_params), as scenario specs
+  /// reject keys outside ScenarioInfo::keys.
+  std::vector<std::string> keys = {};
 };
 
 class AlgorithmRegistry {
@@ -127,6 +131,14 @@ std::string algorithm_skip_reason(const AlgorithmInfo& info,
 Vertex effective_k(const AlgorithmInfo& info, Vertex k, Vertex max_degree,
                    const ParamBag& params);
 
+/// Resolves every name in `algorithms`, then rejects a key of `params`
+/// that none of them declares (for one algorithm: that it does not
+/// declare) through the check scenario keys get (require_known_keys).
+/// One-shot runs, serve requests, `scol-cli probe` and campaigns call it
+/// before any build.
+void require_declared_params(const std::vector<std::string>& algorithms,
+                             const ParamBag& params);
+
 /// The one check on a lists mode, shared by one-shot runs, campaign specs
 /// and the serve protocol: throws PreconditionError unless it is
 /// "uniform" or "random".
@@ -150,7 +162,8 @@ struct Admission {
 /// examples. Throws on a bad lists mode. k is effective_k(); list
 /// algorithms get `lists_mode`, with random lists on `palette` (4k when
 /// it is <= 0). With a probe, the skip reason is algorithm_skip_reason()
-/// at that k, and a skipped job gets no lists.
+/// at that k, and a skipped job gets no lists. A param that does not
+/// decode throws PreconditionError naming the algorithm.
 Admission admit(const AlgorithmInfo& info, const Graph& g, Vertex k,
                 const std::string& lists_mode, Color palette,
                 const ParamBag& params, const GraphProbe* probe = nullptr);

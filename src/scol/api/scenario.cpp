@@ -1,6 +1,7 @@
 #include "scol/api/scenario.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "scol/gen/circulant.h"
 #include "scol/gen/lattice.h"
@@ -9,122 +10,151 @@
 #include "scol/gen/scale.h"
 #include "scol/gen/special.h"
 #include "scol/io/io.h"
+#include "scol/util/thread_pool.h"
 
 namespace scol {
 namespace {
 
-Vertex geti(const ParamBag& p, const char* key, std::int64_t def) {
-  return static_cast<Vertex>(p.get_int(key, def));
+// An edge-count key m: at least 0, and at most n(n-1)/2, the simple-graph
+// maximum (its default too: gnm:n=3 has no room for 1.4n edges).
+std::int64_t edges_key(const ParamBag& p, Vertex n, std::int64_t def) {
+  const std::int64_t m = p.get<std::int64_t>("m", def, 0);
+  const std::int64_t max_m = std::int64_t{n} * (n - 1) / 2;
+  if (m > max_m)
+    throw ParamError("param 'm' = " + std::to_string(m) +
+                     " exceeds the simple-graph maximum n*(n-1)/2 = " +
+                     std::to_string(max_m));
+  return m;
 }
 
 void register_builtin_scenarios(ScenarioRegistry& r) {
   // --- Lattices (planar and surface workloads). ---
   r.add({"grid", "planar grid; rows=20, cols=20", {"rows", "cols"},
          [](const ParamBag& p, Rng&) {
-           return grid(geti(p, "rows", 20), geti(p, "cols", 20));
+           return grid(p.get<Vertex>("rows", 20, 1),
+                       p.get<Vertex>("cols", 20, 1));
          }});
   r.add({"cylinder", "planar cylinder; rows=16, cols=16", {"rows", "cols"},
          [](const ParamBag& p, Rng&) {
-           return cylinder(geti(p, "rows", 16), geti(p, "cols", 16));
+           return cylinder(p.get<Vertex>("rows", 16, 3),
+                           p.get<Vertex>("cols", 16, 1));
          }});
   r.add({"torus", "torus quadrangulation (genus 1); rows=12, cols=12",
          {"rows", "cols"},
          [](const ParamBag& p, Rng&) {
-           return torus_grid(geti(p, "rows", 12), geti(p, "cols", 12));
+           return torus_grid(p.get<Vertex>("rows", 12, 3),
+                             p.get<Vertex>("cols", 12, 3));
          }});
   r.add({"torus-tri", "triangulated torus grid; rows=8, cols=8",
          {"rows", "cols"},
          [](const ParamBag& p, Rng&) {
-           return torus_triangulation(geti(p, "rows", 8), geti(p, "cols", 8));
+           return torus_triangulation(p.get<Vertex>("rows", 8, 5),
+                                      p.get<Vertex>("cols", 8, 5));
          }});
   r.add({"klein", "Klein-bottle quadrangulation (Figure 2); k=9, l=9",
          {"k", "l"},
          [](const ParamBag& p, Rng&) {
-           return klein_grid(geti(p, "k", 9), geti(p, "l", 9));
+           return klein_grid(p.get<Vertex>("k", 9, 3),
+                             p.get<Vertex>("l", 9, 3));
          }});
   r.add({"hex", "hexagonal girth-6 patch; rows=16, cols=16",
          {"rows", "cols"},
          [](const ParamBag& p, Rng&) {
-           return hex_patch(geti(p, "rows", 16), geti(p, "cols", 16));
+           return hex_patch(p.get<Vertex>("rows", 16, 2),
+                            p.get<Vertex>("cols", 16, 2));
          }});
 
   // --- Random planar families (Corollary 2.3 workloads). ---
   r.add({"planar", "random stacked (Apollonian) triangulation; n=400", {"n"},
          [](const ParamBag& p, Rng& rng) {
-           return random_stacked_triangulation(geti(p, "n", 400), rng);
+           return random_stacked_triangulation(p.get<Vertex>("n", 400, 3),
+                                               rng);
          }});
   r.add({"grid-diag", "grid with random diagonals; rows=16, cols=16",
          {"rows", "cols"},
          [](const ParamBag& p, Rng& rng) {
-           return grid_random_diagonals(geti(p, "rows", 16),
-                                        geti(p, "cols", 16), rng);
+           return grid_random_diagonals(p.get<Vertex>("rows", 16, 2),
+                                        p.get<Vertex>("cols", 16, 2), rng);
          }});
   r.add({"subhex", "vertex-deleted hex patch (girth >= 6); rows=20, "
                    "cols=20, p=0.1",
          {"rows", "cols", "p"},
          [](const ParamBag& p, Rng& rng) {
-           return random_subhex(geti(p, "rows", 20), geti(p, "cols", 20),
+           return random_subhex(p.get<Vertex>("rows", 20, 2),
+                                p.get<Vertex>("cols", 20, 2),
                                 p.get_real("p", 0.1), rng);
          }});
 
   // --- Random sparse families (Theorem 1.3 / Corollary 1.4 workloads). ---
   r.add({"gnm", "random simple graph with m edges; n=512, m=717", {"n", "m"},
          [](const ParamBag& p, Rng& rng) {
-           const Vertex n = geti(p, "n", 512);
-           return gnm(n, p.get_int("m", static_cast<std::int64_t>(1.4 * n)),
+           const Vertex n = p.get<Vertex>("n", 512, 0);
+           return gnm(n, edges_key(p, n, static_cast<std::int64_t>(1.4 * n)),
                       rng);
          }});
   r.add({"tree", "uniform random labelled tree; n=512", {"n"},
          [](const ParamBag& p, Rng& rng) {
-           return random_tree(geti(p, "n", 512), rng);
+           return random_tree(p.get<Vertex>("n", 512, 1), rng);
          }});
   r.add({"forest", "union of a random spanning trees (arboricity <= a); "
                    "n=512, a=2",
          {"n", "a"},
          [](const ParamBag& p, Rng& rng) {
-           return random_forest_union(geti(p, "n", 512), geti(p, "a", 2),
-                                      rng);
+           return random_forest_union(p.get<Vertex>("n", 512, 2),
+                                      p.get<Vertex>("a", 2, 1), rng);
          }});
   r.add({"regular", "random d-regular graph; n=512, d=4", {"n", "d"},
          [](const ParamBag& p, Rng& rng) {
-           return random_regular(geti(p, "n", 512), geti(p, "d", 4), rng);
+           return random_regular(p.get<Vertex>("n", 512, 2),
+                                 p.get<Vertex>("d", 4, 1), rng);
          }});
   r.add({"gallai", "random Gallai tree; blocks=40, max_clique=5",
          {"blocks", "max_clique"},
          [](const ParamBag& p, Rng& rng) {
-           return random_gallai_tree(geti(p, "blocks", 40),
-                                     geti(p, "max_clique", 5), rng);
+           return random_gallai_tree(p.get<Vertex>("blocks", 40, 1),
+                                     p.get<Vertex>("max_clique", 5, 2), rng);
          }});
   r.add({"non-gallai", "random connected non-Gallai graph; n=64", {"n"},
          [](const ParamBag& p, Rng& rng) {
-           return random_non_gallai(geti(p, "n", 64), rng);
+           return random_non_gallai(p.get<Vertex>("n", 64, 4), rng);
          }});
 
   // --- Circulants and powers (lower-bound gadgets). ---
   r.add({"cycle-power", "k-th power of the cycle C_n; n=48, k=3",
          {"n", "k"},
          [](const ParamBag& p, Rng&) {
-           return cycle_power(geti(p, "n", 48), geti(p, "k", 3));
+           return cycle_power(p.get<Vertex>("n", 48, 3),
+                              p.get<Vertex>("k", 3, 1));
          }});
   r.add({"path-power", "k-th power of the path P_n; n=48, k=3",
          {"n", "k"},
          [](const ParamBag& p, Rng&) {
-           return path_power(geti(p, "n", 48), geti(p, "k", 3));
+           return path_power(p.get<Vertex>("n", 48, 1),
+                             p.get<Vertex>("k", 3, 1));
          }});
 
   // --- Named classics. ---
   r.add({"complete", "complete graph K_n; n=8", {"n"},
-         [](const ParamBag& p, Rng&) { return complete(geti(p, "n", 8)); }});
+         [](const ParamBag& p, Rng&) {
+           return complete(p.get<Vertex>("n", 8, 1));
+         }});
   r.add({"bipartite", "complete bipartite K_{a,b}; a=4, b=4", {"a", "b"},
          [](const ParamBag& p, Rng&) {
-           return complete_bipartite(geti(p, "a", 4), geti(p, "b", 4));
+           return complete_bipartite(p.get<Vertex>("a", 4, 1),
+                                     p.get<Vertex>("b", 4, 1));
          }});
   r.add({"cycle", "cycle C_n; n=32", {"n"},
-         [](const ParamBag& p, Rng&) { return cycle(geti(p, "n", 32)); }});
+         [](const ParamBag& p, Rng&) {
+           return cycle(p.get<Vertex>("n", 32, 3));
+         }});
   r.add({"path", "path P_n; n=32", {"n"},
-         [](const ParamBag& p, Rng&) { return path(geti(p, "n", 32)); }});
+         [](const ParamBag& p, Rng&) {
+           return path(p.get<Vertex>("n", 32, 1));
+         }});
   r.add({"star", "star with l leaves; leaves=16", {"leaves"},
-         [](const ParamBag& p, Rng&) { return star(geti(p, "leaves", 16)); }});
+         [](const ParamBag& p, Rng&) {
+           return star(p.get<Vertex>("leaves", 16, 1));
+         }});
   r.add({"petersen", "Petersen graph ((3,5)-cage)", {},
          [](const ParamBag&, Rng&) { return petersen(); }});
   r.add({"heawood", "Heawood graph ((3,6)-cage)", {},
@@ -139,7 +169,13 @@ void register_builtin_scenarios(ScenarioRegistry& r) {
                  "edgefactor=16, a=0.57, b=0.19, c=0.19",
          {"scale", "edgefactor", "a", "b", "c"},
          [](const ParamBag& p, Rng& rng) {
-           return rmat(geti(p, "scale", 16), p.get_int("edgefactor", 16),
+           const Vertex scale = p.get<Vertex>("scale", 16, 0, 30);
+           // edgefactor * 2^scale edge draws must fit 64 bits.
+           const std::int64_t max_edgefactor =
+               std::numeric_limits<std::int64_t>::max() >> scale;
+           return rmat(scale,
+                       p.get<std::int64_t>("edgefactor", 16, 0,
+                                           max_edgefactor),
                        p.get_real("a", 0.57), p.get_real("b", 0.19),
                        p.get_real("c", 0.19), rng);
          }});
@@ -147,16 +183,16 @@ void register_builtin_scenarios(ScenarioRegistry& r) {
                      "n=65536, m=4n, alpha=2.5",
          {"n", "m", "alpha"},
          [](const ParamBag& p, Rng& rng) {
-           const Vertex n = geti(p, "n", 65536);
-           return powerlaw(n,
-                           p.get_int("m", 4 * static_cast<std::int64_t>(n)),
+           const Vertex n = p.get<Vertex>("n", 65536, 0);
+           return powerlaw(n, edges_key(p, n, 4 * std::int64_t{n}),
                            p.get_real("alpha", 2.5), rng);
          }});
   r.add({"pref-attach", "preferential attachment (Barabási–Albert); "
                         "n=65536, k=4 edges per new vertex",
          {"n", "k"},
          [](const ParamBag& p, Rng& rng) {
-           return pref_attach(geti(p, "n", 65536), geti(p, "k", 4), rng);
+           return pref_attach(p.get<Vertex>("n", 65536, 0),
+                              p.get<Vertex>("k", 4, 1), rng);
          }});
 
   // --- Real-world files (io/). ---
@@ -169,48 +205,12 @@ void register_builtin_scenarios(ScenarioRegistry& r) {
            SCOL_REQUIRE(!path.empty(),
                         + "scenario 'file' needs a path=... param");
            ReadOptions options;
-           options.threads = static_cast<int>(p.get_int("threads", 1));
+           options.threads = p.get<int>("threads", 1, 0, kMaxThreads);
            return read_graph_file(path,
                                   parse_format(p.get_str("format", "auto")),
                                   options)
                .graph;
          }});
-}
-
-// Levenshtein distance, for did-you-mean hints on unknown names/keys.
-// Inputs are short (scenario names and param keys), so the quadratic DP
-// is plenty.
-std::size_t edit_distance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t up = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
-                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = up;
-    }
-  }
-  return row[b.size()];
-}
-
-// " (did you mean 'X'?)" when some known name is within edit distance 2
-// of `got` (ties broken toward the first candidate in declaration
-// order — registry names are sorted, key lists are as declared), else "".
-std::string did_you_mean(const std::string& got,
-                         const std::vector<std::string>& known) {
-  std::string best;
-  std::size_t best_distance = 3;  // only suggest within distance 2
-  for (const auto& candidate : known) {
-    const std::size_t d = edit_distance(got, candidate);
-    if (d < best_distance) {
-      best = candidate;
-      best_distance = d;
-    }
-  }
-  return best.empty() ? "" : " (did you mean '" + best + "'?)";
 }
 
 [[noreturn]] void spec_error(const std::string& spec, std::size_t offset,
@@ -285,7 +285,11 @@ std::pair<std::string, ParamBag> parse_scenario_spec(const std::string& spec) {
     if (eq != std::string::npos && eq + 1 == segment.size())
       spec_error(spec, pos + eq + 1,
                  "empty value for key '" + segment.substr(0, eq) + "'");
-    parse_param(out.second, segment);
+    try {
+      parse_param(out.second, segment);
+    } catch (const ParamError& e) {
+      spec_error(spec, pos + eq + 1, e.what());
+    }
     if (comma == spec.size()) break;
     pos = comma + 1;
     if (pos == spec.size()) spec_error(spec, pos, "trailing comma");
@@ -296,28 +300,19 @@ std::pair<std::string, ParamBag> parse_scenario_spec(const std::string& spec) {
 std::pair<std::string, ParamBag> validate_scenario_spec(
     const std::string& spec) {
   auto parsed = parse_scenario_spec(spec);
-  const ScenarioInfo& info = ScenarioRegistry::instance().at(parsed.first);
-  for (const auto& [key, value] : parsed.second.items()) {
-    if (std::find(info.keys.begin(), info.keys.end(), key) !=
-        info.keys.end())
-      continue;
-    std::string known;
-    for (const auto& k : info.keys) known += (known.empty() ? "" : ", ") + k;
-    const std::size_t offset = spec.find(key + "=", parsed.first.size());
-    throw PreconditionError(
-        "scenario spec '" + spec + "': unknown key '" + key + "' for '" +
-        parsed.first + "' at offset " +
-        std::to_string(offset == std::string::npos ? spec.find(key)
-                                                   : offset) +
-        did_you_mean(key, info.keys) +
-        (info.keys.empty() ? " (takes no params)" : "; known keys: " + known));
-  }
+  require_known_keys(parsed.second,
+                     ScenarioRegistry::instance().at(parsed.first).keys,
+                     "scenario spec '" + spec + "'", spec);
   return parsed;
 }
 
 Graph build_scenario(const std::string& spec, Rng& rng) {
   const auto [name, params] = validate_scenario_spec(spec);
-  return ScenarioRegistry::instance().at(name).build(params, rng);
+  try {
+    return ScenarioRegistry::instance().at(name).build(params, rng);
+  } catch (const ParamError& e) {
+    throw PreconditionError("scenario spec '" + spec + "': " + e.what());
+  }
 }
 
 }  // namespace scol

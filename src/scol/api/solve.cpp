@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "scol/coloring/barenboim_elkin.h"
@@ -23,13 +24,19 @@ namespace {
 
 // --- Shared request decoding helpers. ---
 
+constexpr Vertex kMaxVertex = std::numeric_limits<Vertex>::max();
+
+// The keys sparse_options reads, after an entry's own `keys`.
+std::vector<std::string> ball_keys(std::vector<std::string> keys = {}) {
+  keys.insert(keys.end(), {"ball_constant", "radius", "max_peels"});
+  return keys;
+}
+
 SparseOptions sparse_options(const ColoringRequest& req, RunContext& ctx) {
   SparseOptions opts;
   opts.ball_constant = req.params.get_real("ball_constant", opts.ball_constant);
-  opts.radius_override =
-      static_cast<Vertex>(req.params.get_int("radius", opts.radius_override));
-  opts.max_peels =
-      static_cast<Vertex>(req.params.get_int("max_peels", opts.max_peels));
+  opts.radius_override = req.params.get<Vertex>("radius", opts.radius_override);
+  opts.max_peels = req.params.get<Vertex>("max_peels", opts.max_peels);
   opts.executor = ctx.executor;
   opts.arena = &ctx.arena_ref();
   return opts;
@@ -38,8 +45,8 @@ SparseOptions sparse_options(const ColoringRequest& req, RunContext& ctx) {
 // d for the Theorem 1.3 family: explicit param, then request.k, then the
 // min list size.
 Vertex sparse_d(const ColoringRequest& req) {
-  const std::int64_t from_param = req.params.get_int("d", -1);
-  if (from_param > 0) return static_cast<Vertex>(from_param);
+  const Vertex from_param = req.params.get<Vertex>("d", -1, 3);
+  if (from_param > 0) return from_param;
   if (req.k > 0) return req.k;
   return static_cast<Vertex>(req.lists->min_list_size());
 }
@@ -63,34 +70,32 @@ ColoringReport from_exact(std::optional<Coloring> c) {
   return out;
 }
 
-// A param the run cannot do without, `v` as its entry's helper decoded it.
-Vertex required_param(const ColoringRequest& req, const char* key,
-                      std::int64_t v) {
-  SCOL_REQUIRE(v > 0, + (std::string("algorithm '") + req.algorithm +
-                         "' needs param '" + key + "'"));
-  return static_cast<Vertex>(v);
-}
-
 // --- Guarantee params, each decoded by one helper for its entry. ---
 
-// Corollary 1.4's promised arboricity: param arboricity, else k = 2a.
-std::int64_t promised_arboricity(const ParamBag& p, Vertex k) {
-  return p.get_int("arboricity", k > 0 ? k / 2 : -1);
+// Each guarantee param reads as a count >= 0 where eligibility reads it,
+// so a promise too weak for the premise is a skip reason (`--param
+// arboricity=1` still runs barenboim-elkin in a campaign); a run reads it
+// at the kernel's own lower bound.
+
+// Corollary 1.4's promised arboricity: param arboricity (at most half
+// the vertex range, so 2a fits), else k = 2a, else -1.
+Vertex promised_arboricity(const ParamBag& p, Vertex k, Vertex lo = 0) {
+  return p.get<Vertex>("arboricity", k > 0 ? k / 2 : -1, lo, kMaxVertex / 2);
 }
 
 // Corollary 2.11's promised genus (param genus; -1 when absent).
-std::int64_t promised_genus(const ParamBag& p) {
-  return p.get_int("genus", -1);
+Vertex promised_genus(const ParamBag& p) {
+  return p.get<Vertex>("genus", -1, 0);
 }
 
 // The genus premise: a promised genus, and for the sharp form (the
 // H(gamma) - 1 lists) one with 24*genus+1 a perfect square.
 std::string why_not_genus(const ParamBag& p, bool sharp) {
-  const std::int64_t genus = promised_genus(p);
+  const Vertex genus = promised_genus(p);
   if (genus < 1)
     return "needs param genus=... (>= 1); the probe cannot certify a genus "
            "promise";
-  if (sharp && !heawood_bound_is_tight(static_cast<Vertex>(genus)))
+  if (sharp && !heawood_bound_is_tight(genus))
     return "genus " + std::to_string(genus) +
            " is not sharp (24*genus+1 must be a perfect square)";
   return "";
@@ -99,22 +104,21 @@ std::string why_not_genus(const ParamBag& p, bool sharp) {
 // Its list size: H(gamma), H(gamma) - 1 when sharp; -1 without the premise.
 Vertex heawood_lists(const ParamBag& p, bool sharp) {
   if (!why_not_genus(p, sharp).empty()) return -1;
-  return heawood_list_bound(static_cast<Vertex>(promised_genus(p))) -
-         (sharp ? 1 : 0);
+  return heawood_list_bound(promised_genus(p)) - (sharp ? 1 : 0);
 }
 
 // GPS peels at degree <= threshold: param threshold, else k - 1, else 6.
-std::int64_t peel_threshold(const ParamBag& p, Vertex k) {
-  return p.get_int("threshold", k > 0 ? k - 1 : 6);
+Vertex peel_threshold(const ParamBag& p, Vertex k, Vertex lo = 0) {
+  return p.get<Vertex>("threshold", k > 0 ? k - 1 : 6, lo);
 }
 
 // Barenboim-Elkin's promised arboricity (-1 when absent) and eps.
 struct HPartitionParams {
-  std::int64_t arboricity;
+  Vertex arboricity;
   double eps;
 };
 HPartitionParams h_partition_params(const ParamBag& p) {
-  return {p.get_int("arboricity", -1), p.get_real("eps", 1.0)};
+  return {p.get<Vertex>("arboricity", -1, 0), p.get_real("eps", 1.0)};
 }
 
 AlgorithmCaps caps(bool needs_lists, bool uses_k, bool randomized,
@@ -256,13 +260,14 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          },
          {},
          [](const EligibilityQuery& q) {
-           const Vertex d = static_cast<Vertex>(
-               q.params->get_int("d", q.k));
+           const Vertex d = q.params->get<Vertex>("d", q.k, 0);
            if (d < 3)
              return std::string("needs d >= 3 (param d, or k), got ") +
                     std::to_string(d);
            return why_not_degenerate(*q.probe, d, "d");
-         }});
+         },
+         {},
+         ball_keys({"d"})});
   r.add({"nice",
          "Theorem 6.1: list-coloring for nice assignments (|L(v)| >= "
          "deg(v), +1 on small-degree/clique-neighborhood vertices)",
@@ -274,7 +279,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          {},
          {},
          // Uniform (max degree + 1)-lists are nice on every graph.
-         {.probed = [](const GraphProbe& p) { return p.max_degree + 1; }}});
+         {.probed = [](const GraphProbe& p) { return p.max_degree + 1; }},
+         ball_keys()});
   r.add({"planar6",
          "Corollary 2.3(1): 6-list-coloring of planar graphs",
          caps(true, false, false, true),
@@ -284,7 +290,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          },
          {},
          [](const EligibilityQuery& q) { return why_not_planar(*q.probe); },
-         {.fixed = [](const ParamBag&) { return Vertex{6}; }}});
+         {.fixed = [](const ParamBag&) { return Vertex{6}; }},
+         ball_keys()});
   r.add({"planar4-trianglefree",
          "Corollary 2.3(2): 4-list-coloring of triangle-free planar graphs",
          caps(true, false, false, true),
@@ -299,7 +306,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            if (!q.probe->triangle_free) return std::string("has a triangle");
            return std::string();
          },
-         {.fixed = [](const ParamBag&) { return Vertex{4}; }}});
+         {.fixed = [](const ParamBag&) { return Vertex{4}; }},
+         ball_keys()});
   r.add({"planar3-girth6",
          "Corollary 2.3(3): 3-list-coloring of girth >= 6 planar graphs",
          caps(true, false, false, true),
@@ -316,20 +324,19 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                     " < 6";
            return std::string();
          },
-         {.fixed = [](const ParamBag&) { return Vertex{3}; }}});
+         {.fixed = [](const ParamBag&) { return Vertex{3}; }},
+         ball_keys()});
   r.add({"arboricity",
          "Corollary 1.4: 2a-list-coloring; params: arboricity (or k = 2a)",
          caps(true, true, false, true),
          [](const ColoringRequest& req, RunContext& ctx) {
-           const auto a =
-               static_cast<Vertex>(promised_arboricity(req.params, req.k));
+           const Vertex a = promised_arboricity(req.params, req.k, 2);
            return arboricity_list_coloring(*req.graph, a, *req.lists,
                                            sparse_options(req, ctx));
          },
          {},
          [](const EligibilityQuery& q) {
-           const auto a =
-               static_cast<Vertex>(promised_arboricity(*q.params, q.k));
+           const Vertex a = promised_arboricity(*q.params, q.k);
            if (a < 2)
              return std::string(
                  "needs arboricity >= 2 (param arboricity, or k = 2a)");
@@ -341,23 +348,25 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          },
          // 2a for a promised a; k = 2a promises a = k / 2, so k passes.
          {.fixed = [](const ParamBag& p) {
-           const std::int64_t a = promised_arboricity(p, -1);
-           return a > 0 ? static_cast<Vertex>(2 * a) : Vertex{-1};
-         }}});
+           const Vertex a = promised_arboricity(p, -1);
+           return a > 0 ? 2 * a : Vertex{-1};
+         }},
+         ball_keys({"arboricity"})});
   r.add({"genus",
          "Corollary 2.11: H(gamma)-list-coloring; params: genus",
          caps(true, false, false, true),
          [](const ColoringRequest& req, RunContext& ctx) {
            return genus_list_coloring(
                *req.graph,
-               required_param(req, "genus", promised_genus(req.params)),
+               req.params.require<Vertex>("genus", 1),
                *req.lists, sparse_options(req, ctx));
          },
          {},
          [](const EligibilityQuery& q) {
            return why_not_genus(*q.params, false);
          },
-         {.fixed = [](const ParamBag& p) { return heawood_lists(p, false); }}});
+         {.fixed = [](const ParamBag& p) { return heawood_lists(p, false); }},
+         ball_keys({"genus"})});
   r.add({"genus-sharp",
          "Corollary 2.11 (sharp): (H(gamma)-1)-list-coloring or a K_H "
          "certificate; params: genus (with 24*genus+1 a perfect square)",
@@ -365,14 +374,15 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          [](const ColoringRequest& req, RunContext& ctx) {
            return genus_list_coloring_sharp(
                *req.graph,
-               required_param(req, "genus", promised_genus(req.params)),
+               req.params.require<Vertex>("genus", 1),
                *req.lists, sparse_options(req, ctx));
          },
          {},
          [](const EligibilityQuery& q) {
            return why_not_genus(*q.params, true);
          },
-         {.fixed = [](const ParamBag& p) { return heawood_lists(p, true); }}});
+         {.fixed = [](const ParamBag& p) { return heawood_lists(p, true); }},
+         ball_keys({"genus"})});
   r.add({"delta-list",
          "Corollary 2.1: Delta-list-coloring or a no-SDR K_{Delta+1} "
          "certificate (max degree >= 3)",
@@ -388,7 +398,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                     " < 3";
            return std::string();
          },
-         {.probed = [](const GraphProbe& p) { return p.max_degree; }}});
+         {.probed = [](const GraphProbe& p) { return p.max_degree; }},
+         ball_keys()});
   r.add({"ert",
          "Constructive Theorem 1.1 (Borodin; ERT): degree-choosable "
          "coloring of a connected non-Gallai (or surplus) graph",
@@ -453,36 +464,33 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          caps(false, true, false, true),
          [](const ColoringRequest& req, RunContext& ctx) {
            return peel_threshold_coloring(
-               *req.graph,
-               static_cast<Vertex>(peel_threshold(req.params, req.k)),
-               ctx.executor);
+               *req.graph, peel_threshold(req.params, req.k, 1), ctx.executor);
          },
          [](const ColoringRequest& req) {
-           return peel_threshold(req.params, req.k) + 1;
+           return std::int64_t{peel_threshold(req.params, req.k)} + 1;
          },
          [](const EligibilityQuery& q) {
            return why_not_degenerate(
-               *q.probe, static_cast<Vertex>(peel_threshold(*q.params, q.k)),
-               "peel threshold");
-         }});
+               *q.probe, peel_threshold(*q.params, q.k), "peel threshold");
+         },
+         {},
+         {"threshold"}});
   r.add({"barenboim-elkin",
          "Barenboim-Elkin H-partition coloring: floor((2+eps)a)+1 colors; "
          "params: arboricity, eps (default 1.0)",
          caps(false, false, false, true),
          [](const ColoringRequest& req, RunContext& ctx) {
-           const HPartitionParams hp = h_partition_params(req.params);
-           const Vertex a = required_param(req, "arboricity", hp.arboricity);
+           const Vertex a = req.params.require<Vertex>("arboricity", 1);
+           const double eps = h_partition_params(req.params).eps;
            ColoringReport out =
-               barenboim_elkin_coloring(*req.graph, a, hp.eps, ctx.executor);
-           out.metrics.set_int("palette",
-                               barenboim_elkin_palette(a, hp.eps));
+               barenboim_elkin_coloring(*req.graph, a, eps, ctx.executor);
+           out.metrics.set_int("palette", barenboim_elkin_palette(a, eps));
            return out;
          },
          [](const ColoringRequest& req) {
            const HPartitionParams hp = h_partition_params(req.params);
            if (hp.arboricity <= 0) return std::int64_t{-1};
-           return static_cast<std::int64_t>(barenboim_elkin_palette(
-               static_cast<Vertex>(hp.arboricity), hp.eps));
+           return std::int64_t{barenboim_elkin_palette(hp.arboricity, hp.eps)};
          },
          [](const EligibilityQuery& q) {
            const HPartitionParams hp = h_partition_params(*q.params);
@@ -494,7 +502,9 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                (2.0 + hp.eps) * static_cast<double>(hp.arboricity));
            return why_not_degenerate(*q.probe, threshold,
                                      "H-partition threshold");
-         }});
+         },
+         {},
+         {"arboricity", "eps"}});
   r.add({"greedy",
          "Sequential greedy in vertex-id order",
          caps(false, false, false, false),
@@ -566,7 +576,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          {},
          {},
          // The fallback needs (deg+1)-lists, same as `randomized`.
-         {.probed = [](const GraphProbe& p) { return p.max_degree + 1; }}});
+         {.probed = [](const GraphProbe& p) { return p.max_degree + 1; }},
+         {"sparsify_c", "sparsify_attempts"}});
   r.add({"deglist-sparsified",
          "Degeneracy-order greedy list-coloring on sampled c*log n "
          "sub-palettes, full-list degeneracy greedy fallback; params: "
@@ -589,7 +600,8 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
          {},
          // The fallback succeeds when every list beats the degeneracy,
          // same as `degeneracy-list`.
-         {.probed = [](const GraphProbe& p) { return p.degeneracy + 1; }}});
+         {.probed = [](const GraphProbe& p) { return p.degeneracy + 1; }},
+         {"sparsify_c", "sparsify_attempts"}});
   r.add({"list-sparsified",
          "Exact MRV list-coloring on sampled c*log n sub-palettes, exact "
          "full-list fallback (which proves infeasibility); params: "
@@ -620,7 +632,10 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                      req.params.get_int("node_budget", 50'000'000)));
                });
          },
-         {}});
+         {},
+         {}, {},
+         {"sparsify_c", "sparsify_attempts", "sparsify_node_budget",
+          "node_budget"}});
 
   // --- Exact solvers and special substrates. ---
   r.add({"exact",
@@ -640,7 +655,9 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            return q.k > 0 ? std::string()
                           : std::string("needs request.k (the palette to "
                                         "search)");
-         }});
+         },
+         {},
+         {"node_budget"}});
   r.add({"exact-list",
          "Exact list-coloring by MRV backtracking (params: node_budget)",
          exact_caps(true, false),
@@ -649,7 +666,9 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
                *req.graph, *req.lists,
                req.params.get_int("node_budget", 50'000'000)));
          },
-         {}});
+         {},
+         {}, {},
+         {"node_budget"}});
   r.add({"sdr",
          "SDR clique coloring (Corollary 2.1 substrate): the graph must "
          "be one clique; colors by bipartite matching or certifies no SDR",
@@ -700,6 +719,8 @@ ColoringReport solve(const ColoringRequest& request, RunContext& ctx) {
   ColoringReport report;
   try {
     report = info.run(request, ctx);
+  } catch (const ParamError& e) {
+    throw PreconditionError("algorithm '" + info.name + "': " + e.what());
   } catch (const PreconditionError& e) {
     report = ColoringReport::failed(e.what());
   } catch (const InternalError& e) {

@@ -1,10 +1,22 @@
 #include "scol/gen/lattice.h"
 
+#include <limits>
+#include <string>
+
 namespace scol {
+
+Vertex lattice_size(const char* product, Vertex rows, Vertex cols) {
+  constexpr Vertex kMax = std::numeric_limits<Vertex>::max();
+  const std::int64_t n = std::int64_t{rows} * cols;
+  if (n > kMax)
+    throw PreconditionError(std::string(product) + " = " + std::to_string(n) +
+                            " exceeds " + std::to_string(kMax) + " vertices");
+  return static_cast<Vertex>(n);
+}
 
 Graph grid(Vertex rows, Vertex cols) {
   SCOL_REQUIRE(rows >= 1 && cols >= 1);
-  GraphBuilder b(rows * cols);
+  GraphBuilder b(lattice_size("grid: rows * cols", rows, cols));
   for (Vertex i = 0; i < rows; ++i)
     for (Vertex j = 0; j < cols; ++j) {
       if (i + 1 < rows) b.add_edge(lattice_id(i, j, cols), lattice_id(i + 1, j, cols));
@@ -15,7 +27,7 @@ Graph grid(Vertex rows, Vertex cols) {
 
 Graph cylinder(Vertex rows, Vertex cols) {
   SCOL_REQUIRE(rows >= 3 && cols >= 1);
-  GraphBuilder b(rows * cols);
+  GraphBuilder b(lattice_size("cylinder: rows * cols", rows, cols));
   for (Vertex i = 0; i < rows; ++i)
     for (Vertex j = 0; j < cols; ++j) {
       b.add_edge(lattice_id(i, j, cols), lattice_id((i + 1) % rows, j, cols));
@@ -26,7 +38,7 @@ Graph cylinder(Vertex rows, Vertex cols) {
 
 Graph torus_grid(Vertex rows, Vertex cols) {
   SCOL_REQUIRE(rows >= 3 && cols >= 3);
-  GraphBuilder b(rows * cols);
+  GraphBuilder b(lattice_size("torus_grid: rows * cols", rows, cols));
   for (Vertex i = 0; i < rows; ++i)
     for (Vertex j = 0; j < cols; ++j) {
       b.add_edge(lattice_id(i, j, cols), lattice_id((i + 1) % rows, j, cols));
@@ -37,7 +49,7 @@ Graph torus_grid(Vertex rows, Vertex cols) {
 
 Graph klein_grid(Vertex k, Vertex l) {
   SCOL_REQUIRE(k >= 3 && l >= 3);
-  GraphBuilder b(k * l);
+  GraphBuilder b(lattice_size("klein_grid: k * l", k, l));
   for (Vertex i = 0; i < k; ++i)
     for (Vertex j = 0; j < l; ++j) {
       // Vertical cycle.
@@ -55,7 +67,7 @@ Graph klein_grid(Vertex k, Vertex l) {
 
 Graph hex_patch(Vertex rows, Vertex cols) {
   SCOL_REQUIRE(rows >= 2 && cols >= 2);
-  GraphBuilder b(rows * cols);
+  GraphBuilder b(lattice_size("hex_patch: rows * cols", rows, cols));
   for (Vertex i = 0; i < rows; ++i)
     for (Vertex j = 0; j < cols; ++j) {
       if (i + 1 < rows) b.add_edge(lattice_id(i, j, cols), lattice_id(i + 1, j, cols));
@@ -67,7 +79,8 @@ Graph hex_patch(Vertex rows, Vertex cols) {
 
 CombinatorialMap torus_triangulation_map(Vertex rows, Vertex cols) {
   SCOL_REQUIRE(rows >= 5 && cols >= 5, + "need >=5 to keep the graph simple");
-  const Vertex n = rows * cols;
+  const Vertex n = lattice_size("torus_triangulation: rows * cols",
+                                rows, cols);
   std::vector<std::vector<Vertex>> rot(static_cast<std::size_t>(n));
   auto id = [&](Vertex i, Vertex j) {
     return lattice_id((i % rows + rows) % rows, (j % cols + cols) % cols, cols);

@@ -31,6 +31,12 @@ inline Vertex lattice_id(Vertex i, Vertex j, Vertex cols) {
   return i * cols + j;
 }
 
+/// rows * cols computed in 64 bits, as the vertex count of a rows x cols
+/// lattice: throws PreconditionError naming the `product` ("grid: rows *
+/// cols") and its value when it exceeds 2^31 - 1, before anything is
+/// allocated.
+Vertex lattice_size(const char* product, Vertex rows, Vertex cols);
+
 /// Hexagonal ("brick-wall") patch with `rows` x `cols` vertices: all
 /// vertical edges, horizontal edges where i+j is even. Planar, girth 6
 /// (for large enough patches), max degree 3.

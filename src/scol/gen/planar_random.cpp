@@ -58,7 +58,8 @@ Graph random_stacked_triangulation(Vertex n, Rng& rng) {
 
 Graph grid_random_diagonals(Vertex rows, Vertex cols, Rng& rng) {
   SCOL_REQUIRE(rows >= 2 && cols >= 2);
-  GraphBuilder b(rows * cols);
+  GraphBuilder b(
+      lattice_size("grid_random_diagonals: rows * cols", rows, cols));
   for (Vertex i = 0; i < rows; ++i)
     for (Vertex j = 0; j < cols; ++j) {
       if (i + 1 < rows) b.add_edge(lattice_id(i, j, cols), lattice_id(i + 1, j, cols));

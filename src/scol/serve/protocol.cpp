@@ -1,6 +1,7 @@
 #include "scol/serve/protocol.h"
 
 #include <cstdio>
+#include <limits>
 
 #include "scol/api/registry.h"
 #include "scol/util/check.h"
@@ -9,10 +10,16 @@ namespace scol {
 
 namespace {
 
-std::int64_t want_int(const Json& v, const char* field) {
-  SCOL_REQUIRE(v.is_int(),
-               + ("field '" + std::string(field) + "' wants an integer"));
-  return v.as_int();
+// A wire integer through the one checked decode (api/params.h): an
+// integer in [lo, hi] (by default Int's range), else a ParamError naming
+// the field, the value and the range.
+template <typename Int>
+Int want_int(const Json& v, const char* field,
+             Int lo = std::numeric_limits<Int>::min(),
+             Int hi = std::numeric_limits<Int>::max()) {
+  const std::string what = "field '" + std::string(field) + "'";
+  if (!v.is_int()) throw_param_error(what, v.dump(), integer_in(lo, hi));
+  return int_in_range<Int>(what, v.as_int(), lo, hi);
 }
 
 std::string want_str(const Json& v, const char* field) {
@@ -83,21 +90,21 @@ void parse_request(const std::string& line, ServeRequest& req) {
     } else if (key == "algo") {
       req.spec.algorithm = want_str(value, "algo");
     } else if (key == "seed") {
-      req.spec.seed =
-          static_cast<std::uint64_t>(want_int(value, "seed"));
+      req.spec.seed = want_int<std::int64_t>(value, "seed", 0);
     } else if (key == "k") {
-      req.spec.k = static_cast<Vertex>(want_int(value, "k"));
+      req.spec.k = want_int<Vertex>(value, "k", -1);
     } else if (key == "lists") {
       req.spec.lists_mode = want_str(value, "lists");
       require_lists_mode(req.spec.lists_mode);
     } else if (key == "palette") {
-      req.spec.palette = static_cast<Color>(want_int(value, "palette"));
+      req.spec.palette = want_int<Color>(value, "palette", -1);
     } else if (key == "params") {
       req.spec.params = params_from_json(value);
     } else if (key == "round_budget") {
-      req.spec.round_budget = want_int(value, "round_budget");
+      req.spec.round_budget = want_int<std::int64_t>(value, "round_budget", -1);
     } else if (key == "probe_budget") {
-      req.probe_options.budget = want_int(value, "probe_budget");
+      req.probe_options.budget =
+          want_int<std::int64_t>(value, "probe_budget", 0);
     } else if (key == "with_coloring") {
       SCOL_REQUIRE(value.is_bool(),
                    + "field 'with_coloring' wants a boolean");

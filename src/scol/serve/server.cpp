@@ -174,6 +174,7 @@ void Server::flush(std::vector<Pending>& batch, std::ostream& out) {
     if (!p.error.empty()) continue;
     OneShotSpec& spec = p.req.spec;
     try {
+      require_declared_params({spec.algorithm}, spec.params);
       p.entry = lookup_graph(store_, p.req, &p.graph_hit);
       // The report echoes a scenario spec; for content-addressed
       // requests that echo is the digest itself.

@@ -27,6 +27,11 @@
 
 namespace scol {
 
+/// The most threads a thread count from outside may ask for: scol-cli
+/// --threads and --jobs, scol-serve --jobs, scol-bench-load --jobs and
+/// the `file:threads=` scenario key. Each starts that many OS threads.
+inline constexpr int kMaxThreads = 1024;
+
 class ThreadPool {
  public:
   /// threads <= 0 selects std::thread::hardware_concurrency().

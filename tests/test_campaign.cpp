@@ -91,6 +91,43 @@ TEST(Campaign, EnumerationAndValidation) {
                PreconditionError);
 }
 
+TEST(Campaign, ParamKeysMustBeDeclaredOnTheGrid) {
+  // A shared --param key needs one algorithm on the grid that declares
+  // it; an --algo-param key needs its own algorithm to declare it.
+  CampaignSpec spec = small_spec();
+  spec.params.set_int("radius", 3);  // declared by sparse
+  EXPECT_NO_THROW(enumerate_campaign(spec));
+  spec.params.set_int("radus", 3);
+  try {
+    enumerate_campaign(spec);
+    FAIL() << "an undeclared shared key must throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'radus' (did you "
+                                         "mean 'radius'?)"),
+              std::string::npos)
+        << e.what();
+  }
+  spec = small_spec();
+  spec.algo_params.emplace_back("greedy", ParamBag{}.set_int("radius", 3));
+  EXPECT_THROW(enumerate_campaign(spec), PreconditionError);
+
+  // A promise too weak for one algorithm's premise skips that algorithm
+  // and still runs the one it suits: barenboim-elkin takes arboricity 1,
+  // Corollary 1.4 needs a >= 2.
+  spec = CampaignSpec{};
+  spec.scenarios = {"tree:n=30"};
+  spec.algorithms = {"arboricity", "barenboim-elkin"};
+  spec.params.set_int("arboricity", 1);
+  CampaignResult result;
+  const auto lines = run_lines(spec, CampaignOptions{}, &result);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"skip_reason\":\"needs arboricity >= 2"),
+            std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"status\":\"colored\""), std::string::npos)
+      << lines[1];
+}
+
 TEST(Campaign, ByteIdenticalAcrossJobExecutors) {
   const CampaignSpec spec = small_spec();
   CampaignOptions serial;

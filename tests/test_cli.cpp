@@ -109,6 +109,15 @@ TEST(Cli, BadNumericFlagsExitTwoAndNameTheFlag) {
   expect_flag_error(bin + " --gen petersen --algo greedy --k 1.5", "--k");
   expect_flag_error(bin + " --gen petersen --algo greedy --threads -2",
                     "--threads");
+  // Thread counts stop at kMaxThreads (1024), rejected before any start.
+  expect_flag_error(bin + " --gen petersen --algo greedy --threads 1025",
+                    "--threads");
+  expect_flag_error(bin + " campaign --gen petersen --jobs 1025", "--jobs");
+  expect_flag_error(bin + " --gen petersen --algo sparse --param =3",
+                    "--param");
+  expect_flag_error(
+      bin + " --gen petersen --algo sparse --param radius=99999999999999999999",
+      "--param");
   expect_flag_error(bin + " --gen petersen --algo greedy --deadline-ms abc",
                     "--deadline-ms");
   expect_flag_error(bin + " gen petersen --seed 0x10", "--seed");
@@ -162,6 +171,7 @@ TEST(Cli, ServeAndBenchLoadRejectBadNumericFlags) {
     expect_flag_error(serve + " --port 99999", "--port");
     expect_flag_error(serve + " --port http", "--port");
     expect_flag_error(serve + " --jobs 0", "--jobs");
+    expect_flag_error(serve + " --jobs 1025", "--jobs");
     expect_flag_error(serve + " --max-batch -1", "--max-batch");
     expect_flag_error(serve + " --graph-cache many", "--graph-cache");
   }
@@ -171,6 +181,7 @@ TEST(Cli, ServeAndBenchLoadRejectBadNumericFlags) {
     expect_flag_error(bench + " --theta -0.5", "--theta");
     expect_flag_error(bench + " --seed 1e9", "--seed");
     expect_flag_error(bench + " --window 0", "--window");
+    expect_flag_error(bench + " --jobs 1025", "--jobs");
   }
   SKIP_WITHOUT(serve);
 }

@@ -340,6 +340,42 @@ TEST(Server, ErrorEnvelopeKeepsTheRequestId) {
       << lines[2];
 }
 
+TEST(Server, OutOfRangeWireIntegersAndUnknownParamsAreErrors) {
+  // Each wire integer decodes through the one checked range read: a value
+  // its destination cannot hold is an error envelope naming the field,
+  // never a silent cast (k = 2^32 + 4 used to run as k = 4, a negative
+  // seed as 2^64 - 1). An undeclared param key is rejected before the
+  // graph is built, so nothing is solved or cached under it.
+  const auto lines = serve({
+      R"({"id":1,"algo":"randomized","gen":"petersen","k":4294967300})",
+      R"({"id":2,"algo":"randomized","gen":"petersen","lists":"random",)"
+      R"("palette":4294967301})",
+      R"({"id":3,"algo":"randomized","gen":"petersen","seed":-1})",
+      R"({"id":4,"algo":"sparse","gen":"petersen","k":4,)"
+      R"("params":{"radus":2}})",
+      R"({"id":5,"algo":"sparse","gen":"petersen","k":4,)"
+      R"("params":{"radius":4294967299}})",
+      R"({"id":6,"op":"stats"})",
+  });
+  ASSERT_EQ(lines.size(), 6u);
+  const char* names[] = {"field 'k'", "field 'palette'", "field 'seed'",
+                         "unknown key 'radus'", "param 'radius'"};
+  for (int i = 0; i < 5; ++i) {
+    const std::string& line = lines[static_cast<std::size_t>(i)];
+    const Json r = Json::parse(line);
+    EXPECT_FALSE(r.get("ok")->as_bool()) << line;
+    EXPECT_EQ(r.get("id")->as_int(), i + 1) << line;
+    EXPECT_NE(r.get("error")->as_str().find(names[i]), std::string::npos)
+        << line;
+    EXPECT_EQ(r.get("error")->as_str().find("REQUIRE"), std::string::npos)
+        << line;
+  }
+  const Json stats = Json::parse(lines[5]);
+  EXPECT_EQ(stats.get("stats")->get("reports")->get("entries")->as_int(),
+            0)
+      << lines[5];
+}
+
 TEST(Server, DeepExactSearchBetweenTwoGoodLines) {
   // exact on pref-attach (n = 65536) is one search-tree level per vertex:
   // the daemon answers it like any other line, in order.
