@@ -1,6 +1,7 @@
 #include "scol/api/params.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "scol/api/json.h"
 #include "scol/util/parse_num.h"
@@ -17,13 +18,27 @@ std::string integer_in(std::int64_t lo, std::int64_t hi) {
          "]";
 }
 
+double ParamBag::get_real(const std::string& name, double def, double lo,
+                          double hi) const {
+  const double v = get_real(name, def);
+  if (has(name) && !(std::isfinite(v) && lo <= v && v <= hi))
+    want_error(name, *find(name),
+               "a finite number in [" + Json::real(lo).dump() + ", " +
+                   Json::real(hi).dump() + "]");
+  return v;
+}
+
 void ParamBag::want_error(const std::string& name, const Value& v,
                           const std::string& wanted) {
   std::string shown = Json::from_param(v).dump();
-  // A real the JSON writer prints as "5" is still not an integer.
-  if (std::holds_alternative<double>(v) &&
-      shown.find_first_of(".eEn") == std::string::npos)
-    shown += ".0";
+  // A real the JSON writer prints as "5" is still not an integer, and
+  // one it prints as null (JSON has no inf or nan) is shown as lexed.
+  if (const auto* d = std::get_if<double>(&v); d != nullptr) {
+    if (!std::isfinite(*d))
+      shown = std::isnan(*d) ? "nan" : *d > 0 ? "inf" : "-inf";
+    else if (shown.find_first_of(".eEn") == std::string::npos)
+      shown += ".0";
+  }
   throw_param_error("param '" + name + "'", shown, wanted);
 }
 

@@ -118,6 +118,12 @@ class ParamBag {
       return static_cast<double>(*i);
     return want<double>(name, *v, "a number");
   }
+  /// The ranged real read: get_real's value as a finite double in
+  /// [lo, hi], or `def` as given when the key is absent. An infinity, a
+  /// NaN or a value out of range throws ParamError naming the range, so
+  /// a real that later scales a 32-bit count cannot overflow it.
+  double get_real(const std::string& name, double def, double lo,
+                  double hi) const;
   bool get_flag(const std::string& name, bool def) const {
     const Value* v = find(name);
     return v == nullptr ? def : want<bool>(name, *v, "a flag");

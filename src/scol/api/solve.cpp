@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <utility>
 
+#include "scol/api/json.h"
 #include "scol/coloring/barenboim_elkin.h"
 #include "scol/coloring/derived.h"
 #include "scol/coloring/ert.h"
@@ -34,7 +36,9 @@ std::vector<std::string> ball_keys(std::vector<std::string> keys = {}) {
 
 SparseOptions sparse_options(const ColoringRequest& req, RunContext& ctx) {
   SparseOptions opts;
-  opts.ball_constant = req.params.get_real("ball_constant", opts.ball_constant);
+  // ceil(c ln n) stays far inside the vertex range for every c here.
+  opts.ball_constant =
+      req.params.get_real("ball_constant", opts.ball_constant, 0.0, 1e7);
   opts.radius_override = req.params.get<Vertex>("radius", opts.radius_override);
   opts.max_peels = req.params.get<Vertex>("max_peels", opts.max_peels);
   opts.executor = ctx.executor;
@@ -112,13 +116,26 @@ Vertex peel_threshold(const ParamBag& p, Vertex k, Vertex lo = 0) {
   return p.get<Vertex>("threshold", k > 0 ? k - 1 : 6, lo);
 }
 
-// Barenboim-Elkin's promised arboricity (-1 when absent) and eps.
+// Barenboim-Elkin's promised arboricity (-1 when absent) and eps. Its
+// palette floor((2 + eps) a) + 1 is computed in double and checked
+// against the vertex range here, before anything narrows it.
 struct HPartitionParams {
   Vertex arboricity;
   double eps;
 };
 HPartitionParams h_partition_params(const ParamBag& p) {
-  return {p.get<Vertex>("arboricity", -1, 0), p.get_real("eps", 1.0)};
+  const HPartitionParams hp{p.get<Vertex>("arboricity", -1, 0),
+                            p.get_real("eps", 1.0, 1e-12, 1e9)};
+  const double palette =
+      std::floor((2.0 + hp.eps) * static_cast<double>(hp.arboricity)) + 1.0;
+  if (hp.arboricity > 0 && palette > kMaxVertex)
+    throw_param_error("param 'arboricity'", std::to_string(hp.arboricity),
+                      "small enough for param 'eps' = " +
+                          Json::real(hp.eps).dump() + ": floor((2+eps)a)+1 = " +
+                          Json::real(palette).dump() +
+                          " colors exceeds the vertex-id limit " +
+                          std::to_string(kMaxVertex));
+  return hp;
 }
 
 AlgorithmCaps caps(bool needs_lists, bool uses_k, bool randomized,
@@ -198,7 +215,8 @@ ColoringReport run_sparsified(
         Rounds& rounds)>& attempt,
     const std::function<ColoringReport()>& fallback) {
   const Vertex target = sparsify_target(
-      req.graph->num_vertices(), req.params.get_real("sparsify_c", 4.0));
+      req.graph->num_vertices(),
+      req.params.get_real("sparsify_c", 4.0, 1e-9, 1e6));
   const std::int64_t attempts = std::max<std::int64_t>(
       1, req.params.get_int("sparsify_attempts", 3));
   const std::uint64_t root = ctx.make_rng().next();  // all sparsify seeds
@@ -496,12 +514,12 @@ void register_builtin_algorithms(AlgorithmRegistry& r) {
            const HPartitionParams hp = h_partition_params(*q.params);
            if (hp.arboricity <= 0)
              return std::string("needs param arboricity=...");
-           // The H-partition peels at degree (2 + eps) * a; degeneracy
-           // at or below that threshold certifies termination.
-           const auto threshold = static_cast<Vertex>(
-               (2.0 + hp.eps) * static_cast<double>(hp.arboricity));
-           return why_not_degenerate(*q.probe, threshold,
-                                     "H-partition threshold");
+           // The H-partition peels at degree floor((2 + eps) a), one
+           // below the palette; degeneracy at or below that threshold
+           // certifies termination.
+           return why_not_degenerate(
+               *q.probe, barenboim_elkin_palette(hp.arboricity, hp.eps) - 1,
+               "H-partition threshold");
          },
          {},
          {"arboricity", "eps"}});

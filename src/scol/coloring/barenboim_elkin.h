@@ -17,7 +17,8 @@ ColoringReport barenboim_elkin_coloring(const Graph& g, Vertex arboricity,
                                         double eps,
                                         const Executor* executor = nullptr);
 
-/// The color count floor((2+eps)a) + 1 the algorithm guarantees.
+/// The color count floor((2+eps)a) + 1 the algorithm guarantees;
+/// requires it to fit a Vertex.
 Vertex barenboim_elkin_palette(Vertex arboricity, double eps);
 
 }  // namespace scol

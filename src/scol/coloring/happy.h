@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cmath>
+#include <limits>
 
 #include "scol/graph/graph.h"
 #include "scol/util/executor.h"
@@ -33,11 +34,14 @@ namespace scol {
 /// The paper's ball-radius constant c = 12/ln(6/5).
 inline constexpr double kPaperBallConstant = 65.8211832733887;
 
-/// rho = ceil(c * ln n), at least 1.
+/// rho = ceil(c * ln n), at least 1; requires it to fit a Vertex.
 inline Vertex paper_ball_radius(Vertex n, double c = kPaperBallConstant) {
   if (n <= 1) return 1;
-  return static_cast<Vertex>(
-      std::max(1.0, std::ceil(c * std::log(static_cast<double>(n)))));
+  const double rho =
+      std::max(1.0, std::ceil(c * std::log(static_cast<double>(n))));
+  SCOL_REQUIRE(rho <= std::numeric_limits<Vertex>::max(),
+               + "ball radius exceeds the vertex-id range");
+  return static_cast<Vertex>(rho);
 }
 
 struct HappyAnalysis {

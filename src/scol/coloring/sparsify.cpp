@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <vector>
 
 namespace scol {
@@ -12,6 +13,8 @@ Vertex sparsify_target(Vertex n, double c) {
   SCOL_REQUIRE(c > 0.0, + "sparsify constant c must be positive");
   const double bits = std::log2(static_cast<double>(n) + 1.0);
   const double raw = std::ceil(c * bits);
+  SCOL_REQUIRE(raw <= std::numeric_limits<Vertex>::max(),
+               + "sparsify target exceeds the vertex-id range");
   return std::max<Vertex>(2, static_cast<Vertex>(raw));
 }
 

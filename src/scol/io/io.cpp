@@ -57,6 +57,17 @@ struct LineReader {
   }
 };
 
+// Bytes from the stream's position to its end, or -1 when the stream
+// cannot tell (a pipe): bounds the METIS reader's reserve.
+std::int64_t bytes_left(std::istream& in) {
+  const std::streampos here = in.tellg();
+  if (here < 0) return -1;
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  return end < here ? -1 : static_cast<std::int64_t>(end - here);
+}
+
 // --- DIMACS .col ----------------------------------------------------------
 
 ReadResult read_dimacs(LineReader& r) {
@@ -132,23 +143,22 @@ ReadResult read_metis(LineReader& r) {
     r.fail_eof("file ends before the '<vertices> <edges> [fmt]' header");
   const io_detail::MetisHeader h =
       io_detail::parse_metis_header_tokens(r, header);
-  EdgeAccumulator acc;
-  acc.n = h.n;
+  io_detail::MetisRows rows;
+  rows.n = h.n;
+  rows.reserve(h, bytes_left(r.in));
 
   // One adjacency line per vertex (blank = isolated); % comments anywhere.
   std::int64_t vertex = 0;
-  std::int64_t entries = 0;
-  while (vertex < acc.n) {
+  while (vertex < h.n) {
     if (!r.next())
       r.fail_eof("file ends after " + std::to_string(vertex) +
-                 " of the " + std::to_string(acc.n) +
+                 " of the " + std::to_string(h.n) +
                  " declared adjacency lines");
     if (!r.line.empty() && r.line[0] == '%') {
       ++out.stats.comment_lines;
       continue;
     }
-    entries += io_detail::parse_metis_line(r, r.tokens(), h,
-                                           static_cast<Vertex>(vertex), acc);
+    io_detail::parse_metis_line(r, r.line, r.toks, h, rows);
     ++vertex;
   }
   while (r.next()) {
@@ -157,18 +167,19 @@ ReadResult read_metis(LineReader& r) {
       continue;
     }
     if (!r.tokens().empty())
-      r.fail(1, "data after the last of the " + std::to_string(acc.n) +
+      r.fail(1, "data after the last of the " + std::to_string(h.n) +
                     " declared adjacency lines");
   }
+  const auto entries = static_cast<std::int64_t>(rows.adj.size());
   if (entries != 2 * h.declared_m)
     r.fail_eof("header declared " + std::to_string(h.declared_m) +
                " edges (" + std::to_string(2 * h.declared_m) +
                " adjacency entries; each edge appears twice) but the "
                "lists contain " + std::to_string(entries) + " entries");
-  out.stats.declared_n = acc.n;
+  out.stats.declared_n = h.n;
   out.stats.declared_m = h.declared_m;
   out.stats.edge_records = entries;
-  out.graph = io_detail::finish_metis(r.name, acc, out.stats);
+  out.graph = io_detail::finish_metis(r.name, std::move(rows), out.stats);
   return out;
 }
 

@@ -244,8 +244,7 @@ ReadResult read_edge_list_parallel(const std::string& path,
 // --- METIS ----------------------------------------------------------------
 
 struct MetisChunk {
-  EdgeAccumulator acc;
-  std::int64_t entries = 0;
+  MetisRows rows;
   std::int64_t comments = 0;
   std::optional<ChunkError> error;
 };
@@ -256,7 +255,8 @@ void parse_metis_chunk(std::string_view chunk, std::size_t start_line,
   MapCtx ctx{start_line - 1};
   std::vector<Token> toks;
   std::int64_t data = data_start;
-  out.acc.n = h.n;
+  out.rows.n = h.n;
+  out.rows.reserve(h, static_cast<std::int64_t>(chunk.size()));
   try {
     for_each_line(chunk, [&](std::string_view line) {
       ++ctx.lineno;
@@ -264,16 +264,15 @@ void parse_metis_chunk(std::string_view chunk, std::size_t start_line,
         ++out.comments;
         return;
       }
-      tokenize(line, toks);
       if (data >= h.n) {
         // Past the declared adjacency lines only blanks and comments may
         // follow (the streaming reader's trailing scan).
+        tokenize(line, toks);
         if (!toks.empty())
           ctx.fail(1, "data after the last of the " + std::to_string(h.n) +
                           " declared adjacency lines");
       } else {
-        out.entries += parse_metis_line(ctx, toks, h,
-                                        static_cast<Vertex>(data), out.acc);
+        parse_metis_line(ctx, line, toks, h, out.rows);
       }
       ++data;
     });
@@ -355,7 +354,8 @@ ReadResult read_metis_parallel(const std::string& path, std::string_view text,
                          " of the " + std::to_string(h.n) +
                          " declared adjacency lines"};
   std::int64_t entries = 0;
-  for (const MetisChunk& p : parts) entries += p.entries;
+  for (const MetisChunk& p : parts)
+    entries += static_cast<std::int64_t>(p.rows.adj.size());
   if (entries != 2 * h.declared_m)
     throw ChunkError{total_lines + 1, 1,
                      "header declared " + std::to_string(h.declared_m) +
@@ -364,30 +364,19 @@ ReadResult read_metis_parallel(const std::string& path, std::string_view text,
                          "the lists contain " + std::to_string(entries) +
                          " entries"};
 
-  EdgeAccumulator merged;
-  merged.n = h.n;
-  std::size_t total_pairs = 0;
-  for (const MetisChunk& p : parts) total_pairs += p.acc.edges.size();
-  merged.edges.reserve(total_pairs);
+  MetisRows rows;
+  rows.n = h.n;
+  rows.adj.reserve(static_cast<std::size_t>(entries));
+  rows.offsets.reserve(static_cast<std::size_t>(h.n) + 1);
   for (MetisChunk& p : parts) {
-    merged.edges.insert(merged.edges.end(), p.acc.edges.begin(),
-                        p.acc.edges.end());
-    p.acc.edges.clear();
-    p.acc.edges.shrink_to_fit();
-    // The recorded lines are global, so "first" merges by min.
-    if (p.acc.first_zero_line != 0 &&
-        (merged.first_zero_line == 0 ||
-         p.acc.first_zero_line < merged.first_zero_line))
-      merged.first_zero_line = p.acc.first_zero_line;
-    if (p.acc.first_n_line != 0 &&
-        (merged.first_n_line == 0 || p.acc.first_n_line < merged.first_n_line))
-      merged.first_n_line = p.acc.first_n_line;
+    rows.append(p.rows);
+    p.rows = MetisRows{};
     out.stats.comment_lines += p.comments;
   }
   out.stats.declared_n = h.n;
   out.stats.declared_m = h.declared_m;
   out.stats.edge_records = entries;
-  out.graph = finish_metis(path, merged, out.stats);
+  out.graph = finish_metis(path, std::move(rows), out.stats);
   return out;
 }
 

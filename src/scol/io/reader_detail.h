@@ -152,37 +152,20 @@ std::int64_t parse_edge_count(const Ctx& r, const Token& tok) {
   return v;
 }
 
-// --- Shared edge accumulation. -------------------------------------------
+// --- Shared id-range bookkeeping. ----------------------------------------
 //
 // Formats with a declared vertex count (DIMACS, METIS, Matrix Market)
 // collect raw ids first and resolve 0- vs 1-based indexing once the whole
 // file is seen: a file is 0-based iff it uses id 0, 1-based iff it uses
 // id n. Using both is unresolvable and is reported with the lines where
-// each extreme first appeared. Self-loops and duplicate edges are
-// dropped and counted, never errors — real benchmark files contain both.
-//
-// The parallel reader runs one accumulator per chunk (lineno in the
-// context is already global, so the recorded first_zero/first_n lines
-// merge by plain min) and concatenates the edge vectors in chunk order,
-// which reproduces the streaming accumulator state exactly.
-struct EdgeAccumulator {
+// each extreme first appeared.
+struct IdRange {
   std::int64_t n = 0;
-  std::vector<Edge> edges;          // raw, pre-index-resolution
-  std::int64_t self_loops = 0;
   std::size_t first_zero_line = 0;  // line where id 0 first appeared
   std::size_t first_n_line = 0;     // line where id n first appeared
 
   // `lo` is the smallest id this format ever allows (0 for the
   // auto-detecting formats, 1 for Matrix Market which is firmly 1-based).
-  template <class Ctx>
-  void add(const Ctx& r, const Token& ut, const Token& vt, std::int64_t lo) {
-    const std::int64_t u = parse_int64(r, ut, "vertex id");
-    const std::int64_t v = parse_int64(r, vt, "vertex id");
-    check_range(r, u, ut, lo);
-    check_range(r, v, vt, lo);
-    edges.emplace_back(static_cast<Vertex>(u), static_cast<Vertex>(v));
-  }
-
   template <class Ctx>
   void check_range(const Ctx& r, std::int64_t id, const Token& tok,
                    std::int64_t lo) {
@@ -194,18 +177,42 @@ struct EdgeAccumulator {
     if (id == n && first_n_line == 0) first_n_line = r.lineno;
   }
 
-  // Decides indexing, shifts, dedups, builds. Fills stats.
-  Graph finish(const std::string& name, ReadStats& stats) {
-    bool zero_based = first_zero_line != 0;
+  // The shift that makes the ids 0-based (1 unless id 0 was seen); fails
+  // on a file that uses both 0 and n. `ids` names them in the message.
+  Vertex resolve_shift(const std::string& name, const char* ids) const {
+    const bool zero_based = first_zero_line != 0;
     if (zero_based && first_n_line != 0)
       fail_at(name, first_n_line, 1,
-              "file mixes 0-based and 1-based vertex ids (id 0 first seen "
-              "on line " +
+              std::string("file mixes 0-based and 1-based ") + ids +
+                  " ids (id 0 first seen on line " +
                   std::to_string(first_zero_line) + ", id " +
                   std::to_string(n) + " on line " +
                   std::to_string(first_n_line) + ")");
-    stats.zero_indexed = zero_based;
-    const Vertex shift = zero_based ? 0 : 1;
+    return zero_based ? 0 : 1;
+  }
+};
+
+// --- Edge accumulation (DIMACS, Matrix Market). ---------------------------
+//
+// Self-loops and duplicate edges are dropped and counted, never errors —
+// real benchmark files contain both.
+struct EdgeAccumulator : IdRange {
+  std::vector<Edge> edges;          // raw, pre-index-resolution
+  std::int64_t self_loops = 0;
+
+  template <class Ctx>
+  void add(const Ctx& r, const Token& ut, const Token& vt, std::int64_t lo) {
+    const std::int64_t u = parse_int64(r, ut, "vertex id");
+    const std::int64_t v = parse_int64(r, vt, "vertex id");
+    check_range(r, u, ut, lo);
+    check_range(r, v, vt, lo);
+    edges.emplace_back(static_cast<Vertex>(u), static_cast<Vertex>(v));
+  }
+
+  // Decides indexing, shifts, dedups, builds. Fills stats.
+  Graph finish(const std::string& name, ReadStats& stats) {
+    const Vertex shift = resolve_shift(name, "vertex");
+    stats.zero_indexed = shift == 0;
     // Shift straight into the builder (add_edge normalizes orientation);
     // it merges duplicates during its sort-free CSR fill, so the
     // merged count is the duplicate tally — no intermediate edge vector,
@@ -271,14 +278,82 @@ MetisHeader parse_metis_header_tokens(const Ctx& r,
   return h;
 }
 
-// Parses one adjacency line for `vertex` (0-based line index): skips the
-// declared weight tokens, range-checks every neighbor id, and records
-// (vertex, raw neighbor) pairs in `acc`. Returns the number of adjacency
-// entries consumed.
+// METIS adjacency entries as flat rows: the raw neighbor ids of every
+// adjacency line in file order, and per line the offset where its row
+// ends. The line index names the vertex, so no entry stores it. The
+// parallel reader fills one per chunk and concatenates them in chunk
+// order, which reproduces the streaming reader's rows exactly.
+struct MetisRows : IdRange {
+  std::vector<Vertex> adj;                  // raw neighbor ids, 0..n
+  std::vector<std::int64_t> offsets{0};     // row u: [offsets[u], offsets[u+1])
+
+  // Reserves for a body of `bytes` bytes (-1 when the size is unknown),
+  // trusting the header only as far as the input can back it: an entry
+  // is at least one digit plus one separator and a line at least its
+  // newline, so a lying header still ends in the entry-count error, not
+  // in an allocation failure.
+  void reserve(const MetisHeader& h, std::int64_t bytes) {
+    constexpr std::int64_t kUnknownSizeCap = std::int64_t{1} << 20;
+    const std::int64_t room = bytes < 0 ? kUnknownSizeCap : bytes / 2 + 1;
+    adj.reserve(static_cast<std::size_t>(std::min(2 * h.declared_m, room)));
+    offsets.reserve(static_cast<std::size_t>(std::min(h.n, 2 * room)) + 1);
+  }
+
+  void end_row() { offsets.push_back(static_cast<std::int64_t>(adj.size())); }
+
+  // Appends the rows of the chunk that follows this one. Its lines come
+  // after this one's, so a first line already recorded here stays first.
+  void append(const MetisRows& later) {
+    const std::int64_t base = offsets.back();
+    adj.insert(adj.end(), later.adj.begin(), later.adj.end());
+    for (auto it = later.offsets.begin() + 1; it != later.offsets.end(); ++it)
+      offsets.push_back(base + *it);
+    if (first_zero_line == 0) first_zero_line = later.first_zero_line;
+    if (first_n_line == 0) first_n_line = later.first_n_line;
+  }
+};
+
+// The plain-digit scan: the first attempt on every data line of an
+// unweighted (fmt 0) file. Tokens are runs of at most 18 ASCII digits
+// with value <= n, split by is_separator; id 0 and id n are recorded
+// as check_range records them. Anything else — a sign, a longer token,
+// any other byte, an id past n — leaves `rows` untouched and returns
+// false, and the caller parses that line with the token path, so every
+// error still comes from the code that reports it for any other line.
 template <class Ctx>
-std::int64_t parse_metis_line(const Ctx& r, const std::vector<Token>& toks,
-                              const MetisHeader& h, Vertex vertex,
-                              EdgeAccumulator& acc) {
+bool scan_plain_metis_line(const Ctx& r, std::string_view line,
+                           MetisRows& rows) {
+  const std::size_t mark = rows.adj.size();
+  const auto n = static_cast<std::uint64_t>(rows.n);
+  bool saw_zero = false;
+  bool saw_n = false;
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  while (true) {
+    while (p != end && is_separator(*p)) ++p;
+    if (p == end) break;
+    const char* const start = p;
+    std::uint64_t id = 0;  // may wrap, on a token the length test rejects
+    for (; p != end && static_cast<unsigned char>(*p - '0') <= 9; ++p)
+      id = id * 10 + static_cast<unsigned char>(*p - '0');
+    if ((p != end && !is_separator(*p)) || p - start > 18 || id > n) {
+      rows.adj.resize(mark);
+      return false;
+    }
+    saw_zero |= id == 0;
+    saw_n |= id == n;
+    rows.adj.push_back(static_cast<Vertex>(id));
+  }
+  if (saw_zero && rows.first_zero_line == 0) rows.first_zero_line = r.lineno;
+  if (saw_n && rows.first_n_line == 0) rows.first_n_line = r.lineno;
+  return true;
+}
+
+// The token path for one adjacency line: skips the declared weight
+// tokens and range-checks every neighbor id into `rows`.
+template <class Ctx>
+void parse_metis_tokens(const Ctx& r, const std::vector<Token>& toks,
+                        const MetisHeader& h, MetisRows& rows) {
   std::size_t i = 0;
   if (h.vertex_sizes) ++i;                         // skip the size token
   i += static_cast<std::size_t>(h.ncon);           // skip vertex weights
@@ -291,91 +366,116 @@ std::int64_t parse_metis_line(const Ctx& r, const std::vector<Token>& toks,
   if (h.edge_weights && (toks.size() - i) % 2 != 0)
     r.fail(toks.back().col, "fmt declares edge weights but a neighbor id "
                             "has no weight token after it");
-  std::int64_t entries = 0;
   // The other endpoint is the line index, so indexing resolution must
   // treat both the same way. METIS ids are canonically 1-based; we defer
   // like DIMACS and shift the neighbor ids in finish_metis.
   for (; i < toks.size(); i += step) {
     const std::int64_t w = parse_int64(r, toks[i], "neighbor id");
-    acc.check_range(r, w, toks[i], 0);
-    acc.edges.emplace_back(vertex, static_cast<Vertex>(w));
-    ++entries;
+    rows.check_range(r, w, toks[i], 0);
+    rows.adj.push_back(static_cast<Vertex>(w));
   }
-  return entries;
+}
+
+// Parses one adjacency line (the next vertex's row) into `rows`: the
+// plain-digit scan when the file is unweighted, else — or when the scan
+// declines the line — the token path, tokenizing into `toks`.
+template <class Ctx>
+void parse_metis_line(const Ctx& r, std::string_view line,
+                      std::vector<Token>& toks, const MetisHeader& h,
+                      MetisRows& rows) {
+  if (h.fmt != 0 || !scan_plain_metis_line(r, line, rows)) {
+    tokenize(line, toks);
+    parse_metis_tokens(r, toks, h, rows);
+  }
+  rows.end_row();
+}
+
+// Given |T_u| = |R_u| for every u, whether T_u = R_u for every u: the
+// rows are walked in vertex order, so the k-th row to list v must be
+// R_v's k-th entry.
+inline bool rows_mirrored(const std::vector<Vertex>& listed,
+                          const std::vector<std::int64_t>& row) {
+  std::vector<std::int64_t> cursor(row.begin(), row.end() - 1);
+  for (std::size_t u = 0; u + 1 < row.size(); ++u)
+    for (auto i = static_cast<std::size_t>(row[u]);
+         i < static_cast<std::size_t>(row[u + 1]); ++i) {
+      const auto v = static_cast<std::size_t>(listed[i]);
+      if (listed[static_cast<std::size_t>(cursor[v]++)] !=
+          static_cast<Vertex>(u))
+        return false;
+    }
+  return true;
 }
 
 // METIS tail: resolves neighbor-id indexing, then builds the CSR row by
-// row with no global sort. `acc.edges` holds (0-based line vertex, raw
-// neighbor) pairs in file order — both readers emit the lines in vertex
-// order — so the listed row R_u of each line vertex u is one contiguous
-// run. Each R_u is sorted and its self-loops and same-direction
-// duplicates dropped and counted; a counting-sort transpose over the rows
-// in vertex order yields T_u (the vertices whose lines list u) already
-// sorted; row u of the graph is the merged union of R_u and T_u. An
-// undirected edge must be listed once from EACH endpoint, so every v in
-// R_u \ T_u is an asymmetric (unmirrored) listing — tolerated and
-// counted, never silent. O(n + entries + sum deg log deg), and
-// O(n + entries) when every row is listed sorted (the sort is skipped).
-inline Graph finish_metis(const std::string& name,
-                          const EdgeAccumulator& acc, ReadStats& stats) {
-  // Resolve indexing on the neighbor ids only (the first element of each
-  // stored pair is the 0-based line index): 1-based unless some neighbor
-  // is 0.
-  const bool zero_based = acc.first_zero_line != 0;
-  if (zero_based && acc.first_n_line != 0)
-    fail_at(name, acc.first_n_line, 1,
-            "file mixes 0-based and 1-based neighbor ids (id 0 first seen "
-            "on line " + std::to_string(acc.first_zero_line) + ", id " +
-                std::to_string(acc.n) + " on line " +
-                std::to_string(acc.first_n_line) + ")");
-  stats.zero_indexed = zero_based;
-  const Vertex shift = zero_based ? 0 : 1;
-  const std::size_t n = static_cast<std::size_t>(acc.n);
+// row with no global sort, consuming `rows`. Each listed row R_u is
+// shifted to 0-based, sorted, and its self-loops and same-direction
+// duplicates dropped and counted, in place. An undirected edge must be
+// listed once from EACH endpoint: row u of the graph is R_u ∪ T_u, where
+// T_u (the vertices whose lines list u) comes out of a transpose in
+// vertex order already sorted, and every v in R_u \ T_u is an asymmetric
+// (unmirrored) listing — tolerated and counted, never silent.
+//
+// A well-formed file has T_u = R_u for every u. When every transposed
+// degree |T_u| equals |R_u|, one cursor walk in vertex order checks that
+// equality without materialising T, and the listed rows are adopted as
+// the CSR with no copy. Otherwise the full transpose + merge runs.
+// O(n + entries + sum deg log deg), and O(n + entries) when every row is
+// listed sorted (the sort is skipped).
+inline Graph finish_metis(const std::string& name, MetisRows&& rows,
+                          ReadStats& stats) {
+  const Vertex shift = rows.resolve_shift(name, "neighbor");
+  stats.zero_indexed = shift == 0;
+  const std::size_t n = static_cast<std::size_t>(rows.n);
+  std::vector<Vertex>& listed = rows.adj;
+  std::vector<std::int64_t>& row = rows.offsets;
+  SCOL_DCHECK(row.size() == n + 1, + "one row per adjacency line");
 
-  // Listed rows: offsets from one count pass, neighbors shifted to 0-based.
-  std::vector<std::size_t> row(n + 1, 0);
-  for (const auto& e : acc.edges) ++row[static_cast<std::size_t>(e.first) + 1];
-  for (std::size_t u = 0; u < n; ++u) row[u + 1] += row[u];
-  std::vector<Vertex> listed(acc.edges.size());
-  for (std::size_t i = 0; i < listed.size(); ++i) {
-    SCOL_DCHECK(i == 0 || acc.edges[i - 1].first <= acc.edges[i].first,
-                + "METIS entries grouped by line vertex");
-    listed[i] = static_cast<Vertex>(acc.edges[i].second - shift);
-  }
-
-  // Sort each row; compact away self-loops and duplicates.
+  // Shift, sort each row, compact away self-loops and duplicates.
   std::int64_t self_loops = 0;
   std::size_t write = 0;
   std::size_t end = 0;
   for (std::size_t u = 0; u < n; ++u) {
     const std::size_t begin = end;
-    end = row[u + 1];
+    end = static_cast<std::size_t>(row[u + 1]);
     // write_metis and most real files list rows sorted already.
     if (!std::is_sorted(listed.data() + begin, listed.data() + end))
       std::sort(listed.data() + begin, listed.data() + end);
+    const auto row_begin = static_cast<std::size_t>(row[u]);
     for (std::size_t i = begin; i < end; ++i) {
-      const Vertex v = listed[i];
+      const auto v = static_cast<Vertex>(listed[i] - shift);
       if (v == static_cast<Vertex>(u))
         ++self_loops;
-      else if (write > row[u] && listed[write - 1] == v)
+      else if (write > row_begin && listed[write - 1] == v)
         ++stats.duplicate_edges;
       else
         listed[write++] = v;
     }
-    row[u + 1] = write;
+    row[u + 1] = static_cast<std::int64_t>(write);
   }
   listed.resize(write);
+  stats.self_loops = self_loops;
+
+  // Transposed degrees, then the cursor walk when they all match.
+  std::vector<std::int64_t> trow(n + 1, 0);
+  for (const Vertex v : listed) ++trow[static_cast<std::size_t>(v) + 1];
+  bool same_degrees = true;
+  for (std::size_t u = 0; u < n; ++u)
+    same_degrees &= trow[u + 1] == row[u + 1] - row[u];
+  if (same_degrees && rows_mirrored(listed, row))
+    return Graph::from_csr(static_cast<Vertex>(n), std::move(row),
+                           std::move(listed));
 
   // Transpose: filling in row order leaves every T_u sorted.
-  std::vector<std::size_t> trow(n + 1, 0);
-  for (const Vertex v : listed) ++trow[static_cast<std::size_t>(v) + 1];
   for (std::size_t u = 0; u < n; ++u) trow[u + 1] += trow[u];
   std::vector<Vertex> listers(listed.size());
   {
-    std::vector<std::size_t> cursor(trow.begin(), trow.end() - 1);
+    std::vector<std::int64_t> cursor(trow.begin(), trow.end() - 1);
     for (std::size_t u = 0; u < n; ++u)
-      for (std::size_t i = row[u]; i < row[u + 1]; ++i)
-        listers[cursor[static_cast<std::size_t>(listed[i])]++] =
+      for (auto i = static_cast<std::size_t>(row[u]);
+           i < static_cast<std::size_t>(row[u + 1]); ++i)
+        listers[static_cast<std::size_t>(
+            cursor[static_cast<std::size_t>(listed[i])]++)] =
             static_cast<Vertex>(u);
   }
 
@@ -384,13 +484,15 @@ inline Graph finish_metis(const std::string& name,
   std::vector<Vertex> adj;
   adj.reserve(listed.size());
   for (std::size_t u = 0; u < n; ++u) {
-    std::size_t i = row[u];
-    std::size_t j = trow[u];
-    while (i < row[u + 1] || j < trow[u + 1]) {
-      if (j == trow[u + 1] || (i < row[u + 1] && listed[i] < listers[j])) {
+    auto i = static_cast<std::size_t>(row[u]);
+    auto j = static_cast<std::size_t>(trow[u]);
+    const auto i_end = static_cast<std::size_t>(row[u + 1]);
+    const auto j_end = static_cast<std::size_t>(trow[u + 1]);
+    while (i < i_end || j < j_end) {
+      if (j == j_end || (i < i_end && listed[i] < listers[j])) {
         adj.push_back(listed[i++]);
         ++stats.asymmetric_edges;
-      } else if (i == row[u + 1] || listers[j] < listed[i]) {
+      } else if (i == i_end || listers[j] < listed[i]) {
         adj.push_back(listers[j++]);
       } else {
         adj.push_back(listed[i++]);
@@ -399,7 +501,6 @@ inline Graph finish_metis(const std::string& name,
     }
     offsets[u + 1] = static_cast<std::int64_t>(adj.size());
   }
-  stats.self_loops = self_loops;
   return Graph::from_csr(static_cast<Vertex>(n), std::move(offsets),
                          std::move(adj));
 }

@@ -457,6 +457,67 @@ TEST(Params, TypedBagAndParsing) {
   EXPECT_EQ(parsed.items().front().first, "k");
 }
 
+// The ranged real read, and the three reals that scale a 32-bit count:
+// out of range they end in an error naming the key, never in a REQUIRE
+// from inside a kernel (nor a float-to-int overflow on the way there).
+TEST(Params, RangedRealsNameTheirKey) {
+  ParamBag bag;
+  bag.set_real("eps", 0.5).set_int("c", 3).set_real("big", 1e300)
+      .set_real("inf", std::numeric_limits<double>::infinity())
+      .set_real("nan", std::numeric_limits<double>::quiet_NaN());
+  EXPECT_DOUBLE_EQ(bag.get_real("eps", 1.0, 0.0, 1.0), 0.5);
+  EXPECT_DOUBLE_EQ(bag.get_real("c", 1.0, 0.0, 3.0), 3.0);  // int widens
+  EXPECT_DOUBLE_EQ(bag.get_real("absent", 9.0, 0.0, 1.0), 9.0);
+  const auto error = [&](const std::string& key) {
+    try {
+      bag.get_real(key, 1.0, 0.0, 10.0);
+    } catch (const ParamError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error("big"),
+            "param 'big' = 1e+300 is not a finite number in [0, 10]");
+  EXPECT_EQ(error("inf"), "param 'inf' = inf is not a finite number in [0, 10]");
+  EXPECT_EQ(error("nan"), "param 'nan' = nan is not a finite number in [0, 10]");
+
+  Rng rng(1);
+  const Graph g = build_scenario("petersen", rng);
+  const ListAssignment lists = uniform_lists(g.num_vertices(), 4);
+  struct Case {
+    std::string algo;
+    std::vector<std::string> params;
+    std::string want;
+  };
+  const Case cases[] = {
+      {"barenboim-elkin", {"arboricity=1000000000"},
+       "algorithm 'barenboim-elkin': param 'arboricity' = 1000000000 is not "
+       "small enough for param 'eps' = 1: floor((2+eps)a)+1 = 3000000001 "
+       "colors exceeds the vertex-id limit 2147483647"},
+      {"barenboim-elkin", {"arboricity=2", "eps=1e300"},
+       "algorithm 'barenboim-elkin': param 'eps' = 1e+300 is not a finite "
+       "number in [1e-12, 1000000000]"},
+      {"sparse", {"ball_constant=1e20"},
+       "algorithm 'sparse': param 'ball_constant' = 1e+20 is not a finite "
+       "number in [0, 10000000]"},
+      {"dplus1-sparsified", {"sparsify_c=0"},
+       "algorithm 'dplus1-sparsified': param 'sparsify_c' = 0 is not a "
+       "finite number in [1e-09, 1000000]"},
+  };
+  for (const Case& c : cases) {
+    ColoringRequest req = make_request(c.algo, g, lists);
+    req.k = 4;
+    for (const std::string& p : c.params) parse_param(req.params, p);
+    RunContext ctx;
+    try {
+      solve(req, ctx);
+      ADD_FAILURE() << c.want << ": solve did not throw";
+    } catch (const PreconditionError& e) {
+      EXPECT_EQ(std::string(e.what()), c.want);
+    }
+  }
+}
+
 TEST(Json, ReportSerialization) {
   const Graph g = grid(5, 5);
   const ListAssignment lists = uniform_lists(g.num_vertices(), 6);

@@ -395,12 +395,19 @@ MetisExpectation metis_oracle(
 // lines (isolated vertices), % comments anywhere, odd whitespace, 0- or
 // 1-based ids and optional edge weights. `lines` holds the raw neighbor
 // ids of each adjacency line, for the oracle.
+//
+// With `fallbacks`, the file also exercises both ends of the plain-digit
+// scan and of the tail's adopt check: ids spelled "+7", "007" and
+// zero-padded to 18, 19 and 20 digits; \v, \f and mid-line \r separators
+// and CRLF line ends; fmt 0, 1, 10 and 11; and, besides the random
+// shape above, fully mirrored lists (the adopt path) and unions of
+// directed cycles (every transposed degree matches, no row is mirrored).
 struct MetisCase {
   std::string text;
   std::vector<std::vector<std::int64_t>> lines;
 };
 
-MetisCase random_metis_case(Rng& rng) {
+MetisCase random_metis_case(Rng& rng, bool fallbacks = false) {
   const auto n = static_cast<Vertex>(
       1 + rng.below(rng.chance(0.1) ? 400 : 30));
   std::vector<std::vector<Vertex>> listed(static_cast<std::size_t>(n));
@@ -411,16 +418,37 @@ MetisCase random_metis_case(Rng& rng) {
     return static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
   };
   const std::uint64_t pairs = rng.below(3 * static_cast<std::uint64_t>(n) + 1);
-  for (std::uint64_t t = 0; t < pairs; ++t) {
-    const Vertex u = draw();
-    const Vertex v = draw();
-    const double kind = rng.real();
-    if (kind < 0.8 || u == v) at(u).push_back(v);
-    if (kind < 0.7 || kind >= 0.8) at(v).push_back(u);
-    if (rng.chance(0.1)) at(u).push_back(v);  // same-direction duplicate
+  const std::uint64_t shape = fallbacks ? rng.below(3) : 0;
+  if (shape == 0) {
+    for (std::uint64_t t = 0; t < pairs; ++t) {
+      const Vertex u = draw();
+      const Vertex v = draw();
+      const double kind = rng.real();
+      if (kind < 0.8 || u == v) at(u).push_back(v);
+      if (kind < 0.7 || kind >= 0.8) at(v).push_back(u);
+      if (rng.chance(0.1)) at(u).push_back(v);  // same-direction duplicate
+    }
+    for (Vertex v = 0; v < n; ++v)
+      if (rng.chance(0.05)) at(v).push_back(v);
+  } else if (shape == 1) {
+    for (std::uint64_t t = 0; t < pairs; ++t) {
+      const Vertex u = draw();
+      const Vertex v = draw();
+      if (u == v) continue;
+      at(u).push_back(v);
+      at(v).push_back(u);
+    }
+    if (rng.chance(0.3)) at(draw()).push_back(draw());  // maybe a one-sided
+  } else {
+    for (std::uint64_t c = rng.below(4) + 1; c > 0; --c) {
+      const Vertex len = static_cast<Vertex>(3 + rng.below(5));
+      std::vector<Vertex> cycle;
+      for (Vertex i = 0; i < len; ++i) cycle.push_back(draw());
+      for (Vertex i = 0; i < len; ++i)
+        at(cycle[static_cast<std::size_t>(i)])
+            .push_back(cycle[static_cast<std::size_t>((i + 1) % len)]);
+    }
   }
-  for (Vertex v = 0; v < n; ++v)
-    if (rng.chance(0.05)) at(v).push_back(v);
   std::size_t entries = 0;
   for (auto& line : listed) {
     rng.shuffle(line);
@@ -433,8 +461,26 @@ MetisCase random_metis_case(Rng& rng) {
   }
 
   const std::int64_t base = rng.chance(0.5) ? 0 : 1;
-  const bool weighted = rng.chance(0.2);
-  const char* const gaps[] = {" ", "  ", "\t", " \t "};
+  const std::int64_t fmt =
+      fallbacks ? std::vector<std::int64_t>{0, 0, 1, 10, 11}[rng.below(5)]
+                : rng.chance(0.2) ? 1 : 0;
+  const bool edge_weights = fmt % 10 == 1;
+  const bool vertex_weight = fmt >= 10;
+  const std::vector<std::string> gaps =
+      fallbacks ? std::vector<std::string>{" ", "\t", "\v", "\f", "\r",
+                                           " \r\t"}
+                : std::vector<std::string>{" ", "  ", "\t", " \t "};
+  const auto spell = [&](std::int64_t id) {
+    const std::string digits = std::to_string(id);
+    if (!fallbacks) return digits;
+    const std::uint64_t how = rng.below(12);
+    if (how == 0) return "+" + digits;
+    if (how >= 1 && how <= 4) {
+      const std::size_t width = std::vector<std::size_t>{3, 18, 19, 20}[how - 1];
+      return std::string(width - std::min(width, digits.size()), '0') + digits;
+    }
+    return digits;
+  };
   const auto comment = [&](std::string& text) {
     if (rng.chance(0.1))
       text += "% comment " + std::to_string(rng.below(99)) + "\n";
@@ -442,45 +488,113 @@ MetisCase random_metis_case(Rng& rng) {
   MetisCase c;
   comment(c.text);
   c.text += std::to_string(n) + " " + std::to_string(entries / 2) +
-            (weighted ? " 1" : "") + "\n";
+            (fmt != 0 ? " " + std::to_string(fmt) : "") + "\n";
   for (const auto& line : listed) {
     comment(c.text);
     std::vector<std::int64_t>& raw = c.lines.emplace_back();
+    if (vertex_weight) c.text += std::to_string(1 + rng.below(9));
     for (std::size_t i = 0; i < line.size(); ++i) {
       raw.push_back(line[i] + base);
-      if (i > 0) c.text += gaps[rng.below(4)];
-      c.text += std::to_string(raw.back());
-      if (weighted) c.text += " " + std::to_string(1 + rng.below(9));
+      if (i > 0 || vertex_weight) c.text += gaps[rng.below(gaps.size())];
+      c.text += spell(raw.back());
+      if (edge_weights) c.text += " " + std::to_string(1 + rng.below(9));
     }
     if (line.empty() && rng.chance(0.3)) c.text += "  ";
-    c.text += "\n";
+    c.text += fallbacks && rng.chance(0.2) ? "\r\n" : "\n";
   }
   comment(c.text);
   return c;
+}
+
+// Reads `c` at threads 1, 2 and 4 and checks each read against the
+// sort + binary-search oracle.
+void expect_matches_metis_oracle(const MetisCase& c, const std::string& path,
+                                 const std::string& label) {
+  write_text(path, c.text);
+  const MetisExpectation want = metis_oracle(c.lines);
+  for (const int threads : {1, 2, 4}) {
+    ReadOptions options;
+    options.threads = threads;
+    const ReadResult r = read_graph_file(path, GraphFormat::kAuto, options);
+    const std::string at = label + " @ threads=" + std::to_string(threads);
+    ASSERT_EQ(static_cast<std::size_t>(r.graph.num_vertices()),
+              c.lines.size())
+        << at;
+    EXPECT_EQ(r.graph.edges(), want.edges) << at << "\n" << c.text;
+    EXPECT_EQ(r.stats.duplicate_edges, want.duplicate_edges) << at;
+    EXPECT_EQ(r.stats.asymmetric_edges, want.asymmetric_edges) << at;
+    EXPECT_EQ(r.stats.self_loops, want.self_loops) << at;
+    EXPECT_EQ(r.stats.zero_indexed, want.zero_indexed) << at;
+  }
 }
 
 TEST(MetisTail, MatchesSortAndSearchOracle) {
   Rng rng(903001);
   const std::string path =
       ::testing::TempDir() + "/scol_metis_tail_oracle.graph";
+  for (int t = 0; t < 400; ++t)
+    expect_matches_metis_oracle(random_metis_case(rng), path,
+                                "case " + std::to_string(t));
+  std::remove(path.c_str());
+}
+
+TEST(MetisTail, ScanFallbacksAndAdoptMatchTheOracle) {
+  Rng rng(903033);
+  const std::string path =
+      ::testing::TempDir() + "/scol_metis_scan_oracle.graph";
+  int mirrored = 0;
   for (int t = 0; t < 400; ++t) {
-    const MetisCase c = random_metis_case(rng);
-    write_text(path, c.text);
-    const MetisExpectation want = metis_oracle(c.lines);
+    const MetisCase c = random_metis_case(rng, /*fallbacks=*/true);
+    mirrored += metis_oracle(c.lines).asymmetric_edges == 0;
+    expect_matches_metis_oracle(c, path, "case " + std::to_string(t));
+  }
+  EXPECT_GT(mirrored, 100);  // the adopt path ran, not only the merge
+  std::remove(path.c_str());
+}
+
+// Errors on lines the plain-digit scan declines come from the token path
+// with the text and position it reports for any line; at every thread
+// count, and whether the bad line is the first or a later one.
+TEST(MetisTail, ScanDeclinedLinesKeepTheTokenPathErrors) {
+  const std::string path = ::testing::TempDir() + "/scol_metis_scan_err.graph";
+  const std::pair<std::string, std::string> cases[] = {
+      {"3 2\n2\n1 4\n2\n",
+       ":3:3: vertex id 4 out of range [0, 3] for 3 vertices"},
+      {"3 2\n2\n1\t+7\n2\n",
+       ":3:3: vertex id +7 out of range [0, 3] for 3 vertices"},
+      {"3 2\n2\n1 99999999999999999999\n2\n",
+       ":3:3: expected an integer neighbor id, got '99999999999999999999'"},
+      {"3 2\n2\n1 18446744073709551618\n2\n",  // 2^64 + 2
+       ":3:3: expected an integer neighbor id, got '18446744073709551618'"},
+      {"3 2\n2\n1 0000000000000000000004\n2\n",
+       ":3:3: vertex id 0000000000000000000004 out of range [0, 3] for 3 "
+       "vertices"},
+      {"3 2\n2\n1 -1\n2\n",
+       ":3:3: vertex id -1 out of range [0, 3] for 3 vertices"},
+      {"3 2\n2\n1\v3x\n2\n", ":3:3: expected an integer neighbor id, got '3x'"},
+      {"3 2\n2\n1 +\n2\n", ":3:3: expected an integer neighbor id, got '+'"},
+      {"3 2\n2\n0 3\n2\n",
+       ":3:1: file mixes 0-based and 1-based neighbor ids (id 0 first seen on "
+       "line 3, id 3 on line 3)"},
+      {"3 2\n1\n0 2\n3\n",
+       ":4:1: file mixes 0-based and 1-based neighbor ids (id 0 first seen on "
+       "line 3, id 3 on line 4)"},
+      {"3 2 10\n5 2\n5 1 3\n5\n",
+       ":5:1: header declared 2 edges (4 adjacency entries; each edge appears "
+       "twice) but the lists contain 3 entries"},
+  };
+  for (const auto& [text, want] : cases) {
+    write_text(path, text);
     for (const int threads : {1, 2, 4}) {
       ReadOptions options;
       options.threads = threads;
-      const ReadResult r = read_graph_file(path, GraphFormat::kAuto, options);
-      const std::string label =
-          "case " + std::to_string(t) + " @ threads=" + std::to_string(threads);
-      ASSERT_EQ(static_cast<std::size_t>(r.graph.num_vertices()),
-                c.lines.size())
-          << label;
-      EXPECT_EQ(r.graph.edges(), want.edges) << label << "\n" << c.text;
-      EXPECT_EQ(r.stats.duplicate_edges, want.duplicate_edges) << label;
-      EXPECT_EQ(r.stats.asymmetric_edges, want.asymmetric_edges) << label;
-      EXPECT_EQ(r.stats.self_loops, want.self_loops) << label;
-      EXPECT_EQ(r.stats.zero_indexed, want.zero_indexed) << label;
+      try {
+        read_graph_file(path, GraphFormat::kMetis, options);
+        ADD_FAILURE() << text << " @ threads=" << threads << ": no error";
+      } catch (const PreconditionError& e) {
+        EXPECT_EQ(std::string(e.what()), path + want)
+            << " @ threads=" << threads;
+      }
     }
   }
   std::remove(path.c_str());

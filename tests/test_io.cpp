@@ -366,6 +366,47 @@ TEST(IoMetis, WrongDeclaredEdgeCount) {
   EXPECT_CONTAINS(msg, "4 entries");
 }
 
+// A header may declare far more entries than its input holds; the
+// reader reserves only what the bytes can back, so the lie ends in the
+// entry-count error — from a sized stream, a stream that cannot seek,
+// and a file read at 1 and 4 threads — never in an allocation failure.
+TEST(IoMetis, HugeDeclaredEdgeCountEndsInTheEntryCountError) {
+  const std::string text = "3 1000000000000000\n2\n1 3\n2\n";
+  const std::string want =
+      "g.graph:5:1: header declared 1000000000000000 edges "
+      "(2000000000000000 adjacency entries; each edge appears twice) but "
+      "the lists contain 4 entries";
+  EXPECT_EQ(error_of([&] { parse(text, GraphFormat::kMetis, "g.graph"); }),
+            want);
+
+  struct Unseekable : std::streambuf {  // seekoff/seekpos answer -1
+    explicit Unseekable(std::string& s) {
+      setg(s.data(), s.data(), s.data() + s.size());
+    }
+  };
+  std::string body = text;
+  Unseekable buf(body);
+  std::istream pipe(&buf);
+  EXPECT_EQ(error_of([&] { read_graph(pipe, GraphFormat::kMetis, "g.graph"); }),
+            want);
+
+  const std::string path = ::testing::TempDir() + "/g.graph";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  for (const int threads : {1, 4}) {
+    ReadOptions options;
+    options.threads = threads;
+    EXPECT_EQ(error_of([&] {
+                read_graph_file(path, GraphFormat::kMetis, options);
+              }),
+              path + want.substr(std::string("g.graph").size()))
+        << "threads=" << threads;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(IoMetis, DataAfterLastAdjacencyLine) {
   const std::string msg = error_of([] {
     parse("2 1\n2\n1\n1 2\n", GraphFormat::kMetis, "g.graph");
